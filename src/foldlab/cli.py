@@ -66,6 +66,13 @@ def _load_config(path: str):
     return parser
 
 
+def _is_int_matrix(obj) -> bool:
+    """Whether decoded JSON is a list of lists of integers."""
+    return isinstance(obj, list) and all(
+        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in obj
+    )
+
+
 def _build_datum_and_action(parser):
     datum_cfg = parser["datum"] if parser.has_section("datum") else {}
     action_cfg = parser["action"] if parser.has_section("action") else {}
@@ -121,13 +128,15 @@ def _build_datum_and_action(parser):
             data = json.loads(mats_raw)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"matrices is not valid JSON: {exc}") from None
-        if not isinstance(data, list):
-            raise ConfigError("matrices must be a JSON list of matrices")
-        if data and isinstance(data[0][0], int):
+        if data and _is_int_matrix(data):
             data = [data]  # a single matrix was given bare
+        if not isinstance(data, list) or not all(_is_int_matrix(m) for m in data):
+            raise ConfigError(
+                "matrices must be an integer matrix or a JSON list of integer matrices"
+            )
         try:
             generators = [IntMatrix(m) for m in data]
-        except (DomainError, TypeError, IndexError) as exc:
+        except DomainError as exc:
             raise ConfigError(f"bad matrix data: {exc}") from None
 
     if generators:
@@ -290,11 +299,7 @@ def _analysis_tangent(datum, act, p):
     if p is None:
         raise ConfigError("tangent analysis needs p (give --p or [run] p)")
     n = _flip_rank(datum, act)
-    try:
-        dim = tangent_dim(n, p)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-    return {"n": n, "p": p, "dim": dim}
+    return {"n": n, "p": p, "dim": tangent_dim(n, p)}
 
 
 def _flatten(prefix, obj, lines):
@@ -314,7 +319,7 @@ def run_command(args) -> int:
         datum, act, preset_name = _build_datum_and_action(parser)
         base = _build_base(parser)
         analyses, q, p, weyl_limit, enum_limit = _run_settings(parser, args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except InvalidActionError as exc:
@@ -349,7 +354,7 @@ def run_command(args) -> int:
                     mismatch = True
             elif analysis == "tangent":
                 results["tangent"] = _analysis_tangent(datum, act, p)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except InvalidActionError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalInconsistencyError
 from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, cokernel
-from .rootdata import RootDatum, WeylGroup, WEYL_LIMIT_DEFAULT
+from .rootdata import RootDatum, WeylGroup, WEYL_LIMIT_DEFAULT, cartan_type_of
 from .action import PinnedAction
 
 VARIANTS = ("R1", "R2", "nonreduced")
@@ -146,8 +146,6 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
 def _check_type_two_shape(datum, act, classes):
     """Cross-check: type II classes occur exactly on even-rank A components
     whose stabilizer acts nontrivially, in per-component triples x, y, x+y."""
-    from .rootdata import cartan_type_of, CartanType  # local to avoid cycle at import
-
     comps = datum.components()
     comp_of = {}
     for ci, comp in enumerate(comps):
@@ -339,65 +337,54 @@ class FixedWeyl:
     coxeter_generators: tuple[tuple[int, ...], ...]
 
 
+def _orbit_longest_element(datum: RootDatum, orbit) -> tuple[int, ...]:
+    """Longest element of the parabolic subgroup spanned by an orbit of
+    simple roots, by descent: right-multiply by a simple reflection of the
+    orbit while it still sends that simple root to a positive root."""
+    gens = {p: datum.simple_reflection_permutation(p) for p in orbit}
+    w = tuple(range(datum.nroots))
+    while True:
+        p = next(
+            (p for p in orbit if datum.is_positive(w[datum.basis_indices[p]])), None
+        )
+        if p is None:
+            return w
+        w = tuple(w[i] for i in gens[p])
+
+
 def fixed_weyl(datum: RootDatum, act: PinnedAction, limit: int = WEYL_LIMIT_DEFAULT) -> FixedWeyl:
     """Elements of the Weyl group commuting with every action generator.
 
-    Also produces the standard Coxeter generators: the longest elements of
-    the parabolic subgroups spanned by the orbits of the action on the base.
-    Their closure is checked against the brute-force filter.
+    The fixed group W^A is a Coxeter group generated by the longest
+    elements of the parabolic subgroups spanned by the orbits of the action
+    on the base (Steinberg, Endomorphisms of linear algebraic groups, Mem.
+    AMS 80, 1968), so it is the closure of those elements; W itself is never
+    enumerated.  ``limit`` bounds |W^A|.  Each generator is checked to be
+    action-fixed, and |W^A| is checked against the product of the degrees
+    of the folded R1 type.
     """
-    w = datum.weyl_group(limit)
     gen_perms = act.generator_perms
-    n = datum.nroots
-    fixed = []
-    for elt in w.elements:
-        ok = True
-        for g in gen_perms:
-            for i in range(n):
-                if elt[g[i]] != g[elt[i]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            fixed.append(elt)
-
     coxeter = []
-    base_orbits = act.orbits("simple")
-    for orbit in base_orbits:
-        support = set(orbit)
-        sub_pos = [
-            i
-            for i in datum.positive_root_indices()
-            if {j for j, c in enumerate(datum.simple_coordinates(i)) if c} <= support
-        ]
-        sub_gens = [datum.simple_reflection_permutation(p) for p in orbit]
-        w_sub = WeylGroup.generate(n, sub_gens, limit=limit)
-        neg = {datum.negative_of(i) for i in sub_pos}
-        longest = [
-            elt for elt in w_sub.elements if all(elt[i] in neg for i in sub_pos)
-        ]
-        if len(longest) != 1:
-            raise InternalInconsistencyError(
-                "orbit subsystem does not have a unique longest element"
-            )
-        coxeter.append(longest[0])
-
-    fixed_set = set(fixed)
-    for gen in coxeter:
-        if gen not in fixed_set:
+    for orbit in act.orbits("simple"):
+        w0 = _orbit_longest_element(datum, orbit)
+        if any(w0[g[i]] != g[w0[i]] for g in gen_perms for i in range(datum.nroots)):
             raise InternalInconsistencyError(
                 "longest element of an orbit subsystem is not action-fixed"
             )
-    closure = WeylGroup.generate(n, coxeter, limit=limit) if coxeter else None
-    generated = set(closure.elements) if closure else {tuple(range(n))}
-    if generated != fixed_set:
+        coxeter.append(w0)
+
+    closure = WeylGroup.generate(
+        datum.nroots, coxeter, limit=limit, name="the fixed Weyl group W^A"
+    )
+    folded_type = cartan_type_of(folded_root_datum(datum, act, "R1").datum)
+    if closure.order != folded_type.weyl_order:
         raise InternalInconsistencyError(
-            "orbit longest elements do not generate the fixed Weyl group"
+            f"orbit longest elements generate {closure.order} elements, but the "
+            f"folded type {folded_type} has Weyl group order {folded_type.weyl_order}"
         )
     return FixedWeyl(
-        order=len(fixed),
-        elements=tuple(fixed),
+        order=closure.order,
+        elements=closure.elements,
         coxeter_generators=tuple(coxeter),
     )
 

@@ -284,11 +284,12 @@ def count_fixed(
         raise DomainError(f"unknown method {method!r}")
     if method == "scan" and total > scan_limit:
         raise ResourceLimitError(
-            f"full scan over {total} matrices exceeds the limit {scan_limit}"
+            f"full scan over q^(m^2) = {total} matrices exceeds the limit {scan_limit}"
         )
     if method == "backtrack" and sl_order(m, q) > order_limit:
         raise ResourceLimitError(
-            f"group order {sl_order(m, q)} exceeds the search limit {order_limit}"
+            f"|SL_{m}(F_{q})| = {sl_order(m, q)} exceeds the search limit "
+            f"{order_limit} (raise --limit-enum)"
         )
     F = GF(q)
     jf = form_over(F, involution_form(n))

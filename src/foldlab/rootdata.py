@@ -9,6 +9,7 @@ product of their coordinate tuples.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,8 +56,34 @@ class CartanType:
     def rank(self) -> int:
         return sum(n for _, n in self.components)
 
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic invariants, component by component."""
+        return tuple(d for fam, n in self.components for d in _DEGREES[fam](n))
+
+    @property
+    def weyl_order(self) -> int:
+        """|W| as the product of the degrees (Humphreys, Reflection Groups
+        and Coxeter Groups, ch. 3); 1 for the empty type."""
+        return math.prod(self.degrees)
+
     def __str__(self):
         return "+".join(f"{fam}{n}" for fam, n in self.components) or "torus"
+
+
+_DEGREES = {
+    "A": lambda n: tuple(range(2, n + 2)),
+    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "C": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "D": lambda n: tuple(range(2, 2 * n - 1, 2)) + (n,),
+    "E": lambda n: {
+        6: (2, 5, 6, 8, 9, 12),
+        7: (2, 6, 8, 10, 12, 14, 18),
+        8: (2, 8, 12, 14, 18, 20, 24, 30),
+    }[n],
+    "F": lambda n: (2, 6, 8, 12),
+    "G": lambda n: (2, 6),
+}
 
 
 def _simply_laced_edges(fam: str, n: int) -> list[tuple[int, int]]:
@@ -333,7 +360,7 @@ class RootDatum:
 
     def weyl_group(self, limit: int = WEYL_LIMIT_DEFAULT) -> "WeylGroup":
         gens = [self.simple_reflection_permutation(p) for p in range(len(self.basis_indices))]
-        return WeylGroup.generate(self.nroots, gens, limit=limit)
+        return WeylGroup.generate(self.nroots, gens, limit=limit, name="the Weyl group W")
 
 
 class WeylGroup:
@@ -346,7 +373,11 @@ class WeylGroup:
         self.order = len(self.elements)
 
     @classmethod
-    def generate(cls, degree: int, generators, limit: int = WEYL_LIMIT_DEFAULT) -> "WeylGroup":
+    def generate(
+        cls, degree: int, generators, limit: int = WEYL_LIMIT_DEFAULT, name: str = "a Weyl group"
+    ) -> "WeylGroup":
+        """Close the generators under composition; ``name`` says in the
+        limit error what was being closed."""
         ident = tuple(range(degree))
         seen = {ident}
         frontier = [ident]
@@ -359,7 +390,8 @@ class WeylGroup:
                     if wg not in seen:
                         if len(seen) >= limit:
                             raise ResourceLimitError(
-                                f"Weyl closure exceeded limit {limit}"
+                                f"closing {name} exceeded {limit} elements"
+                                " (raise --limit-weyl)"
                             )
                         seen.add(wg)
                         new.append(wg)

@@ -1,6 +1,24 @@
-"""Prints a one-line verdict per acceptance criterion after each run."""
+"""Prints a one-line verdict per acceptance criterion after each run, and
+shares full Weyl group enumerations across tests."""
 
 import re
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def weyl_elements():
+    """Sorted elements of W of a datum, enumerated once per session for each
+    datum (W(E6) alone has 51,840 elements)."""
+    cache = {}
+
+    def elements(datum):
+        key = (datum.rank, datum.roots, datum.coroots, datum.basis_indices)
+        if key not in cache:
+            cache[key] = datum.weyl_group().elements
+        return cache[key]
+
+    return elements
 
 
 def _criterion_key(name):

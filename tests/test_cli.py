@@ -146,6 +146,31 @@ def test_enum_limit_exit_4(tmp_path):
     assert cli.main(["run", cfg, "--limit-enum", "10"]) == 4
 
 
+def test_resource_limit_messages_name_the_flag(tmp_path, capsys):
+    cfg = write(tmp_path, "[datum]\npreset = E6-sc-flip\n")
+    assert cli.main(["run", cfg, "--analysis", "fold", "--limit-weyl", "10"]) == 4
+    err = capsys.readouterr().err
+    assert "fixed Weyl group W^A exceeded 10 elements" in err and "--limit-weyl" in err
+    cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
+    assert cli.main(["run", cfg, "--analysis", "count", "--q", "5", "--limit-enum", "10"]) == 4
+    err = capsys.readouterr().err
+    assert "|SL_3(F_5)| = 372000 exceeds the search limit 10" in err
+    assert "--limit-enum" in err
+
+
+def test_bare_int_matrices_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path, "[datum]\ntype = A2\n\n[action]\nmatrices = [1]\n")
+    assert cli.main(["run", cfg]) == 2
+    assert "matrices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["6", "1"])
+def test_count_bad_field_size_exit_2(tmp_path, capsys, q):
+    cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
+    assert cli.main(["run", cfg, "--analysis", "count", "--q", q]) == 2
+    assert "prime power" in capsys.readouterr().err
+
+
 def test_count_mismatch_exit_5(tmp_path, capsys, monkeypatch):
     def fake(n, q, method="auto", order_limit=0):
         return CountReport(n=n, q=q, brute=6, predicted=7)

@@ -17,6 +17,7 @@ from foldlab.folding import (
 from foldlab.intlat import FinAbGroup
 from foldlab.presets import load_preset, preset_names, type_a_flip
 from foldlab.rootdata import build_preset, cartan_type_of
+from weyl_oracle import brute_fixed_weyl
 
 CATALOG = [load_preset(name) for name in preset_names()]
 
@@ -212,6 +213,18 @@ def test_fixed_weyl_coxeter_generator_count():
     assert len(fw.coxeter_generators) == 2
     pre = load_preset("E6-sc-flip")
     assert len(fixed_weyl(pre.datum, pre.action).coxeter_generators) == 4
+
+
+def test_fixed_weyl_matches_brute_force_oracle(weyl_elements):
+    # the full-W filter and the orbit-parabolic closures, on every preset
+    for pre in CATALOG:
+        fw = fixed_weyl(pre.datum, pre.action)
+        elements, coxeter = brute_fixed_weyl(
+            pre.datum, pre.action, weyl_elements(pre.datum)
+        )
+        assert fw.elements == elements, pre.name
+        assert fw.coxeter_generators == coxeter, pre.name
+        assert fw.order == len(elements)
 
 
 def test_fixed_weyl_limit():

@@ -87,6 +87,23 @@ def test_weyl_orders(ctype, order):
     assert len(set(w.elements)) == w.order
 
 
+@pytest.mark.parametrize(
+    "ctype",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6"],
+)
+def test_degree_product_is_weyl_order(ctype, weyl_elements):
+    ct = CartanType.parse(ctype)
+    assert len(ct.degrees) == ct.rank
+    assert ct.weyl_order == len(weyl_elements(build_preset(ct)))
+
+
+def test_degree_product_closed_forms():
+    assert CartanType.parse("E7").weyl_order == 2_903_040
+    assert CartanType.parse("E8").weyl_order == 696_729_600
+    assert CartanType(()).weyl_order == 1
+    assert CartanType.parse("A2+A2").weyl_order == 36
+
+
 def test_weyl_determinism():
     a = build_preset("A3", "sc").weyl_group()
     b = build_preset("A3", "sc").weyl_group()
