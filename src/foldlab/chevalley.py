@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError
-from .rootdata import RootDatum
+from .rootdata import RootDatum, _component_type
 from .action import PinnedAction
+from .folding import equivalence_classes
 
 
 def chain_length(datum: RootDatum, i: int, j: int) -> int:
@@ -337,8 +338,6 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
 
 def _d4_components_with_s3(sc: StructureConstants, act: PinnedAction):
     """Components of type D4 whose stabilizer acts with full image S3."""
-    from .rootdata import _component_type
-
     d = sc.datum
     comps = d.components()
     sigma = act.component_permutations()
@@ -417,8 +416,6 @@ def equivariant_signs(sc: StructureConstants, act: PinnedAction):
     installed first.  A stabilizer obstruction on a nonspecial orbit is a
     genuine inconsistency and raises.
     """
-    from .folding import equivalence_classes
-
     d = sc.datum
     classes = equivalence_classes(d, act)
     special = {i for cls in classes for i in cls.special}
@@ -508,8 +505,6 @@ def check_equivariance(sc: StructureConstants, act: PinnedAction) -> Equivarianc
     """Per-orbit equivariance of a system: which positive-root orbits have
     a . X_beta = X_{a.beta} for every element, and the sign discrepancies
     where they do not (always +/-1)."""
-    from .folding import equivalence_classes
-
     d = sc.datum
     classes = equivalence_classes(d, act)
     special = {i for cls in classes for i in cls.special}

@@ -12,21 +12,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
-from .intlat import FinAbGroup, coinvariants
+from .intlat import FinAbGroup, coinvariants, is_prime
 from .rootdata import RootDatum, cartan_type_of, _component_type
 from .action import PinnedAction
 from .folding import equivalence_classes
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, n):
-        if d * d > n:
-            break
-        if n % d == 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -42,7 +31,7 @@ class BaseSpec:
         if self.kind == "all" and self.primes:
             raise DomainError("all-primes base does not list primes")
         for p in self.primes:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
 
     @classmethod
@@ -196,7 +185,7 @@ class FiberReport:
 
 def fiber_report(datum: RootDatum, act: PinnedAction, p: int) -> FiberReport:
     """Geometry of the fixed-point fiber in characteristic p (0 allowed)."""
-    if p != 0 and not _is_prime(p):
+    if p != 0 and not is_prime(p):
         raise DomainError(f"characteristic must be 0 or prime, got {p}")
     group = coinvariants(datum.rank, act.generators)
     classes = equivalence_classes(datum, act)

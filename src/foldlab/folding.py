@@ -15,8 +15,14 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalInconsistencyError
 from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, cokernel
-from .rootdata import RootDatum, WeylGroup, WEYL_LIMIT_DEFAULT, cartan_type_of
-from .action import PinnedAction
+from .rootdata import (
+    RootDatum,
+    WeylGroup,
+    WEYL_LIMIT_DEFAULT,
+    _component_type,
+    cartan_type_of,
+)
+from .action import PinnedAction, permutation_matrix
 
 VARIANTS = ("R1", "R2", "nonreduced")
 
@@ -171,7 +177,7 @@ def _check_type_two_shape(datum, act, classes):
                 raise InternalInconsistencyError(
                     "component triple of a type II class is not x, y, x+y"
                 )
-            fam, rank = _component_family_rank(datum, comps[ci])
+            fam, rank = _component_type(datum, comps[ci])
             if fam != "A" or rank % 2:
                 raise InternalInconsistencyError(
                     "type II class on a component not of even-rank type A"
@@ -180,12 +186,6 @@ def _check_type_two_shape(datum, act, classes):
                 raise InternalInconsistencyError(
                     "type II class on a component with trivial stabilizer action"
                 )
-
-
-def _component_family_rank(datum, comp):
-    from .rootdata import _component_type
-
-    return _component_type(datum, comp)
 
 
 @dataclass
@@ -209,14 +209,20 @@ def _class_coroot(datum, cls: FoldClass, divisible: bool) -> tuple:
     return _vector_sum([datum.coroots[i] for i in members])
 
 
+def _oriented_lattice(datum: RootDatum, act: PinnedAction) -> CoinvariantLattice:
+    """Coinvariant lattice whose free coordinates send the sum of the
+    positive roots to a nonnegative vector."""
+    positive = datum.positive_root_indices()
+    orient = _vector_sum([datum.roots[i] for i in positive]) if positive else None
+    return CoinvariantLattice(datum.rank, act.generators, orient=orient)
+
+
 def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> FoldedDatum:
     """Build the folded datum for one of the variants R1, R2, nonreduced."""
     if variant not in VARIANTS:
         raise DomainError(f"unknown folded variant {variant!r}; expected {VARIANTS}")
     classes = equivalence_classes(datum, act)
-    positive = datum.positive_root_indices()
-    orient = _vector_sum([datum.roots[i] for i in positive]) if positive else None
-    lattice = CoinvariantLattice(datum.rank, act.generators, orient=orient)
+    lattice = _oriented_lattice(datum, act)
     r = lattice.free_rank
 
     images = []
@@ -419,12 +425,10 @@ def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:
     if k == 0:
         return True
     pos_of = {r: p for p, r in enumerate(base)}
-    perm_mats = []
-    for perm in act.generator_perms:
-        images = {p: pos_of[perm[base[p]]] for p in range(k)}
-        perm_mats.append(
-            IntMatrix([[1 if images[j] == i else 0 for j in range(k)] for i in range(k)])
-        )
+    perm_mats = [
+        permutation_matrix({p: pos_of[perm[base[p]]] for p in range(k)}, k)
+        for perm in act.generator_perms
+    ]
     cartan = IntMatrix(
         [[datum.pairing(base[j], base[i]) for j in range(k)] for i in range(k)]
     )
@@ -433,19 +437,20 @@ def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:
             raise InternalInconsistencyError(
                 "Cartan matrix does not commute with the base permutation"
             )
-    src = CoinvariantLattice(k, perm_mats)
-    tgt = CoinvariantLattice(k, perm_mats)
-    if src.torsion_moduli or tgt.torsion_moduli:
+    # source and target are both the coinvariants of the base permutation
+    lattice = CoinvariantLattice(k, perm_mats)
+    if lattice.torsion_moduli:
         raise InternalInconsistencyError(
             "permutation coinvariants unexpectedly have torsion"
         )
     cols = [
-        tgt.free_image(cartan.apply(src.section(j))) for j in range(src.free_rank)
+        lattice.free_image(cartan.apply(lattice.section(j)))
+        for j in range(lattice.free_rank)
     ]
     if not cols:
         return True
-    phi = IntMatrix.from_columns(cols, tgt.free_rank)
-    return phi.rank() == src.free_rank
+    phi = IntMatrix.from_columns(cols, lattice.free_rank)
+    return phi.rank() == lattice.free_rank
 
 
 @dataclass
@@ -473,9 +478,7 @@ def parabolic_correspondence(datum: RootDatum, act: PinnedAction, gamma) -> Para
             raise DomainError("subset of the base is not action-stable")
 
     classes = equivalence_classes(datum, act)
-    positive = datum.positive_root_indices()
-    orient = _vector_sum([datum.roots[i] for i in positive]) if positive else None
-    lattice = CoinvariantLattice(datum.rank, act.generators, orient=orient)
+    lattice = _oriented_lattice(datum, act)
 
     base_set = set(base)
     base_classes = tuple(

@@ -9,7 +9,6 @@ identities that are cheap to assert in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, InvalidActionError
@@ -100,14 +99,6 @@ class IntMatrix:
             cols=self.rows,
         )
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise DomainError("matrix row mismatch in hstack")
-        return IntMatrix(
-            [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols + other.cols,
-        )
-
     def apply(self, vector) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         if len(vector) != self.cols:
@@ -162,24 +153,9 @@ class IntMatrix:
         return IntMatrix([[a * d for a in row] for row in adj], cols=n)
 
     def rank(self) -> int:
-        """Rank over the rationals."""
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        r = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][col] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][col]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        """Rank over the rationals: the number of nonzero Smith invariants."""
+        _, d, _ = smith_normal_form(self)
+        return sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -476,6 +452,14 @@ def prime_power(q: int) -> tuple[int, int]:
     if n != 1:
         raise DomainError(f"{q} is not a prime power")
     return p, e
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is a prime, i.e. a prime power with exponent one."""
+    try:
+        return prime_power(n)[1] == 1
+    except DomainError:
+        return False
 
 
 def hom_to_units_count(g: FinAbGroup, q: int) -> int:

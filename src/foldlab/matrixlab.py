@@ -260,33 +260,17 @@ def sl_order(m: int, q: int) -> int:
     return order
 
 
-def count_fixed(
-    n: int,
-    q: int,
-    method: str = "auto",
-    scan_limit: int = FULL_SCAN_LIMIT,
-    order_limit: int = GROUP_ORDER_LIMIT,
-) -> int:
+def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
     """Number of matrices in SL_{2n+1}(F_q) fixed by the involution.
 
-    A full scan enumerates every matrix when q^(m^2) is small enough;
-    otherwise columns are chosen one at a time under the bilinear-form
-    constraints, with the ambient group order capped to keep the search
-    finite in practice.
+    Columns are chosen one at a time under the bilinear-form constraints,
+    with the ambient group order capped to keep the search finite in
+    practice.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     m = 2 * n + 1
-    total = q ** (m * m)
-    if method == "auto":
-        method = "scan" if total <= scan_limit else "backtrack"
-    if method not in ("scan", "backtrack"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "scan" and total > scan_limit:
-        raise ResourceLimitError(
-            f"full scan over q^(m^2) = {total} matrices exceeds the limit {scan_limit}"
-        )
-    if method == "backtrack" and sl_order(m, q) > order_limit:
+    if sl_order(m, q) > order_limit:
         raise ResourceLimitError(
             f"|SL_{m}(F_{q})| = {sl_order(m, q)} exceeds the search limit "
             f"{order_limit} (raise --limit-enum)"
@@ -301,21 +285,6 @@ def count_fixed(
         for v in vectors:
             pair[u, v] = _dot(F, v, ju)  # v^T J u ... = u^T J v by symmetry
     count = 0
-    if method == "scan":
-        for flat in itertools.product(range(q), repeat=m * m):
-            cols = tuple(flat[c::m] for c in range(m))
-            ok = True
-            for i in range(m):
-                for k in range(i, m):
-                    if pair[cols[i], cols[k]] != jf[i][k]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and mat_det(F, tuple(zip(*cols))) == 1:
-                count += 1
-        return count
-
     cols: list = []
 
     def descend(depth: int):
@@ -381,14 +350,12 @@ class CountReport:
         }
 
 
-def verify_fixed_count(
-    n: int, q: int, method: str = "auto", order_limit: int = GROUP_ORDER_LIMIT
-) -> CountReport:
+def verify_fixed_count(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> CountReport:
     """Compare the brute-force fixed count in SL_{2n+1}(F_q) with the
     prediction computed purely from the folded root combinatorics."""
     datum, act = type_a_flip(2 * n, "sc")
     predicted = bruhat_predicted_count(datum, act, q)
-    brute = count_fixed(n, q, method=method, order_limit=order_limit)
+    brute = count_fixed(n, q, order_limit=order_limit)
     return CountReport(n=n, q=q, brute=brute, predicted=predicted)
 
 

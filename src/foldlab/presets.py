@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .intlat import IntMatrix
 from .rootdata import RootDatum, build_preset, build_torus
-from .action import PinnedAction
+from .action import PinnedAction, permutation_matrix
 
 
 @dataclass
@@ -22,37 +22,28 @@ class Preset:
     action: PinnedAction
 
 
-def basis_permutation_matrix(images: dict[int, int], rank: int) -> IntMatrix:
-    """Lattice map sending basis vector e_j to e_images[j]."""
-    if sorted(images) != list(range(rank)) or sorted(images.values()) != list(range(rank)):
-        raise DomainError("images must be a permutation of the basis positions")
-    return IntMatrix(
-        [[1 if images[j] == i else 0 for j in range(rank)] for i in range(rank)]
-    )
-
-
 def type_a_flip(rank: int, isogeny: str = "sc") -> tuple[RootDatum, PinnedAction]:
     """A_rank datum with the diagram-reversing involution."""
     datum = build_preset(f"A{rank}", isogeny)
-    m = basis_permutation_matrix({j: rank - 1 - j for j in range(rank)}, rank)
+    m = permutation_matrix({j: rank - 1 - j for j in range(rank)}, rank)
     return datum, PinnedAction(datum, [m])
 
 
 def _d4(generating_images: list[dict[int, int]]):
     datum = build_preset("D4", "sc")
-    gens = [basis_permutation_matrix(img, 4) for img in generating_images]
+    gens = [permutation_matrix(img, 4) for img in generating_images]
     return datum, PinnedAction(datum, gens)
 
 
 def _build_a2a2_swap():
     datum = build_preset("A2+A2", "sc")
-    m = basis_permutation_matrix({0: 2, 1: 3, 2: 0, 3: 1}, 4)
+    m = permutation_matrix({0: 2, 1: 3, 2: 0, 3: 1}, 4)
     return datum, PinnedAction(datum, [m])
 
 
 def _build_e6_flip():
     datum = build_preset("E6", "sc")
-    m = basis_permutation_matrix({0: 5, 5: 0, 2: 4, 4: 2, 1: 1, 3: 3}, 6)
+    m = permutation_matrix({0: 5, 5: 0, 2: 4, 4: 2, 1: 1, 3: 3}, 6)
     return datum, PinnedAction(datum, [m])
 
 

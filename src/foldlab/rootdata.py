@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .intlat import IntMatrix
+from .intlat import IntMatrix, smith_normal_form
 
 WEYL_LIMIT_DEFAULT = 10**6
 
@@ -266,25 +266,32 @@ class RootDatum:
 
     def _compute_simple_coords(self):
         """Solve each root as an integer combination of the base, and check
-        the combination is uniformly signed."""
+        the combination is uniformly signed.
+
+        With the Smith form U B V = D of the base matrix B, the base is
+        independent when its k invariants d_i are nonzero; a root r lies in
+        the span of the base exactly when y = U r has d_i | y_i for i < k
+        and y_i = 0 beyond, and its coordinates are then V (y_i / d_i).
+        """
         base = [self.roots[i] for i in self.basis_indices]
         k = len(base)
-        if k:
-            mat = IntMatrix.from_columns(base, self.rank)
-            if mat.rank() != k:
-                raise DomainError("base of simple roots is linearly dependent")
+        u, d, v = smith_normal_form(IntMatrix.from_columns(base, self.rank))
+        diag = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i]]
+        if len(diag) != k:
+            raise DomainError("base of simple roots is linearly dependent")
         coords = []
         for r in self.roots:
-            sol = _solve_integer(base, r, self.rank)
-            if sol is None:
+            y = u.apply(r)
+            if any(y[k:]) or any(yi % di for yi, di in zip(y, diag)):
                 raise DomainError(
                     f"root {r} is not an integer combination of the base"
                 )
+            sol = v.apply(tuple(yi // di for yi, di in zip(y, diag)))
             nonneg = all(x >= 0 for x in sol)
             nonpos = all(x <= 0 for x in sol)
             if not (nonneg or nonpos) or all(x == 0 for x in sol):
                 raise DomainError(f"root {r} is not uniformly signed over the base")
-            coords.append(tuple(sol))
+            coords.append(sol)
         self._simple_coords = tuple(coords)
 
     # -- structure -----------------------------------------------------
@@ -397,45 +404,6 @@ class WeylGroup:
                         new.append(wg)
             frontier = new
         return cls(degree, gens, sorted(seen))
-
-
-def _solve_integer(columns, target, dim) -> tuple | None:
-    """Solve sum c_k * columns[k] = target exactly; require integer c."""
-    if not columns:
-        return () if all(x == 0 for x in target) else None
-    m = [[Fraction(columns[k][i]) for k in range(len(columns))] for i in range(dim)]
-    rhs = [Fraction(x) for x in target]
-    piv_cols = []
-    r = 0
-    for c in range(len(columns)):
-        pivot = next((i for i in range(r, dim) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        rhs[r] *= inv
-        for i in range(dim):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                rhs[i] -= f * rhs[r]
-        piv_cols.append(c)
-        r += 1
-    sol = [Fraction(0)] * len(columns)
-    for row, c in enumerate(piv_cols):
-        sol[c] = rhs[row]
-    # consistency and integrality
-    for i in range(dim):
-        lhs = sum(m_val * sol[k] for k, m_val in enumerate(
-            [Fraction(columns[k][i]) for k in range(len(columns))]
-        ))
-        if lhs != Fraction(target[i]):
-            return None
-    if any(x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
 
 
 def build_torus(rank: int) -> RootDatum:

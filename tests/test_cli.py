@@ -1,5 +1,6 @@
 """Command line interface: configs, analyses, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -141,7 +142,7 @@ def test_resource_limit_exit_4(tmp_path):
 
 
 def test_enum_limit_exit_4(tmp_path):
-    # q = 5 is past the full-scan budget, so the capped backtracking path runs
+    # |SL_3(F_5)| = 372,000 is past the limit of 10
     cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n\n[run]\nanalyses = count\nq = 5\n")
     assert cli.main(["run", cfg, "--limit-enum", "10"]) == 4
 
@@ -200,3 +201,45 @@ def test_text_report_deterministic(tmp_path, capsys):
     assert cli.main(["run", cfg]) == 0
     assert capsys.readouterr().out == first
     assert "G2" in first
+
+
+# sha256 of the --json report of every preset and analysis; a refactor must
+# leave every report byte-identical.
+GOLDEN_SHA256 = {
+    ("A1-torus-inversion", "fold"): "a0684da2d875384461ed68c8d28ba4c6cb327bfbef806017ba3bcae4e2ef96ba",
+    ("A1-torus-inversion", "criteria"): "849728671b40df419b02cfaffa87c4a8c2ec82ac629b508847b4a3ac4beb2ced",
+    ("A1-torus-inversion", "chevalley"): "9d8299ac029486cfe4df26c45b3389f81f4e5374acec5d48e40b6a861aded283",
+    ("A2+A2-sc-swap", "fold"): "b66c25b6ba42000bd9086db14b674d182b1a13e8785592927493562ead1334d4",
+    ("A2+A2-sc-swap", "criteria"): "b66084351835756d70444e37110471f7d519ed122841d7f5fcca28c1e378b2c3",
+    ("A2+A2-sc-swap", "chevalley"): "b4e32390d72aed32958f4f2de760eb78b8d0a7cb8565865403a5dd85a6d54021",
+    ("A2-sc-flip", "fold"): "2caec365969f8356916e39477777f9a9f2f36a5bffdd55473f35a975bdfd535d",
+    ("A2-sc-flip", "criteria"): "76882b59ede598e789c239e7cae484b001f42d1288461c44a3350b69680a30c0",
+    ("A2-sc-flip", "chevalley"): "af344e6fb964ea8665dcb4f059ab8c5b62325fcdece783c5e6cda388b1ed6c32",
+    ("A3-sc-flip", "fold"): "e59e331b0c1698f5b4da2c06713c01b3f0178a74e9d57f5a7c54ba955699e57b",
+    ("A3-sc-flip", "criteria"): "04e3e44cbb3235ee9becee8dadb82a48a282c1f227b85e2013c7fd176b208457",
+    ("A3-sc-flip", "chevalley"): "39afbdf5e70cde250590479afb9f8f0c0ec5547eacc36334c614e909b730024a",
+    ("A4-sc-flip", "fold"): "6513f19ab7f9aa06f7b290805bc21eb1fe04f199887023e9d513dedf1b87a131",
+    ("A4-sc-flip", "criteria"): "9e550f89a7be2bc1a4cc17698703376c3290f75f4ad82011f066317635e3023d",
+    ("A4-sc-flip", "chevalley"): "09c72be0c3e7cb9395074d22f1400e2b6a3c5b2e8ab841fd1e19e660e1bfde7f",
+    ("A5-sc-flip", "fold"): "3128cc9717915b8b992285489cdfb5958c20b10faa3e2f9093e0425ea3dae683",
+    ("A5-sc-flip", "criteria"): "1581aa144de1fb0a4d73879169f9dcee02e49bc20fe9579c7903147fffd25b1a",
+    ("A5-sc-flip", "chevalley"): "3e059913805c118eb4829d37bab04e39de5e6a44fec954896432bdedc66f078b",
+    ("D4-sc-cyclic3", "fold"): "d1a92474ac562f2c51d83bd68616ed0e70f0c3f746b74f38f28312a748d0c8f3",
+    ("D4-sc-cyclic3", "criteria"): "282852ca7fbfd698d5cd434c81c65c6ba7213171d917066263f9ec87c57b3394",
+    ("D4-sc-cyclic3", "chevalley"): "218e22ebeb3cafda6052a51243d27c64e5492586a394f73a59d3eecb1d5862a4",
+    ("D4-sc-triality", "fold"): "8bc6bb2c2a7b3891eaed3603c48ad15ff7630f246b17da011e80e908ab136e62",
+    ("D4-sc-triality", "criteria"): "a37c62cf8e95bbca3b7f57851c6aa03a999975abaf665628e00589188cf550dc",
+    ("D4-sc-triality", "chevalley"): "ae9b8a214997c9e0067b661af46d85e0fb8cba308af49a81059bdb0e0297973e",
+    ("E6-sc-flip", "fold"): "390d9ea7ec12fb62685b79a9ac4bfd38a994445ecf9e112f8a2a870d7c044a33",
+    ("E6-sc-flip", "criteria"): "3ea8a58f7acfc167b3a0a63f561604438d9767ec5aa2beb0bad103b489a38cf5",
+    ("E6-sc-flip", "chevalley"): "f5aeaa6dccac495636455db50fceceb3055db305a72926c91ee66d8ccbd262e5",
+}
+
+
+@pytest.mark.parametrize("preset,analysis", sorted(GOLDEN_SHA256))
+def test_json_report_matches_golden_digest(tmp_path, capsys, preset, analysis):
+    cfg = write(tmp_path, f"[datum]\npreset = {preset}\n")
+    out_path = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--analysis", analysis, "--json", str(out_path)]) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[preset, analysis]

@@ -34,6 +34,7 @@ from foldlab.matrixlab import (
     xi_odd,
 )
 from foldlab.poly import Poly
+from count_oracle import count_fixed_by_scan
 from foldlab.presets import load_preset, type_a_flip
 
 
@@ -184,20 +185,14 @@ def test_fixed_count_sp4_f2():
 
 def test_scan_and_backtrack_agree():
     for q in (2, 3):
-        scan = count_fixed(1, q, method="scan")
-        back = count_fixed(1, q, method="backtrack")
-        assert scan == back
+        assert count_fixed_by_scan(1, q) == count_fixed(1, q)
 
 
 def test_count_fixed_limits():
     with pytest.raises(ResourceLimitError):
-        count_fixed(1, 7, method="scan")
-    with pytest.raises(ResourceLimitError):
         count_fixed(2, 3)  # |SL_5(F_3)| is past the order budget
     with pytest.raises(ResourceLimitError):
-        count_fixed(1, 3, method="backtrack", order_limit=10)
-    with pytest.raises(DomainError):
-        count_fixed(1, 3, method="guess")
+        count_fixed(1, 3, order_limit=10)
 
 
 def test_bruhat_prediction_rank_one():

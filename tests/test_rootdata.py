@@ -192,6 +192,37 @@ def test_invalid_datum_rejected():
         RootDatum(1, [(2,), (2,)], [(1,), (1,)], [0])
 
 
+def _rebased(cartan_type, isogeny, basis_indices):
+    d = build_preset(cartan_type, isogeny)
+    return lambda: RootDatum(d.rank, d.roots, d.coroots, basis_indices)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: RootDatum(1, [(2,), (-2,)], [(1,), (-1,)], [0, 1]),
+            "base of simple roots is linearly dependent",
+        ),
+        # the long roots (2, 1) and (0, 1) of adjoint C2 span an index-2 sublattice
+        (
+            _rebased("C2", "adjoint", [7, 4]),
+            "root (-1, -1) is not an integer combination of the base",
+        ),
+        # (1, 0) and (1, 1) in adjoint A2: (0, 1) is their difference
+        (
+            _rebased("A2", "adjoint", [4, 5]),
+            "root (0, -1) is not uniformly signed over the base",
+        ),
+    ],
+    ids=["dependent", "non-integer", "mixed-sign"],
+)
+def test_bad_base_rejected(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_simple_reflection_permutation():
     datum = build_preset("A2", "sc")
     perm = datum.simple_reflection_permutation(0)
