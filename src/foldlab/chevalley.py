@@ -242,22 +242,39 @@ def base_constants(datum: RootDatum) -> StructureConstants:
 
 
 def verify_jacobi(sc: StructureConstants) -> bool:
-    """Exhaustive Jacobi identity over all triples of basis elements."""
+    """Exhaustive Jacobi identity over all triples of basis elements.
+
+    The basis is indexed as the roots, then the Cartan keys.  Each bracket
+    of two basis elements is computed once, as the tuple br[a][b] of
+    (index, coefficient) pairs with nonzero coefficient; every triple
+    a < b < c then sums [[a, b], c] + [[b, c], a] + [[c, a], b] by table
+    lookups.  A triple whose three pair brackets are all zero has a zero
+    sum and is skipped.
+    """
     d = sc.datum
     keys = [("r", i) for i in range(d.nroots)] + [("h", k) for k in range(d.rank)]
+    index = {key: a for a, key in enumerate(keys)}
     m = len(keys)
+    br = [
+        [tuple((index[k], x) for k, x in sc.bracket(ka, kb).items() if x) for kb in keys]
+        for ka in keys
+    ]
     for a in range(m):
+        row_a = br[a]
+        col_a = [row[a] for row in br]
         for b in range(a + 1, m):
-            ab = sc.bracket(keys[a], keys[b])
+            ab = row_a[b]
+            row_b = br[b]
             for c in range(b + 1, m):
+                bc = row_b[c]
+                ca = col_a[c]
+                if not (ab or bc or ca):
+                    continue
                 total: dict = {}
-                for term in (
-                    sc.bracket_elements(ab, {keys[c]: 1}),
-                    sc.bracket_elements(sc.bracket(keys[b], keys[c]), {keys[a]: 1}),
-                    sc.bracket_elements(sc.bracket(keys[c], keys[a]), {keys[b]: 1}),
-                ):
-                    for k, v in term.items():
-                        total[k] = total.get(k, 0) + v
+                for pair, z in ((ab, c), (bc, a), (ca, b)):
+                    for i, x in pair:
+                        for k, y in br[i][z]:
+                            total[k] = total.get(k, 0) + x * y
                 if any(total.values()):
                     raise InternalInconsistencyError(
                         f"Jacobi identity fails on {keys[a]}, {keys[b]}, {keys[c]}"

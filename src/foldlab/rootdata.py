@@ -230,10 +230,12 @@ class RootDatum:
         for c in self.coroots:
             if len(c) != self.rank:
                 raise DomainError("coroot coordinate length differs from rank")
+        # pairs[i][j] = <root i, coroot j>, each computed once
+        pairs = [[self.pair_vectors(r, c) for c in self.coroots] for r in self.roots]
         for i in range(self.nroots):
-            if self.pairing(i, i) != 2:
+            if pairs[i][i] != 2:
                 raise DomainError(
-                    f"<alpha, alpha^vee> = {self.pairing(i, i)} != 2 at root {self.roots[i]}"
+                    f"<alpha, alpha^vee> = {pairs[i][i]} != 2 at root {self.roots[i]}"
                 )
         coroot_set = set(self.coroots)
         if len(coroot_set) != len(self.coroots):
@@ -241,13 +243,13 @@ class RootDatum:
         # reflection stability on both sides
         for i in range(self.nroots):
             for j in range(self.nroots):
-                n = self.pairing(j, i)
+                n = pairs[j][i]
                 image = tuple(x - n * y for x, y in zip(self.roots[j], self.roots[i]))
                 if image not in self._index:
                     raise DomainError(
                         f"reflection of {self.roots[j]} along {self.roots[i]} leaves the root set"
                     )
-                m = self.pairing(i, j)
+                m = pairs[i][j]
                 coimage = tuple(
                     x - m * y for x, y in zip(self.coroots[j], self.coroots[i])
                 )

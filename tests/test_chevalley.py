@@ -1,5 +1,7 @@
 """Structure constants, Jacobi identity, equivariant sign adjustment."""
 
+import dataclasses
+
 import pytest
 
 from foldlab.chevalley import (
@@ -12,10 +14,11 @@ from foldlab.chevalley import (
     verify_jacobi,
 )
 from foldlab.action import trivial_action
-from foldlab.errors import DomainError
+from foldlab.errors import DomainError, InternalInconsistencyError
 from foldlab.folding import folded_root_datum
 from foldlab.presets import load_preset, preset_names, type_a_flip
 from foldlab.rootdata import build_preset
+from jacobi_oracle import verify_jacobi_by_brackets
 
 
 def root_string_bound(datum, i, j):
@@ -68,10 +71,30 @@ def test_magnitudes_equal_chain_lengths():
             assert abs(v) == root_string_bound(datum, i, j)
 
 
-@pytest.mark.parametrize("ctype", ["A2", "A3", "A4", "B2", "D4", "G2"])
+@pytest.mark.parametrize(
+    "ctype", ["A2", "A3", "A4", "B2", "D4", "G2", "B3", "C3", "F4", "E6", "E7"]
+)
 def test_jacobi_exhaustive(ctype):
     datum = build_preset(ctype, "sc")
     assert verify_jacobi(base_constants(datum))
+
+
+@pytest.mark.parametrize("ctype", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+def test_jacobi_matches_bracket_oracle(ctype):
+    sc = base_constants(build_preset(ctype, "sc"))
+    assert verify_jacobi(sc) is True
+    assert verify_jacobi_by_brackets(sc) is True
+    # flipping the sign of one antisymmetric pair N(i, j) = -N(j, i)
+    i, j = next(iter(sc.table))
+    table = dict(sc.table)
+    table[(i, j)], table[(j, i)] = -table[(i, j)], -table[(j, i)]
+    broken = dataclasses.replace(sc, table=table)
+    with pytest.raises(InternalInconsistencyError) as table_path:
+        verify_jacobi(broken)
+    with pytest.raises(InternalInconsistencyError) as oracle:
+        verify_jacobi_by_brackets(broken)
+    assert str(table_path.value).startswith("Jacobi identity fails on ")
+    assert str(table_path.value) == str(oracle.value)
 
 
 def test_extraspecial_pairs_start_simple():

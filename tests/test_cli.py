@@ -203,8 +203,8 @@ def test_text_report_deterministic(tmp_path, capsys):
     assert "G2" in first
 
 
-# sha256 of the --json report of every preset and analysis; a refactor must
-# leave every report byte-identical.
+# sha256 of the --json report of every preset and analysis, plus `type = E7`
+# chevalley; a refactor must leave every report byte-identical.
 GOLDEN_SHA256 = {
     ("A1-torus-inversion", "fold"): "a0684da2d875384461ed68c8d28ba4c6cb327bfbef806017ba3bcae4e2ef96ba",
     ("A1-torus-inversion", "criteria"): "849728671b40df419b02cfaffa87c4a8c2ec82ac629b508847b4a3ac4beb2ced",
@@ -233,12 +233,15 @@ GOLDEN_SHA256 = {
     ("E6-sc-flip", "fold"): "390d9ea7ec12fb62685b79a9ac4bfd38a994445ecf9e112f8a2a870d7c044a33",
     ("E6-sc-flip", "criteria"): "3ea8a58f7acfc167b3a0a63f561604438d9767ec5aa2beb0bad103b489a38cf5",
     ("E6-sc-flip", "chevalley"): "f5aeaa6dccac495636455db50fceceb3055db305a72926c91ee66d8ccbd262e5",
+    ("E7", "chevalley"): "263689c59e5a38d8ae6ea4820b329114ae71025a0107dbf80fd85eda3aaa37f5",
 }
 
 
 @pytest.mark.parametrize("preset,analysis", sorted(GOLDEN_SHA256))
 def test_json_report_matches_golden_digest(tmp_path, capsys, preset, analysis):
-    cfg = write(tmp_path, f"[datum]\npreset = {preset}\n")
+    # preset names carry a hyphen; a bare Cartan type is a datum by itself
+    key = "preset" if "-" in preset else "type"
+    cfg = write(tmp_path, f"[datum]\n{key} = {preset}\n")
     out_path = tmp_path / "report.json"
     assert cli.main(["run", cfg, "--analysis", analysis, "--json", str(out_path)]) == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()

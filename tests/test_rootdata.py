@@ -223,6 +223,42 @@ def test_bad_base_rejected(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: RootDatum(1, [(1,), (-1,)], [(1,), (-1,)], [0]),
+            "<alpha, alpha^vee> = 1 != 2 at root (1,)",
+        ),
+        # A1 x A1 roots with A2 coroots: (0, 1) reflects to (1, 1)
+        (
+            lambda: RootDatum(
+                2,
+                [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                [(2, -1), (-1, 2), (-2, 1), (1, -2)],
+                [0, 1],
+            ),
+            "reflection of (0, 1) along (1, 0) leaves the root set",
+        ),
+        # roots are stable, but <(1, 0), (-2, 2)> = -2 sends (-2, 2) to (2, 2)
+        (
+            lambda: RootDatum(
+                2,
+                [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                [(2, 0), (-2, 2), (-2, 0), (2, -2)],
+                [0, 1],
+            ),
+            "coreflection of (-2, 2) leaves the coroot set",
+        ),
+    ],
+    ids=["pairing-not-2", "root-reflection", "coroot-reflection"],
+)
+def test_validate_rejects(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_simple_reflection_permutation():
     datum = build_preset("A2", "sc")
     perm = datum.simple_reflection_permutation(0)
