@@ -94,12 +94,37 @@ class GF:
             )
         self.q, self.p, self.e = q, p, e
         self.modulus_tail = None if e == 1 else _irreducible_tail(p, e)
-        self._add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [next(b for b in range(q) if self._add[a][b] == 0) for a in range(q)]
-        self._inv = [0] + [
-            next(b for b in range(1, q) if self._mul[a][b] == 1) for a in range(1, q)
+        # The powers of a primitive element list every nonzero element, so
+        # they give log/antilog tables from O(q) slow products.
+        antilog = next(
+            powers
+            for powers in map(self._powers_slow, range(1, q))
+            if len(powers) == q - 1
+        )
+        log = [0] * q
+        for k, a in enumerate(antilog):
+            log[a] = k
+        twice = antilog + antilog
+        self._mul = [[0] * q] + [
+            [0] + [twice[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)
         ]
+        self._inv = [0] + [antilog[-log[a]] for a in range(1, q)]
+        self._neg = [row[p - 1] for row in self._mul]  # a * (-1)
+        # a + b = a * (1 + b / a) for nonzero a
+        one_plus = [self._add_slow(1, b) for b in range(q)]
+        self._add = [list(range(q))]
+        for a in range(1, q):
+            times_a, over_a = self._mul[a], self._mul[self._inv[a]]
+            self._add.append([times_a[one_plus[over_a[b]]] for b in range(q)])
+
+    def _powers_slow(self, g):
+        """[1, g, g^2, ...] up to the last power before 1 recurs."""
+        out = [1]
+        power = g
+        while power != 1:
+            out.append(power)
+            power = self._mul_slow(power, g)
+        return out
 
     def _add_slow(self, a, b):
         if self.e == 1:
@@ -263,9 +288,13 @@ def sl_order(m: int, q: int) -> int:
 def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
     """Number of matrices in SL_{2n+1}(F_q) fixed by the involution.
 
-    Columns are chosen one at a time under the bilinear-form constraints,
-    with the ambient group order capped to keep the search finite in
-    practice.
+    A fixed matrix g satisfies g^T J g = J, so its columns c_0..c_{m-1}
+    satisfy c_k . (J c_d) = J[k][d].  The search keeps one candidate list
+    per depth, starting from the vectors v with v . (J v) = J[d][d]; once
+    column c is chosen at depth k, every later list keeps only the vectors
+    v with v . (J c) = J[k][d], and the filtered lists are passed down.
+    Each full choice of columns is kept when its determinant is one.  The
+    ambient group order is capped to keep the search finite in practice.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -279,29 +308,29 @@ def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
     jf = form_over(F, involution_form(n))
     vectors = list(itertools.product(range(q), repeat=m))
     jv = {v: tuple(_dot(F, row, v) for row in jf) for v in vectors}
-    pair = {}
-    for u in vectors:
-        ju = jv[u]
-        for v in vectors:
-            pair[u, v] = _dot(F, v, ju)  # v^T J u ... = u^T J v by symmetry
     count = 0
     cols: list = []
 
-    def descend(depth: int):
+    def descend(depth: int, lists: list):
+        # lists[i] holds the candidates left for depth + i
         nonlocal count
         if depth == m:
             if mat_det(F, tuple(zip(*cols))) == 1:
                 count += 1
             return
-        for v in vectors:
-            if pair[v, v] != jf[depth][depth]:
-                continue
-            if all(pair[cols[k], v] == jf[k][depth] for k in range(depth)):
-                cols.append(v)
-                descend(depth + 1)
-                cols.pop()
+        for c in lists[0]:
+            jc = jv[c]
+            cols.append(c)
+            descend(
+                depth + 1,
+                [
+                    [v for v in later if _dot(F, v, jc) == jf[depth][d]]
+                    for d, later in enumerate(lists[1:], depth + 1)
+                ],
+            )
+            cols.pop()
 
-    descend(0)
+    descend(0, [[v for v in vectors if _dot(F, v, jv[v]) == jf[d][d]] for d in range(m)])
     return count
 
 
@@ -673,11 +702,8 @@ class UnipotentFixedPresentation:
         prime_power(p)
         return self._y_coefficient() % p != 0
 
-    def is_reduced_mod(self, p: int) -> bool:
-        return self.is_smooth_mod(p)
-
     def nilpotent_coordinate_mod(self, p: int) -> str | None:
-        return None if self.is_reduced_mod(p) else "x"
+        return None if self.is_smooth_mod(p) else "x"
 
 
 def u3_fixed_presentation() -> UnipotentFixedPresentation:

@@ -86,7 +86,7 @@ def test_criterion_4_smoothness_tangent_agreement():
 def test_criterion_5_u3_fixed_ideal():
     pres = u3_fixed_presentation()
     assert pres.relation == Poly(2, {(2, 0): 1, (0, 1): -2})  # exactly x^2 - 2y
-    assert pres.is_reduced_mod(2) is False
+    assert pres.is_smooth_mod(2) is False
     assert pres.is_smooth_mod(3) is True
 
 

@@ -173,7 +173,7 @@ def test_count_bad_field_size_exit_2(tmp_path, capsys, q):
 
 
 def test_count_mismatch_exit_5(tmp_path, capsys, monkeypatch):
-    def fake(n, q, method="auto", order_limit=0):
+    def fake(n, q, order_limit=0):
         return CountReport(n=n, q=q, brute=6, predicted=7)
 
     monkeypatch.setattr(cli, "verify_fixed_count", fake)

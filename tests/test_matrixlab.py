@@ -6,6 +6,7 @@ import random
 import pytest
 
 from foldlab.errors import DomainError, ResourceLimitError
+from foldlab.intlat import is_prime
 from foldlab.matrixlab import (
     GF,
     CountReport,
@@ -34,7 +35,7 @@ from foldlab.matrixlab import (
     xi_odd,
 )
 from foldlab.poly import Poly
-from count_oracle import count_fixed_by_scan
+from count_oracle import classical_fixed_order, count_fixed_by_scan
 from foldlab.presets import load_preset, type_a_flip
 
 
@@ -101,6 +102,22 @@ def test_field_validation():
         GF(5).inv(0)
     with pytest.raises(DomainError):
         GF(5).div(1, 0)
+
+
+PRIME_POWERS_TO_128 = sorted(
+    p**e for p in range(2, 129) if is_prime(p) for e in range(1, 8) if p**e <= 128
+)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_128)
+def test_field_tables_match_digit_products(q):
+    F = GF(q)
+    for a in range(q):
+        assert F._add[a] == [F._add_slow(a, b) for b in range(q)]
+        assert F._mul[a] == [F._mul_slow(a, b) for b in range(q)]
+        assert F._add_slow(a, F._neg[a]) == 0
+        if a:
+            assert F._mul_slow(a, F._inv[a]) == 1
 
 
 def test_from_int():
@@ -173,7 +190,7 @@ def test_sl_order():
 
 @pytest.mark.parametrize(
     "n,q,count",
-    [(1, 2, 6), (1, 3, 24), (1, 4, 60), (1, 5, 120)],
+    [(1, 2, 6), (1, 3, 24), (1, 4, 60), (1, 5, 120), (1, 7, 336), (1, 8, 504), (1, 9, 720)],
 )
 def test_fixed_counts_small(n, q, count):
     assert count_fixed(n, q) == count
@@ -181,6 +198,15 @@ def test_fixed_counts_small(n, q, count):
 
 def test_fixed_count_sp4_f2():
     assert count_fixed(2, 2) == 720  # the symplectic group on 4 letters over F_2
+
+
+@pytest.mark.parametrize(
+    "n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9), (2, 2)]
+)
+def test_fixed_count_matches_classical_order(n, q):
+    datum, act = type_a_flip(2 * n)
+    brute = count_fixed(n, q)
+    assert brute == classical_fixed_order(n, q) == bruhat_predicted_count(datum, act, q)
 
 
 def test_scan_and_backtrack_agree():
@@ -381,11 +407,9 @@ def test_u3_point_counts(q):
 def test_u3_smoothness_flags():
     pres = u3_fixed_presentation()
     assert not pres.is_smooth_mod(2)
-    assert not pres.is_reduced_mod(2)
     assert pres.nilpotent_coordinate_mod(2) == "x"
     for p in (3, 5, 7):
         assert pres.is_smooth_mod(p)
-        assert pres.is_reduced_mod(p)
         assert pres.nilpotent_coordinate_mod(p) is None
 
 
