@@ -18,7 +18,7 @@ import sys
 
 from .errors import DomainError, InvalidActionError, ResourceLimitError
 from .intlat import IntMatrix, coinvariants
-from .rootdata import WEYL_LIMIT_DEFAULT, build_preset, build_torus, cartan_type_of
+from .rootdata import WEYL_LIMIT_DEFAULT, CartanType, build_preset, build_torus, cartan_type_of
 from .action import PinnedAction, permutation_matrix, trivial_action
 from .folding import (
     center_structure,
@@ -67,13 +67,24 @@ def _load_config(path: str):
 
 
 def _is_int_matrix(obj) -> bool:
-    """Whether decoded JSON is a list of lists of integers."""
+    """Whether decoded JSON is a list of lists of integers (not booleans)."""
     return isinstance(obj, list) and all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in obj
+        isinstance(row, list) and all(type(x) is int for x in row) for row in obj
     )
 
 
-def _build_datum_and_action(parser):
+def _check_datum_size(rank: int, nroots: int, limit: int):
+    """Refuse a datum before it is built when checking it and its action,
+    nroots^2 root pairs or a rank^3 elimination, exceeds the limit."""
+    work = max(nroots**2, rank**3)
+    if work > limit:
+        raise ResourceLimitError(
+            f"checking a datum of rank {rank} with {nroots} roots and its action takes"
+            f" {work} steps, past the limit {limit} (raise --limit-enum)"
+        )
+
+
+def _build_datum_and_action(parser, enum_limit):
     datum_cfg = parser["datum"] if parser.has_section("datum") else {}
     action_cfg = parser["action"] if parser.has_section("action") else {}
 
@@ -96,10 +107,13 @@ def _build_datum_and_action(parser):
     try:
         if kind.strip().lower() == "torus":
             rank = _parse_int("datum", "rank", datum_cfg.get("rank", "1"))
+            _check_datum_size(rank, 0, enum_limit)
             datum = build_torus(rank)
         else:
-            isogeny = datum_cfg.get("isogeny", "sc")
-            datum = build_preset(kind, isogeny)
+            ct = CartanType.parse(kind)
+            # W has sum(d_i - 1) reflections, one per positive root (Humphreys 3.9)
+            _check_datum_size(ct.rank, 2 * sum(d - 1 for d in ct.degrees), enum_limit)
+            datum = build_preset(ct, datum_cfg.get("isogeny", "sc"))
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -314,9 +328,9 @@ def _flatten(prefix, obj, lines):
 def run_command(args) -> int:
     try:
         parser = _load_config(args.config)
-        datum, act, preset_name = _build_datum_and_action(parser)
-        base = _build_base(parser)
         analyses, q, p, weyl_limit, enum_limit = _run_settings(parser, args)
+        datum, act, preset_name = _build_datum_and_action(parser, enum_limit)
+        base = _build_base(parser)
         results = {
             "input": {
                 "preset": preset_name,

@@ -135,22 +135,17 @@ class IntMatrix:
         return self.rows == self.cols and abs(self.det()) == 1
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse; defined only when det = +/-1."""
-        d = self.det()
-        if abs(d) != 1:
+        """Exact inverse; defined only when det = +/-1.
+
+        From the Smith form U M V = D: M is unimodular exactly when D = I,
+        and then M^-1 = V U.
+        """
+        if self.rows != self.cols:
+            raise DomainError("determinant of non-square matrix")
+        u, d, v = smith_normal_form(self)
+        if d != IntMatrix.identity(self.rows):
             raise DomainError("inverse requested for non-unimodular matrix")
-        n = self.rows
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [self.entries[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                cof = IntMatrix(minor, cols=n - 1).det() if n > 1 else 1
-                adj[j][i] = (-1) ** (i + j) * cof
-        return IntMatrix([[a * d for a in row] for row in adj], cols=n)
+        return v @ u
 
     def rank(self) -> int:
         """Rank over the rationals: the number of nonzero Smith invariants."""

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import IntMatrix, smith_normal_form
@@ -214,9 +215,6 @@ class RootDatum:
     def pairing(self, root_index: int, coroot_index: int) -> int:
         return sum(a * b for a, b in zip(self.roots[root_index], self.coroots[coroot_index]))
 
-    def pair_vectors(self, root_vector, coroot_vector) -> int:
-        return sum(a * b for a, b in zip(root_vector, coroot_vector))
-
     # -- validation ----------------------------------------------------
 
     def _validate(self):
@@ -231,29 +229,35 @@ class RootDatum:
             if len(c) != self.rank:
                 raise DomainError("coroot coordinate length differs from rank")
         # pairs[i][j] = <root i, coroot j>, each computed once
-        pairs = [[self.pair_vectors(r, c) for c in self.coroots] for r in self.roots]
+        pairs = [[sum(map(mul, r, c)) for c in self.coroots] for r in self.roots]
         for i in range(self.nroots):
             if pairs[i][i] != 2:
                 raise DomainError(
                     f"<alpha, alpha^vee> = {pairs[i][i]} != 2 at root {self.roots[i]}"
                 )
-        coroot_set = set(self.coroots)
-        if len(coroot_set) != len(self.coroots):
+        if len(set(self.coroots)) != len(self.coroots):
             raise DomainError("duplicate coroots")
-        # reflection stability on both sides
+        # Reflection stability on both sides, on integer codes
+        # code(v) = sum_k v_k B^k.  With m the largest coordinate size of a
+        # root or coroot and P the largest pairing size, every root, coroot
+        # and image x - n y has coordinates of size at most m (1 + P), so
+        # B = 2 m (1 + P) + 1 makes the code injective on all of them, and
+        # code(x - n y) = code(x) - n code(y) by linearity.
+        m = max((abs(x) for v in self.roots + self.coroots for x in v), default=0)
+        big = 2 * m * (1 + max((abs(x) for row in pairs for x in row), default=0)) + 1
+        # a torus has no roots to code, whatever its rank
+        powers = [big**k for k in range(self.rank if self.roots else 0)]
+        root_codes = [sum(map(mul, r, powers)) for r in self.roots]
+        coroot_codes = [sum(map(mul, c, powers)) for c in self.coroots]
+        root_set, coroot_set = set(root_codes), set(coroot_codes)
         for i in range(self.nroots):
+            root_i, coroot_i, row_i = root_codes[i], coroot_codes[i], pairs[i]
             for j in range(self.nroots):
-                n = pairs[j][i]
-                image = tuple(x - n * y for x, y in zip(self.roots[j], self.roots[i]))
-                if image not in self._index:
+                if root_codes[j] - pairs[j][i] * root_i not in root_set:
                     raise DomainError(
                         f"reflection of {self.roots[j]} along {self.roots[i]} leaves the root set"
                     )
-                m = pairs[i][j]
-                coimage = tuple(
-                    x - m * y for x, y in zip(self.coroots[j], self.coroots[i])
-                )
-                if coimage not in coroot_set:
+                if coroot_codes[j] - row_i[j] * coroot_i not in coroot_set:
                     raise DomainError(
                         f"coreflection of {self.coroots[j]} leaves the coroot set"
                     )

@@ -165,6 +165,46 @@ def test_bare_int_matrices_exit_2(tmp_path, capsys):
     assert "matrices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrices", ["[[[true, 0], [0, 1]]]", "[[1, false], [0, 1]]"])
+def test_boolean_matrix_entries_exit_2(tmp_path, capsys, matrices):
+    cfg = write(tmp_path, f"[datum]\ntype = A2\n\n[action]\nmatrices = {matrices}\n")
+    assert cli.main(["run", cfg]) == 2
+    assert "matrices" in capsys.readouterr().err
+
+
+# each datum is refused before it is built; built, none would finish
+@pytest.mark.parametrize(
+    "datum,work",
+    [
+        ("type = torus\nrank = 99999999", "999999970000000299999999"),
+        ("type = A400", "25728160000"),  # 160,400 roots, squared
+    ],
+    ids=["torus", "A400"],
+)
+def test_unbounded_datum_size_exit_4(tmp_path, capsys, datum, work):
+    cfg = write(tmp_path, f"[datum]\n{datum}\n")
+    assert cli.main(["run", cfg, "--analysis", "criteria"]) == 4
+    err = capsys.readouterr().err
+    assert f"takes {work} steps, past the limit 100000000" in err
+    assert "--limit-enum" in err
+
+
+def test_datum_size_guard_reads_limit_enum(tmp_path, capsys):
+    # type = A2 has 6 roots: 36 pairs pass a limit of 36 and not of 35
+    cfg = write(tmp_path, "[datum]\ntype = A2\n")
+    assert cli.main(["run", cfg, "--analysis", "criteria", "--limit-enum", "36"]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", cfg, "--analysis", "criteria", "--limit-enum", "35"]) == 4
+    assert "with 6 roots and its action takes 36 steps" in capsys.readouterr().err
+
+
+def test_run_settings_read_before_datum(tmp_path, capsys):
+    # a bad setting is reported before the (refused) datum is looked at
+    cfg = write(tmp_path, "[datum]\ntype = A400\n\n[run]\nanalyses = dance\n")
+    assert cli.main(["run", cfg]) == 2
+    assert "unknown analysis 'dance'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q", ["6", "1"])
 def test_count_bad_field_size_exit_2(tmp_path, capsys, q):
     cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
@@ -204,7 +244,8 @@ def test_text_report_deterministic(tmp_path, capsys):
 
 
 # sha256 of the --json report of every preset and analysis, plus `type = E7`
-# chevalley; a refactor must leave every report byte-identical.
+# criteria and chevalley and `type = E8` criteria; a refactor must leave
+# every report byte-identical.
 GOLDEN_SHA256 = {
     ("A1-torus-inversion", "fold"): "a0684da2d875384461ed68c8d28ba4c6cb327bfbef806017ba3bcae4e2ef96ba",
     ("A1-torus-inversion", "criteria"): "849728671b40df419b02cfaffa87c4a8c2ec82ac629b508847b4a3ac4beb2ced",
@@ -233,7 +274,9 @@ GOLDEN_SHA256 = {
     ("E6-sc-flip", "fold"): "390d9ea7ec12fb62685b79a9ac4bfd38a994445ecf9e112f8a2a870d7c044a33",
     ("E6-sc-flip", "criteria"): "3ea8a58f7acfc167b3a0a63f561604438d9767ec5aa2beb0bad103b489a38cf5",
     ("E6-sc-flip", "chevalley"): "f5aeaa6dccac495636455db50fceceb3055db305a72926c91ee66d8ccbd262e5",
+    ("E7", "criteria"): "69b367f5a1492d5ba08f5e163834d6c9bae1e7231618ec0d94e5f393fd93284d",
     ("E7", "chevalley"): "263689c59e5a38d8ae6ea4820b329114ae71025a0107dbf80fd85eda3aaa37f5",
+    ("E8", "criteria"): "507b7e575ea527f540cb294f9ac7910c82101888582cf9e716eda4acd7783412",
 }
 
 

@@ -18,6 +18,7 @@ from foldlab.intlat import (
     prime_power,
     smith_normal_form,
 )
+from validate_oracle import inverse_by_adjugate
 
 
 def minor_det(rows, row_idx, col_idx):
@@ -71,7 +72,7 @@ def int_matrices(draw, max_dim=4):
 
 
 @st.composite
-def unimodular_matrices(draw, n=3):
+def unimodular_matrices(draw, n=3, max_ops=10):
     ops = draw(
         st.lists(
             st.tuples(
@@ -80,7 +81,7 @@ def unimodular_matrices(draw, n=3):
                 st.integers(0, n - 1),
                 st.integers(-3, 3),
             ),
-            max_size=10,
+            max_size=max_ops,
         )
     )
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -298,3 +299,28 @@ def test_intmatrix_basics():
     assert u.inverse_unimodular() @ u == IntMatrix.identity(2)
     with pytest.raises(DomainError):
         IntMatrix([[1, 2], [3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: unimodular_matrices(n, max_ops=3 * n)))
+def test_inverse_matches_adjugate_oracle(m):
+    inv = m.inverse_unimodular()
+    assert inv == inverse_by_adjugate(m)
+    assert m @ inv == IntMatrix.identity(m.rows)
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ([[1, 2], [2, 4]], "inverse requested for non-unimodular matrix"),
+        ([[2, 0], [0, 1]], "inverse requested for non-unimodular matrix"),
+        ([[1, 0, 0], [0, 1, 0]], "determinant of non-square matrix"),
+    ],
+    ids=["singular", "det-2", "non-square"],
+)
+def test_inverse_rejects_like_adjugate_oracle(entries, message):
+    m = IntMatrix(entries)
+    for inverse in (IntMatrix.inverse_unimodular, inverse_by_adjugate):
+        with pytest.raises(DomainError) as info:
+            inverse(m)
+        assert str(info.value) == message

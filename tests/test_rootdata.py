@@ -1,10 +1,14 @@
 """Root datum construction, type recognition, Weyl group enumeration."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldlab.errors import DomainError, ResourceLimitError
+from foldlab.folding import VARIANTS, folded_root_datum
+from foldlab.presets import load_preset, preset_names
 from foldlab.rootdata import (
     CartanType,
     RootDatum,
@@ -13,6 +17,7 @@ from foldlab.rootdata import (
     cartan_matrix,
     cartan_type_of,
 )
+from validate_oracle import validate_by_tuples
 
 
 def test_cartan_type_parse():
@@ -250,13 +255,85 @@ def test_bad_base_rejected(build, message):
             ),
             "coreflection of (-2, 2) leaves the coroot set",
         ),
+        (lambda: RootDatum(2, *_LARGE_IMAGE), "reflection of (0, 1) along (1, 0) leaves the root set"),
     ],
-    ids=["pairing-not-2", "root-reflection", "coroot-reflection"],
+    ids=["pairing-not-2", "root-reflection", "coroot-reflection", "large-image"],
 )
 def test_validate_rejects(build, message):
     with pytest.raises(DomainError) as info:
         build()
     assert str(info.value) == message
+
+
+# The image (-2, 1) has a coordinate larger than any root's; a code base
+# sized by the root coordinates alone (B = 3) would match it to (1, 0).
+_LARGE_IMAGE = (
+    [(1, 0), (-1, 0), (0, 1), (0, -1)],
+    [(2, 2), (-2, -2), (0, 2), (0, -2)],
+    [0, 2],
+)
+
+
+def _outcome(build):
+    try:
+        build()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def _agree_with_oracle(rank, roots, coroots, basis, reduced=True):
+    """The message RootDatum and the tuple oracle both give, or None."""
+    new = _outcome(lambda: RootDatum(rank, roots, coroots, basis, reduced))
+    old = _outcome(
+        lambda: validate_by_tuples(
+            RootDatum(rank, roots, coroots, basis, reduced, validate=False)
+        )
+    )
+    assert new == old
+    return new
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_data():
+    """(rank, roots, coroots, basis, reduced) of every preset datum and its
+    three folded variants."""
+    out = []
+    for name in preset_names():
+        pre = load_preset(name)
+        data = [pre.datum] + [
+            folded_root_datum(pre.datum, pre.action, v).datum for v in VARIANTS
+        ]
+        out += [(d.rank, d.roots, d.coroots, d.basis_indices, d.reduced) for d in data]
+    return tuple(out)
+
+
+def test_validate_matches_tuple_oracle_on_catalog():
+    for data in _catalog_data():
+        assert _agree_with_oracle(*data) is None
+    for ctype in ("E7", "E8"):
+        d = build_preset(ctype, "sc")
+        assert _agree_with_oracle(d.rank, d.roots, d.coroots, d.basis_indices) is None
+    message = "reflection of (0, 1) along (1, 0) leaves the root set"
+    assert _agree_with_oracle(2, *_LARGE_IMAGE) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_validate_matches_tuple_oracle_on_mutations(data):
+    catalog = [d for d in _catalog_data() if d[1]]
+    rank, roots, coroots, basis, reduced = data.draw(st.sampled_from(catalog))
+    side = data.draw(st.sampled_from(["roots", "coroots"]))
+    vectors = [list(v) for v in (roots if side == "roots" else coroots)]
+    i = data.draw(st.integers(0, len(vectors) - 1))
+    k = data.draw(st.integers(0, rank - 1))
+    bump = data.draw(st.sampled_from([-2, -1, 1, 2, None]))
+    vectors[i][k] = -vectors[i][k] if bump is None else vectors[i][k] + bump
+    if side == "roots":
+        roots = vectors
+    else:
+        coroots = vectors
+    _agree_with_oracle(rank, roots, coroots, basis, reduced)
 
 
 def test_simple_reflection_permutation():

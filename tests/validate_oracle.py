@@ -1,0 +1,76 @@
+"""Tuple-based oracles for datum validation and the unimodular inverse.
+
+``validate_by_tuples`` checks reflection stability by building the image
+tuple of every (root, root) pair and looking it up among the roots and the
+coroots.  ``RootDatum._validate`` instead encodes every vector as one
+integer and checks each image by one integer expression, so this is an
+independent cross-check of the encoding, with the same checks, messages and
+order.  ``inverse_by_adjugate`` forms the inverse from n^2 cofactor
+determinants; ``IntMatrix.inverse_unimodular`` reads it off the Smith form.
+"""
+
+from foldlab.errors import DomainError
+from foldlab.intlat import IntMatrix
+
+
+def validate_by_tuples(datum):
+    """Every check of ``RootDatum._validate`` on a datum built with
+    ``validate=False``; the final base check is the datum's own."""
+    if len(datum.roots) != len(datum.coroots):
+        raise DomainError("roots and coroots must correspond one to one")
+    for r in datum.roots:
+        if len(r) != datum.rank:
+            raise DomainError("root coordinate length differs from rank")
+        if all(x == 0 for x in r):
+            raise DomainError("zero vector listed as a root")
+    for c in datum.coroots:
+        if len(c) != datum.rank:
+            raise DomainError("coroot coordinate length differs from rank")
+    pairs = [
+        [sum(a * b for a, b in zip(r, c)) for c in datum.coroots] for r in datum.roots
+    ]
+    for i in range(datum.nroots):
+        if pairs[i][i] != 2:
+            raise DomainError(
+                f"<alpha, alpha^vee> = {pairs[i][i]} != 2 at root {datum.roots[i]}"
+            )
+    coroot_set = set(datum.coroots)
+    if len(coroot_set) != len(datum.coroots):
+        raise DomainError("duplicate coroots")
+    for i in range(datum.nroots):
+        for j in range(datum.nroots):
+            n = pairs[j][i]
+            image = tuple(x - n * y for x, y in zip(datum.roots[j], datum.roots[i]))
+            if not datum.is_root(image):
+                raise DomainError(
+                    f"reflection of {datum.roots[j]} along {datum.roots[i]} leaves the root set"
+                )
+            m = pairs[i][j]
+            coimage = tuple(x - m * y for x, y in zip(datum.coroots[j], datum.coroots[i]))
+            if coimage not in coroot_set:
+                raise DomainError(
+                    f"coreflection of {datum.coroots[j]} leaves the coroot set"
+                )
+    if datum.reduced:
+        for r in datum.roots:
+            if datum.is_root(tuple(2 * x for x in r)):
+                raise DomainError("datum marked reduced but contains a doubled root")
+    for i in datum.basis_indices:
+        if not 0 <= i < datum.nroots:
+            raise DomainError("basis index out of range")
+    datum._compute_simple_coords()
+
+
+def inverse_by_adjugate(m: IntMatrix) -> IntMatrix:
+    """Exact inverse as the adjugate times det = +/-1."""
+    d = m.det()
+    if abs(d) != 1:
+        raise DomainError("inverse requested for non-unimodular matrix")
+    n = m.rows
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[m[r, c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = IntMatrix(minor, cols=n - 1).det() if n > 1 else 1
+            adj[j][i] = (-1) ** (i + j) * cof
+    return IntMatrix([[a * d for a in row] for row in adj], cols=n)
