@@ -26,7 +26,7 @@ class PinnedAction:
             m = g if isinstance(g, IntMatrix) else IntMatrix(g)
             gens.append(m)
         self.generators = tuple(gens)
-        self._validate_generators()
+        self.generator_duals = self._validate_generators()
         self.elements, self._perm_of = self._close(limit)
         self.generator_perms = tuple(self._perm_of[m] for m in self.generators)
 
@@ -47,27 +47,34 @@ class PinnedAction:
         return tuple(images)
 
     def _validate_generators(self):
+        """Check each generator and return the duals, their inverse
+        transposes; the Smith form behind each inverse also decides
+        unimodularity."""
         d = self.datum
         base_set = set(d.basis_indices)
+        duals = []
         for m in self.generators:
             if m.rows != d.rank or m.cols != d.rank:
                 raise InvalidActionError(
                     f"generator is {m.rows}x{m.cols}, expected {d.rank}x{d.rank}"
                 )
-            if not m.is_unimodular():
-                raise InvalidActionError("generator is not unimodular")
+            try:
+                dual = m.inverse_unimodular().transpose()
+            except DomainError:
+                raise InvalidActionError("generator is not unimodular") from None
             perm = self._root_permutation(m)
             if {perm[i] for i in base_set} != base_set:
                 raise InvalidActionError("generator does not fix the base setwise")
             # dual compatibility: inverse transpose must send coroots to
             # the coroots of the permuted roots
-            dual = m.inverse_unimodular().transpose()
             for i in range(d.nroots):
                 if dual.apply(d.coroots[i]) != d.coroots[perm[i]]:
                     raise InvalidActionError(
                         "dual action does not permute coroots compatibly "
                         f"at root {d.roots[i]}"
                     )
+            duals.append(dual)
+        return tuple(duals)
 
     def _close(self, limit: int):
         ident = IntMatrix.identity(self.datum.rank)

@@ -27,11 +27,11 @@ from .folding import equivalence_classes
 
 def chain_length(datum: RootDatum, i: int, j: int) -> int:
     """Least r >= 1 with roots[j] - r*roots[i] not a root."""
-    r = 1
-    while datum.is_root(
-        tuple(b - r * a for a, b in zip(datum.roots[i], datum.roots[j]))
-    ):
-        r += 1
+    sums = datum.root_sums()
+    neg_i = datum.negative_of(i)
+    r, k = 1, sums[j][neg_i]
+    while k is not None and k >= 0:
+        r, k = r + 1, sums[k][neg_i]
     return r
 
 
@@ -119,6 +119,26 @@ def _positive_order(datum: RootDatum):
     return pos, key
 
 
+def _special_pairs(datum: RootDatum, pos, order_key) -> dict[int, list[tuple[int, int]]]:
+    """For each positive root c, the pairs (a, b) of positive roots with
+    a + b = c and a before b in the order, listed by a."""
+    sums = datum.root_sums()
+    pos_set = set(pos)
+    neg = {a: datum.negative_of(a) for a in pos}
+    out = {}
+    for c in pos:
+        row = sums[c]
+        pairs = []
+        for a in pos:
+            if order_key[a] >= order_key[c]:
+                break
+            b = row[neg[a]]
+            if b in pos_set and order_key[a] < order_key[b]:
+                pairs.append((a, b))
+        out[c] = pairs
+    return out
+
+
 def base_constants(datum: RootDatum) -> StructureConstants:
     """Deterministic base Chevalley system for a reduced datum."""
     if not datum.reduced:
@@ -126,10 +146,9 @@ def base_constants(datum: RootDatum) -> StructureConstants:
     pos, order_key = _positive_order(datum)
     pos_set = set(pos)
     len2 = _squared_lengths(datum)
+    sums = datum.root_sums()
+    neg = [datum.negative_of(i) for i in range(datum.nroots)]
     table: dict[tuple[int, int], Fraction | int] = {}
-
-    def neg(i):
-        return datum.negative_of(i)
 
     def resolve(i, j) -> Fraction:
         """Constant for an arbitrary valid pair, reducing to the positive table."""
@@ -141,42 +160,29 @@ def base_constants(datum: RootDatum) -> StructureConstants:
                 "positive pair requested before its height was processed"
             )
         if not ip and not jp:
-            val = -resolve(neg(i), neg(j))
+            val = -resolve(neg[i], neg[j])
         elif not ip:
             val = -resolve(j, i)
         else:
             # i positive, j negative
-            s = tuple(a + b for a, b in zip(datum.roots[i], datum.roots[j]))
-            si = datum.root_index(s)
+            si = sums[i][j]
             if si in pos_set:
-                val = -resolve(neg(j), si) * len2[si] / len2[i]
+                val = -resolve(neg[j], si) * len2[si] / len2[i]
             else:
-                val = resolve(neg(si), i) * len2[si] / len2[j]
+                val = resolve(neg[si], i) * len2[si] / len2[j]
         table[(i, j)] = val
         return val
 
-    def special_pairs(c):
-        out = []
-        for a in pos:
-            if order_key[a] >= order_key[c]:
-                break
-            rest = tuple(x - y for x, y in zip(datum.roots[c], datum.roots[a]))
-            if datum.is_root(rest):
-                b = datum.root_index(rest)
-                if b in pos_set and order_key[a] < order_key[b]:
-                    out.append((a, b))
-        return out
-
+    special = _special_pairs(datum, pos, order_key)
     xs_pair: dict[int, tuple[int, int]] = {}
     for c in pos:
         if datum.height(c) == 1:
             continue
-        pairs = special_pairs(c)
+        pairs = special[c]
         if not pairs:
             raise InternalInconsistencyError(
                 "nonsimple positive root with no special pair"
             )
-        pairs.sort(key=lambda ab: order_key[ab[0]])
         eps_pair = pairs[0]
         if datum.height(eps_pair[0]) != 1:
             raise InternalInconsistencyError(
@@ -189,15 +195,13 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         for a, b in pairs[1:]:
             # Jacobi on (X_{-e}, X_a, X_b); only N(a, b) is unknown.
             t = Fraction(0)
-            d_ae = tuple(x - y for x, y in zip(datum.roots[a], datum.roots[e]))
-            if datum.is_root(d_ae):
-                k = datum.root_index(d_ae)
-                t += resolve(neg(e), a) * resolve(k, b)
-            d_be = tuple(x - y for x, y in zip(datum.roots[b], datum.roots[e]))
-            if datum.is_root(d_be):
-                k = datum.root_index(d_be)
-                t += resolve(b, neg(e)) * resolve(k, a)
-            n_c_nege = resolve(c, neg(e))
+            k = sums[a][neg[e]]
+            if k is not None and k >= 0:
+                t += resolve(neg[e], a) * resolve(k, b)
+            k = sums[b][neg[e]]
+            if k is not None and k >= 0:
+                t += resolve(b, neg[e]) * resolve(k, a)
+            n_c_nege = resolve(c, neg[e])
             if n_c_nege == 0:
                 raise InternalInconsistencyError("vanishing pivot constant")
             val = -t / n_c_nege
@@ -209,13 +213,9 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             table[(b, a)] = -val
 
     # complete the table over every valid ordered pair and check magnitudes
-    n = datum.nroots
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            s = tuple(x + y for x, y in zip(datum.roots[i], datum.roots[j]))
-            if any(s) and datum.is_root(s):
+    for i, row in enumerate(sums):
+        for j, s in enumerate(row):
+            if s is not None and s >= 0:
                 resolve(i, j)
     final: dict[tuple[int, int], int] = {}
     for (i, j), v in table.items():
@@ -241,41 +241,78 @@ def base_constants(datum: RootDatum) -> StructureConstants:
     )
 
 
+def _bracket_table(sc: StructureConstants):
+    """Basis keys (the roots, then the Cartan keys) and the table br[a][b]
+    of (index, coefficient) pairs with nonzero coefficient of each basis
+    bracket: the same brackets as ``StructureConstants.bracket``, read off
+    the root-sum table."""
+    d = sc.datum
+    n, rank = d.nroots, d.rank
+    keys = [("r", i) for i in range(n)] + [("h", k) for k in range(rank)]
+    br = []
+    for a, row in enumerate(d.root_sums()):
+        coroot = tuple((n + k, x) for k, x in enumerate(d.coroots[a]) if x)
+        entries = []
+        for b, s in enumerate(row):
+            if s is None:
+                entries.append(())
+            elif s < 0:
+                entries.append(coroot)
+            else:
+                x = sc.table[(a, b)]
+                entries.append(((s, x),) if x else ())
+        entries.extend(((a, -x),) if x else () for x in d.roots[a])
+        br.append(entries)
+    for k in range(rank):
+        br.append([((b, r[k]),) if r[k] else () for b, r in enumerate(d.roots)] + [()] * rank)
+    return keys, br
+
+
 def verify_jacobi(sc: StructureConstants) -> bool:
     """Exhaustive Jacobi identity over all triples of basis elements.
 
     The basis is indexed as the roots, then the Cartan keys.  Each bracket
     of two basis elements is computed once, as the tuple br[a][b] of
-    (index, coefficient) pairs with nonzero coefficient; every triple
-    a < b < c then sums [[a, b], c] + [[b, c], a] + [[c, a], b] by table
-    lookups.  A triple whose three pair brackets are all zero has a zero
-    sum and is skipped.
+    (index, coefficient) pairs with nonzero coefficient, and coded as the
+    integer code[a][b] = sum y B^k over its terms (k, y).  Every triple
+    a < b < c then sums [[a, b], c] + [[b, c], a] + [[c, a], b] as
+    sum x * code[i][z] over the terms (i, x) of each pair bracket.  A
+    triple whose three pair brackets are all zero has a zero sum and is
+    skipped.
+
+    With L the largest coefficient sum of a bracket and Y its largest
+    coefficient, each coordinate of a Jacobi sum has size at most 3 L Y,
+    so with B = 6 L Y + 1 the code of the sum is zero exactly when the sum
+    is.
     """
-    d = sc.datum
-    keys = [("r", i) for i in range(d.nroots)] + [("h", k) for k in range(d.rank)]
-    index = {key: a for a, key in enumerate(keys)}
+    keys, br = _bracket_table(sc)
     m = len(keys)
-    br = [
-        [tuple((index[k], x) for k, x in sc.bracket(ka, kb).items() if x) for kb in keys]
-        for ka in keys
-    ]
+    terms = [entry for row in br for entry in row if entry]
+    largest_sum = max((sum(abs(x) for _, x in t) for t in terms), default=0)
+    largest = max((abs(x) for t in terms for _, x in t), default=0)
+    big = 6 * largest_sum * largest + 1
+    powers = [big**k for k in range(m)]
+    code = [[sum(y * powers[k] for k, y in entry) for entry in row] for row in br]
+    code_t = [list(col) for col in zip(*code)]
     for a in range(m):
-        row_a = br[a]
+        row_a, code_a = br[a], code_t[a]
         col_a = [row[a] for row in br]
         for b in range(a + 1, m):
-            ab = row_a[b]
-            row_b = br[b]
+            ab = [(x, code[i]) for i, x in row_a[b]]
+            row_b, code_b = br[b], code_t[b]
             for c in range(b + 1, m):
                 bc = row_b[c]
                 ca = col_a[c]
                 if not (ab or bc or ca):
                     continue
-                total: dict = {}
-                for pair, z in ((ab, c), (bc, a), (ca, b)):
-                    for i, x in pair:
-                        for k, y in br[i][z]:
-                            total[k] = total.get(k, 0) + x * y
-                if any(total.values()):
+                total = 0
+                for x, code_i in ab:
+                    total += x * code_i[c]
+                for i, x in bc:
+                    total += x * code_a[i]
+                for i, x in ca:
+                    total += x * code_b[i]
+                if total:
                     raise InternalInconsistencyError(
                         f"Jacobi identity fails on {keys[a]}, {keys[b]}, {keys[c]}"
                     )
@@ -292,11 +329,10 @@ def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
             raise DomainError("signs must be +1 or -1")
         full[i] = e
         full[d.negative_of(i)] = e
-    new_table = {}
-    for (i, j), v in sc.table.items():
-        s = tuple(x + y for x, y in zip(d.roots[i], d.roots[j]))
-        k = d.root_index(s)
-        new_table[(i, j)] = full[i] * full[j] * full[k] * v
+    sums = d.root_sums()
+    new_table = {
+        (i, j): full[i] * full[j] * full[sums[i][j]] * v for (i, j), v in sc.table.items()
+    }
     new_eps = {i: sc.eps[i] * eps.get(i, 1) for i in sc.eps}
     return StructureConstants(
         datum=d,
@@ -317,7 +353,7 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
     """
     d = sc.datum
     pos, order_key = _positive_order(d)
-    pos_set = set(pos)
+    special = _special_pairs(d, pos, order_key)
     simple = {i for i in pos if d.height(i) == 1}
     out = []
     for perm in act.element_permutations():
@@ -326,17 +362,7 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
             if gamma in simple:
                 continue
             values = set()
-            for a in pos:
-                if order_key[a] >= order_key[gamma]:
-                    break
-                rest = tuple(
-                    x - y for x, y in zip(d.roots[gamma], d.roots[a])
-                )
-                if not d.is_root(rest):
-                    continue
-                b = d.root_index(rest)
-                if b not in pos_set or order_key[a] >= order_key[b]:
-                    continue
+            for a, b in special[gamma]:
                 num = sc.table[(perm[a], perm[b])]
                 den = sc.table[(a, b)]
                 if abs(num) != abs(den):

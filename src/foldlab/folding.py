@@ -256,11 +256,9 @@ def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> Fold
                     "images of distinct classes are proportional"
                 )
 
-    dual_mats = [act.dual_matrix(g) for g in act.generators]
-
     def folded_coroot(cls, divisible):
         ambient = _class_coroot(datum, cls, divisible)
-        for dm in dual_mats:
+        for dm in act.generator_duals:
             if dm.apply(ambient) != ambient:
                 raise InternalInconsistencyError(
                     "summed coroot is not invariant under the dual action"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import DomainError, InvalidActionError
 
@@ -75,7 +76,7 @@ class IntMatrix:
             raise DomainError("matrix shape mismatch in product")
         ot = other.transpose().entries
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries],
+            [[sum(map(mul, row, col)) for col in ot] for row in self.entries],
             cols=other.cols,
         )
 

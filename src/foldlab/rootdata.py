@@ -190,6 +190,7 @@ class RootDatum:
             raise DomainError("duplicate roots")
         self._simple_coords = None
         self._components = None
+        self._root_sums = None
         if validate:
             self._validate()
 
@@ -319,6 +320,26 @@ class RootDatum:
 
     def negative_of(self, root_index: int) -> int:
         return self.root_index(tuple(-x for x in self.roots[root_index]))
+
+    def root_sums(self) -> tuple[tuple[int | None, ...], ...]:
+        """Table sums[i][j]: the index of roots[i] + roots[j], -1 if that
+        sum is zero and None if it is not a root.
+
+        Each root is coded as sum_k v_k B^k.  With m the largest root
+        coordinate size, a root or a sum of two roots has coordinates of
+        size at most 2m, and B = 4m + 1 makes the code injective on all of
+        them; code(r_i + r_j) = code(r_i) + code(r_j) by linearity, so each
+        sum is one addition and one dict lookup.
+        """
+        if self._root_sums is not None:
+            return self._root_sums
+        m = max((abs(x) for r in self.roots for x in r), default=0)
+        powers = [(4 * m + 1) ** k for k in range(self.rank)]
+        codes = [sum(map(mul, r, powers)) for r in self.roots]
+        where = {code: i for i, code in enumerate(codes)}
+        where[0] = -1
+        self._root_sums = tuple(tuple(where.get(a + b) for b in codes) for a in codes)
+        return self._root_sums
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Partition of root indices by irreducible component.

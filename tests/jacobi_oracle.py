@@ -2,13 +2,28 @@
 
 Rebuilds every bracket of every triple of basis elements through
 ``StructureConstants.bracket`` and ``bracket_elements`` and sums
-[[a, b], c] + [[b, c], a] + [[c, a], b].  ``verify_jacobi`` instead looks
-each bracket up in a table built once per basis pair, so this is an
-independent cross-check of the table path, over the same triples in the
-same order.
+[[a, b], c] + [[b, c], a] + [[c, a], b].  ``verify_jacobi`` instead sums
+integer codes of brackets from a table built once per basis pair, so this
+is an independent cross-check of the table path, over the same triples in
+the same order.  ``bracket_table_by_brackets`` builds the basis bracket table
+of ``verify_jacobi`` through ``StructureConstants.bracket``, as it was
+built before the root-sum table.
 """
 
 from foldlab.errors import InternalInconsistencyError
+
+
+def bracket_table_by_brackets(sc):
+    """Basis keys and br[a][b], the (index, coefficient) pairs with nonzero
+    coefficient of the bracket of basis elements a and b."""
+    d = sc.datum
+    keys = [("r", i) for i in range(d.nroots)] + [("h", k) for k in range(d.rank)]
+    index = {key: a for a, key in enumerate(keys)}
+    br = [
+        [tuple((index[k], x) for k, x in sc.bracket(ka, kb).items() if x) for kb in keys]
+        for ka in keys
+    ]
+    return keys, br
 
 
 def verify_jacobi_by_brackets(sc):

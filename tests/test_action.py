@@ -79,6 +79,21 @@ def test_non_unimodular_rejected():
         PinnedAction(t, [IntMatrix([[2]])])
 
 
+@pytest.mark.parametrize(
+    "matrix", [[[2]], [[0]], [[1, 2], [2, 4]], [[2, 1], [1, 2]]], ids=["2", "0", "singular", "det3"]
+)
+def test_non_unimodular_generator_message(matrix):
+    # decided by the Smith form behind the inverse, not by a determinant
+    with pytest.raises(InvalidActionError, match="^generator is not unimodular$"):
+        PinnedAction(build_torus(len(matrix)), [IntMatrix(matrix)])
+
+
+def test_generator_duals_are_inverse_transposes():
+    for name in preset_names():
+        act = load_preset(name).action
+        assert act.generator_duals == tuple(act.dual_matrix(g) for g in act.generators)
+
+
 def test_closure_limit():
     datum = build_preset("A2", "sc")
     flip = IntMatrix([[0, 1], [1, 0]])

@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+from foldlab import chevalley
 from foldlab.chevalley import (
+    _bracket_table,
     automorphism_constants,
     base_constants,
     chain_length,
@@ -18,7 +20,13 @@ from foldlab.errors import DomainError, InternalInconsistencyError
 from foldlab.folding import folded_root_datum
 from foldlab.presets import load_preset, preset_names, type_a_flip
 from foldlab.rootdata import build_preset
-from jacobi_oracle import verify_jacobi_by_brackets
+from constants_oracle import (
+    automorphism_constants_by_tuples,
+    base_constants_by_tuples,
+    chain_length_by_tuples,
+    rescale_by_tuples,
+)
+from jacobi_oracle import bracket_table_by_brackets, verify_jacobi_by_brackets
 
 
 def root_string_bound(datum, i, j):
@@ -79,22 +87,79 @@ def test_jacobi_exhaustive(ctype):
     assert verify_jacobi(base_constants(datum))
 
 
-@pytest.mark.parametrize("ctype", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+def _outcome(check, sc):
+    """True, or the message of the InternalInconsistencyError raised."""
+    try:
+        return check(sc)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+
+
+# one-entry changes to a table of constants, each keyed by what it does to
+# N(i, j): the pair flip keeps antisymmetry, and x10^6 puts a coefficient
+# far past any code base fixed without looking at the table
+MUTATIONS = {
+    "sign": lambda t, i, j: {(i, j): -t[i, j]},
+    "pair": lambda t, i, j: {(i, j): -t[i, j], (j, i): -t[j, i]},
+    "x3": lambda t, i, j: {(i, j): 3 * t[i, j]},
+    "zero": lambda t, i, j: {(i, j): 0},
+    "x1e6": lambda t, i, j: {(i, j): 10**6 * t[i, j]},
+}
+
+
+@pytest.mark.parametrize("ctype", ["A2", "B2", "G2", "A3", "A4", "B3", "C3", "D4", "F4"])
 def test_jacobi_matches_bracket_oracle(ctype):
     sc = base_constants(build_preset(ctype, "sc"))
+    assert _bracket_table(sc) == bracket_table_by_brackets(sc)
     assert verify_jacobi(sc) is True
     assert verify_jacobi_by_brackets(sc) is True
-    # flipping the sign of one antisymmetric pair N(i, j) = -N(j, i)
     i, j = next(iter(sc.table))
-    table = dict(sc.table)
-    table[(i, j)], table[(j, i)] = -table[(i, j)], -table[(j, i)]
-    broken = dataclasses.replace(sc, table=table)
-    with pytest.raises(InternalInconsistencyError) as table_path:
-        verify_jacobi(broken)
-    with pytest.raises(InternalInconsistencyError) as oracle:
-        verify_jacobi_by_brackets(broken)
-    assert str(table_path.value).startswith("Jacobi identity fails on ")
-    assert str(table_path.value) == str(oracle.value)
+    for name, change in MUTATIONS.items():
+        broken = dataclasses.replace(sc, table={**sc.table, **change(sc.table, i, j)})
+        assert _bracket_table(broken) == bracket_table_by_brackets(broken), name
+        outcome = _outcome(verify_jacobi, broken)
+        assert str(outcome).startswith("Jacobi identity fails on "), name
+        assert outcome == _outcome(verify_jacobi_by_brackets, broken), name
+
+
+ORACLE_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4",
+    "E6", "E7",
+]
+
+
+def _fields(sc):
+    return sc.table, sc.eps, sc.xs_pair, sc.lengths2, sc.order_key
+
+
+@pytest.mark.parametrize("ctype", ORACLE_TYPES)
+def test_base_constants_match_tuple_oracle(ctype):
+    datum = build_preset(ctype, "sc")
+    sc = base_constants(datum)
+    assert _fields(sc) == _fields(base_constants_by_tuples(datum))
+    for i in range(datum.nroots):
+        for j in range(datum.nroots):
+            assert chain_length(datum, i, j) == chain_length_by_tuples(datum, i, j)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_constants_and_signs_match_tuple_oracle_on_presets(name, monkeypatch):
+    pre = load_preset(name)
+    sc = base_constants(pre.datum)
+    oracle = base_constants_by_tuples(pre.datum)
+    assert _fields(sc) == _fields(oracle)
+    assert automorphism_constants(sc, pre.action) == automorphism_constants_by_tuples(
+        oracle, pre.action
+    )
+    pos = pre.datum.positive_root_indices()
+    alternating = {i: (-1 if k % 2 else 1) for k, i in enumerate(pos)}
+    assert _fields(rescale(sc, alternating)) == _fields(rescale_by_tuples(oracle, alternating))
+    adjusted, classes = equivariant_signs(sc, pre.action)
+    monkeypatch.setattr(chevalley, "automorphism_constants", automorphism_constants_by_tuples)
+    monkeypatch.setattr(chevalley, "rescale", rescale_by_tuples)
+    by_tuples, tuple_classes = chevalley.equivariant_signs(oracle, pre.action)
+    assert _fields(adjusted) == _fields(by_tuples)
+    assert classes == tuple_classes
 
 
 def test_extraspecial_pairs_start_simple():

@@ -128,6 +128,14 @@ def test_bad_matrix_action_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_non_unimodular_matrix_action_exit_3(tmp_path, capsys):
+    cfg = write(
+        tmp_path, "[datum]\ntype = torus\nrank = 2\n\n[action]\nmatrices = [[[2, 1], [1, 2]]]\n"
+    )
+    assert cli.main(["run", cfg]) == 3
+    assert "generator is not unimodular" in capsys.readouterr().err
+
+
 def test_count_on_wrong_shape_exit_3(tmp_path, capsys):
     cfg = write(tmp_path, "[datum]\npreset = A3-sc-flip\n\n[run]\nanalyses = count\nq = 2\n")
     assert cli.main(["run", cfg]) == 3
@@ -244,8 +252,8 @@ def test_text_report_deterministic(tmp_path, capsys):
 
 
 # sha256 of the --json report of every preset and analysis, plus `type = E7`
-# criteria and chevalley and `type = E8` criteria; a refactor must leave
-# every report byte-identical.
+# and `type = E8` criteria and chevalley; a refactor must leave every report
+# byte-identical.
 GOLDEN_SHA256 = {
     ("A1-torus-inversion", "fold"): "a0684da2d875384461ed68c8d28ba4c6cb327bfbef806017ba3bcae4e2ef96ba",
     ("A1-torus-inversion", "criteria"): "849728671b40df419b02cfaffa87c4a8c2ec82ac629b508847b4a3ac4beb2ced",
@@ -277,6 +285,7 @@ GOLDEN_SHA256 = {
     ("E7", "criteria"): "69b367f5a1492d5ba08f5e163834d6c9bae1e7231618ec0d94e5f393fd93284d",
     ("E7", "chevalley"): "263689c59e5a38d8ae6ea4820b329114ae71025a0107dbf80fd85eda3aaa37f5",
     ("E8", "criteria"): "507b7e575ea527f540cb294f9ac7910c82101888582cf9e716eda4acd7783412",
+    ("E8", "chevalley"): "e9f6f7c8a7d2cc3102bfd29fb3becbe98e792d255717561f6e2744860c4a4a5c",
 }
 
 

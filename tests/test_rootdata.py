@@ -17,6 +17,7 @@ from foldlab.rootdata import (
     cartan_matrix,
     cartan_type_of,
 )
+from constants_oracle import root_sums_by_tuples
 from validate_oracle import validate_by_tuples
 
 
@@ -342,3 +343,32 @@ def test_simple_reflection_permutation():
     i0, i1 = datum.basis_indices
     assert perm[i0] == datum.negative_of(i0)  # s_0 negates alpha_0
     assert perm[perm[i1]] == i1  # involution
+
+
+@pytest.mark.parametrize(
+    "ctype",
+    [
+        "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2",
+        "F4", "E6", "E7",
+    ],
+)
+def test_root_sums_match_tuple_arithmetic(ctype):
+    for isogeny in ("sc", "adjoint"):
+        datum = build_preset(ctype, isogeny)
+        assert datum.root_sums() == root_sums_by_tuples(datum)
+        assert datum.root_sums() is datum.root_sums()  # built once
+
+
+def test_root_sums_on_e8_folded_variants_and_torus():
+    e8 = build_preset("E8", "sc")
+    assert e8.root_sums() == root_sums_by_tuples(e8)
+    for name in preset_names():
+        pre = load_preset(name)
+        for v in VARIANTS:
+            datum = folded_root_datum(pre.datum, pre.action, v).datum
+            assert datum.root_sums() == root_sums_by_tuples(datum), (name, v)
+    # the nonreduced A_{2n} folding has doubled roots: some a + a is a root
+    pre = load_preset("A2-sc-flip")
+    nonreduced = folded_root_datum(pre.datum, pre.action, "nonreduced").datum
+    assert any(row[i] is not None for i, row in enumerate(nonreduced.root_sums()))
+    assert build_torus(40).root_sums() == ()
