@@ -222,7 +222,4 @@ def trivial_action(datum: RootDatum) -> PinnedAction:
 
 def permutation_matrix(images: dict[int, int], n: int) -> IntMatrix:
     """Matrix sending basis vector e_i to e_{images[i]} (identity elsewhere)."""
-    full = {i: images.get(i, i) for i in range(n)}
-    if sorted(full.values()) != list(range(n)):
-        raise DomainError("images do not define a permutation")
-    return IntMatrix([[1 if full[j] == i else 0 for j in range(n)] for i in range(n)])
+    return IntMatrix.permutation({i: images.get(i, i) for i in range(n)}, n)

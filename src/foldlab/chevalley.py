@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, InternalInconsistencyError
 from .rootdata import RootDatum, _component_type
@@ -35,8 +36,9 @@ def chain_length(datum: RootDatum, i: int, j: int) -> int:
     return r
 
 
-def _squared_lengths(datum: RootDatum) -> tuple[Fraction, ...]:
-    """W-invariant squared lengths, normalized to 2 on the first simple
+def _squared_lengths(datum: RootDatum) -> tuple[tuple[int, ...], int]:
+    """W-invariant squared lengths as the integer form L(c) = sum_ij c_i c_j
+    D d_i cartan[i][j], and the scale D, L/D being 2 on the first simple
     root of each component; only within-component ratios are ever used."""
     k = len(datum.basis_indices)
     cartan = [
@@ -55,18 +57,14 @@ def _squared_lengths(datum: RootDatum) -> tuple[Fraction, ...]:
                 if a != b and cartan[a][b] and d[b] is None:
                     d[b] = d[a] * cartan[a][b] / cartan[b][a]
                     stack.append(b)
+    scale = lcm(*(x.denominator for x in d))
+    form = [[int(x * scale) * a for a in row] for x, row in zip(d, cartan)]
     out = []
     for idx in range(datum.nroots):
         c = datum.simple_coordinates(idx)
-        total = Fraction(0)
-        for i in range(k):
-            if not c[i]:
-                continue
-            for j in range(k):
-                if c[j]:
-                    total += c[i] * c[j] * d[i] * cartan[i][j]
-        out.append(total)
-    return tuple(out)
+        support = [i for i in range(k) if c[i]]
+        out.append(sum(c[i] * c[j] * form[i][j] for i in support for j in support))
+    return tuple(out), scale
 
 
 @dataclass
@@ -145,15 +143,15 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         raise DomainError("structure constants require a reduced datum")
     pos, order_key = _positive_order(datum)
     pos_set = set(pos)
-    len2 = _squared_lengths(datum)
+    len2, scale = _squared_lengths(datum)
     sums = datum.root_sums()
     neg = [datum.negative_of(i) for i in range(datum.nroots)]
-    table: dict[tuple[int, int], Fraction | int] = {}
+    table: dict[tuple[int, int], int] = {}
 
-    def resolve(i, j) -> Fraction:
+    def resolve(i, j) -> int:
         """Constant for an arbitrary valid pair, reducing to the positive table."""
         if (i, j) in table:
-            return Fraction(table[(i, j)])
+            return table[(i, j)]
         ip, jp = i in pos_set, j in pos_set
         if ip and jp:
             raise InternalInconsistencyError(
@@ -167,9 +165,11 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             # i positive, j negative
             si = sums[i][j]
             if si in pos_set:
-                val = -resolve(neg[j], si) * len2[si] / len2[i]
+                val, rem = divmod(-resolve(neg[j], si) * len2[si], len2[i])
             else:
-                val = resolve(neg[si], i) * len2[si] / len2[j]
+                val, rem = divmod(resolve(neg[si], i) * len2[si], len2[j])
+            if rem:
+                raise InternalInconsistencyError("non-integral structure constant")
         table[(i, j)] = val
         return val
 
@@ -194,7 +194,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         table[(h, e)] = -table[(e, h)]
         for a, b in pairs[1:]:
             # Jacobi on (X_{-e}, X_a, X_b); only N(a, b) is unknown.
-            t = Fraction(0)
+            t = 0
             k = sums[a][neg[e]]
             if k is not None and k >= 0:
                 t += resolve(neg[e], a) * resolve(k, b)
@@ -204,10 +204,10 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             n_c_nege = resolve(c, neg[e])
             if n_c_nege == 0:
                 raise InternalInconsistencyError("vanishing pivot constant")
-            val = -t / n_c_nege
-            if val.denominator != 1:
+            val, rem = divmod(-t, n_c_nege)
+            if rem:
                 raise InternalInconsistencyError(
-                    f"derived constant is not an integer: {val}"
+                    f"derived constant is not an integer: {Fraction(-t, n_c_nege)}"
                 )
             table[(a, b)] = val
             table[(b, a)] = -val
@@ -218,11 +218,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             if s is not None and s >= 0:
                 resolve(i, j)
     final: dict[tuple[int, int], int] = {}
-    for (i, j), v in table.items():
-        v = Fraction(v)
-        if v.denominator != 1:
-            raise InternalInconsistencyError("non-integral structure constant")
-        iv = int(v)
+    for (i, j), iv in table.items():
         expected = chain_length(datum, i, j)
         if abs(iv) != expected:
             raise InternalInconsistencyError(
@@ -236,7 +232,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         table=final,
         eps={i: 1 for i in pos},
         xs_pair=xs_pair,
-        lengths2=len2,
+        lengths2=tuple(Fraction(x, scale) for x in len2),
         order_key=order_key,
     )
 
@@ -269,53 +265,81 @@ def _bracket_table(sc: StructureConstants):
 
 
 def verify_jacobi(sc: StructureConstants) -> bool:
-    """Exhaustive Jacobi identity over all triples of basis elements.
+    """Jacobi identity on the whole algebra, checked on generators.
 
-    The basis is indexed as the roots, then the Cartan keys.  Each bracket
-    of two basis elements is computed once, as the tuple br[a][b] of
-    (index, coefficient) pairs with nonzero coefficient, and coded as the
-    integer code[a][b] = sum y B^k over its terms (k, y).  Every triple
-    a < b < c then sums [[a, b], c] + [[b, c], a] + [[c, a], b] as
-    sum x * code[i][z] over the terms (i, x) of each pair bracket.  A
-    triple whose three pair brackets are all zero has a zero sum and is
-    skipped.
+    Once the bracket is alternating, the identity says that every ad x is
+    a derivation, and those x form a subalgebra: ad [x, y] = [ad x, ad y]
+    when ad x is a derivation, and a commutator of derivations is one (cf.
+    Carter, Simple Groups of Lie Type, 4.1).  On the table br of
+    ``_bracket_table``, coded as code[a][b] = sum x P_i over the terms
+    (i, x) of br[a][b], this checks in turn:
 
-    With L the largest coefficient sum of a bracket and Y its largest
-    coefficient, each coordinate of a Jacobi sum has size at most 3 L Y,
-    so with B = 6 L Y + 1 the code of the sum is zero exactly when the sum
-    is.
+    1. ad h is a derivation for each Cartan key h: each term of br[y][z]
+       has weight wt(y) + wt(z), the root code of a root vector or 0;
+    2. code[b][a] = -code[a][b] for all a, b: the bracket is alternating;
+    3. the simple root vectors, their negatives and any root vector they
+       do not reach by one-term brackets generate the algebra;
+    4. ad s is a derivation for each generator s: J(s, y, z) =
+       [[s, y], z] + [[y, z], s] + [[z, s], y] vanishes on each pair where
+       a term can be nonzero: [s, y] has a term i with [i, z] != 0 (or y,
+       z swapped), or [y, z] has a term i with [i, s] != 0.
+
+    By step 1 the terms of a bracket, and of J, lie on one root vector or
+    in the Cartan span, so P_i = 1 on root vectors and B^k on Cartan key k
+    code them exactly: with L the largest coefficient sum of a bracket and
+    Y its largest coefficient, J has coordinates of size at most 3 L Y,
+    and B = 6 L Y + 1.
     """
     keys, br = _bracket_table(sc)
-    m = len(keys)
-    terms = [entry for row in br for entry in row if entry]
-    largest_sum = max((sum(abs(x) for _, x in t) for t in terms), default=0)
-    largest = max((abs(x) for t in terms for _, x in t), default=0)
-    big = 6 * largest_sum * largest + 1
-    powers = [big**k for k in range(m)]
-    code = [[sum(y * powers[k] for k, y in entry) for entry in row] for row in br]
-    code_t = [list(col) for col in zip(*code)]
-    for a in range(m):
-        row_a, code_a = br[a], code_t[a]
-        col_a = [row[a] for row in br]
-        for b in range(a + 1, m):
-            ab = [(x, code[i]) for i, x in row_a[b]]
-            row_b, code_b = br[b], code_t[b]
-            for c in range(b + 1, m):
-                bc = row_b[c]
-                ca = col_a[c]
-                if not (ab or bc or ca):
-                    continue
-                total = 0
-                for x, code_i in ab:
-                    total += x * code_i[c]
-                for i, x in bc:
-                    total += x * code_a[i]
-                for i, x in ca:
-                    total += x * code_b[i]
-                if total:
+    d = sc.datum
+    support = [[b for b, entry in enumerate(row) if entry] for row in br]
+    terms = [row[b] for row, sup in zip(br, support) for b in sup]
+    largest = max([abs(x) for t in terms for _, x in t], default=0)
+    largest_sum = max([sum(abs(x) for _, x in t) for t in terms if len(t) > 1], default=largest)
+    powers = [1] * d.nroots + [(6 * largest_sum * largest + 1) ** k for k in range(d.rank)]
+    wt = d.root_codes() + (0,) * d.rank
+    code = [[0] * len(keys) for _ in keys]
+    for a, row in enumerate(br):
+        for b in support[a]:
+            for i, x in row[b]:
+                if wt[i] != wt[a] + wt[b]:
                     raise InternalInconsistencyError(
-                        f"Jacobi identity fails on {keys[a]}, {keys[b]}, {keys[c]}"
+                        f"bracket of {keys[a]} and {keys[b]} is not of their weight"
                     )
+                code[a][b] += x * powers[i]
+    preimage = [[] for _ in keys]
+    for y, sup in enumerate(support):
+        for z in sup:
+            if code[z][y] != -code[y][z]:
+                raise InternalInconsistencyError(
+                    f"bracket is not alternating on {keys[y]}, {keys[z]}"
+                )
+            if y < z:
+                for i, _ in br[y][z]:
+                    preimage[i].append((y, z))
+    simple = list(d.basis_indices) + [d.negative_of(i) for i in d.basis_indices]
+    reached, queue = set(simple), list(simple)
+    for t in queue:  # the queue grows while it is read
+        new = {e[0][0] for e in (br[s][t] for s in simple) if len(e) == 1} - reached
+        reached |= new
+        queue.extend(new)
+    for s in simple + [i for i in range(d.nroots) if i not in reached]:
+        row_s, code_s = br[s], [row[s] for row in code]
+        pairs = {pair for i in support[s] for pair in preimage[i]}
+        for y in support[s]:
+            for i, _ in row_s[y]:
+                pairs.update((y, z) if y < z else (z, y) for z in support[i])
+        for y, z in pairs:
+            total = 0
+            for i, x in row_s[y]:
+                total += x * code[i][z]
+            for i, x in row_s[z]:
+                total -= x * code[i][y]
+            for i, x in br[y][z]:
+                total += x * code_s[i]
+            if total:
+                a, b, c = (keys[k] for k in sorted((s, y, z)))
+                raise InternalInconsistencyError(f"Jacobi identity fails on {a}, {b}, {c}")
     return True
 
 

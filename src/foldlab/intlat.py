@@ -16,9 +16,9 @@ from .errors import DomainError, InvalidActionError
 
 
 class IntMatrix:
-    """Immutable integer matrix; entries are plain Python ints."""
+    """Immutable integer matrix of plain Python ints; keeps its inverse once found."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_inverse")
 
     def __init__(self, entries, cols: int | None = None):
         rows = tuple(tuple(int(x) for x in row) for row in entries)
@@ -31,6 +31,7 @@ class IntMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -42,6 +43,15 @@ class IntMatrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
+
+    @classmethod
+    def permutation(cls, images, n: int) -> "IntMatrix":
+        """Matrix sending e_j to e_{images[j]}; its inverse is its transpose."""
+        if sorted(images[j] for j in range(n)) != list(range(n)):
+            raise DomainError("images do not define a permutation")
+        m = cls([[1 if images[j] == i else 0 for j in range(n)] for i in range(n)], cols=n)
+        object.__setattr__(m, "_inverse", m.transpose())
+        return m
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "IntMatrix":
@@ -133,7 +143,7 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
+        return self._inverse is not None or (self.rows == self.cols and abs(self.det()) == 1)
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse; defined only when det = +/-1.
@@ -141,12 +151,14 @@ class IntMatrix:
         From the Smith form U M V = D: M is unimodular exactly when D = I,
         and then M^-1 = V U.
         """
-        if self.rows != self.cols:
-            raise DomainError("determinant of non-square matrix")
-        u, d, v = smith_normal_form(self)
-        if d != IntMatrix.identity(self.rows):
-            raise DomainError("inverse requested for non-unimodular matrix")
-        return v @ u
+        if self._inverse is None:
+            if self.rows != self.cols:
+                raise DomainError("determinant of non-square matrix")
+            u, d, v = smith_normal_form(self)
+            if d != IntMatrix.identity(self.rows):
+                raise DomainError("inverse requested for non-unimodular matrix")
+            object.__setattr__(self, "_inverse", v @ u)
+        return self._inverse
 
     def rank(self) -> int:
         """Rank over the rationals: the number of nonzero Smith invariants."""

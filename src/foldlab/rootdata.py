@@ -190,6 +190,7 @@ class RootDatum:
             raise DomainError("duplicate roots")
         self._simple_coords = None
         self._components = None
+        self._root_codes = self._negatives = None
         self._root_sums = None
         if validate:
             self._validate()
@@ -318,26 +319,32 @@ class RootDatum:
     def height(self, root_index: int) -> int:
         return sum(self._simple_coords[root_index])
 
+    def root_codes(self) -> tuple[int, ...]:
+        """Each root coded as sum_k v_k B^k with B = 4m + 1, m the largest
+        root coordinate size: additive, and injective on roots, zero and
+        sums of two roots, whose coordinates have size at most 2m."""
+        if self._root_codes is None:
+            m = max((abs(x) for r in self.roots for x in r), default=0)
+            powers = [(4 * m + 1) ** k for k in range(self.rank)]
+            self._root_codes = tuple(sum(map(mul, r, powers)) for r in self.roots)
+        return self._root_codes
+
     def negative_of(self, root_index: int) -> int:
-        return self.root_index(tuple(-x for x in self.roots[root_index]))
+        if self._negatives is None:
+            where = {-code: i for i, code in enumerate(self.root_codes())}
+            self._negatives = tuple(where.get(code) for code in self.root_codes())
+        if self._negatives[root_index] is None:
+            raise DomainError(f"{tuple(-x for x in self.roots[root_index])} is not a root")
+        return self._negatives[root_index]
 
     def root_sums(self) -> tuple[tuple[int | None, ...], ...]:
         """Table sums[i][j]: the index of roots[i] + roots[j], -1 if that
-        sum is zero and None if it is not a root.
-
-        Each root is coded as sum_k v_k B^k.  With m the largest root
-        coordinate size, a root or a sum of two roots has coordinates of
-        size at most 2m, and B = 4m + 1 makes the code injective on all of
-        them; code(r_i + r_j) = code(r_i) + code(r_j) by linearity, so each
-        sum is one addition and one dict lookup.
-        """
+        sum is zero and None if it is not a root; each sum is one addition
+        of root codes and one dict lookup."""
         if self._root_sums is not None:
             return self._root_sums
-        m = max((abs(x) for r in self.roots for x in r), default=0)
-        powers = [(4 * m + 1) ** k for k in range(self.rank)]
-        codes = [sum(map(mul, r, powers)) for r in self.roots]
-        where = {code: i for i, code in enumerate(codes)}
-        where[0] = -1
+        codes = self.root_codes()
+        where = {0: -1} | {code: i for i, code in enumerate(codes)}
         self._root_sums = tuple(tuple(where.get(a + b) for b in codes) for a in codes)
         return self._root_sums
 

@@ -6,12 +6,14 @@ each root sum or difference is built as a coordinate tuple and looked up
 among the roots.  Production reads ``RootDatum.root_sums`` instead, so
 these are an independent cross-check of the table path, with the same
 checks, messages and order.  ``root_sums_by_tuples`` builds the table
-itself the same way.
+itself the same way.  The constants are ``Fraction`` throughout, and
+``squared_lengths_by_fractions`` sums the length form term by term in
+``Fraction``, as production did before it moved to integers.
 """
 
 from fractions import Fraction
 
-from foldlab.chevalley import StructureConstants, _positive_order, _squared_lengths
+from foldlab.chevalley import StructureConstants, _positive_order
 from foldlab.errors import DomainError, InternalInconsistencyError
 
 
@@ -27,6 +29,40 @@ def root_sums_by_tuples(datum):
             else:
                 row.append(datum.root_index(v) if datum.is_root(v) else None)
         out.append(tuple(row))
+    return tuple(out)
+
+
+def squared_lengths_by_fractions(datum):
+    """W-invariant squared lengths, normalized to 2 on the first simple
+    root of each component."""
+    k = len(datum.basis_indices)
+    cartan = [
+        [datum.pairing(datum.basis_indices[j], datum.basis_indices[i]) for j in range(k)]
+        for i in range(k)
+    ]
+    d = [None] * k
+    for start in range(k):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b in range(k):
+                if a != b and cartan[a][b] and d[b] is None:
+                    d[b] = d[a] * cartan[a][b] / cartan[b][a]
+                    stack.append(b)
+    out = []
+    for idx in range(datum.nroots):
+        c = datum.simple_coordinates(idx)
+        total = Fraction(0)
+        for i in range(k):
+            if not c[i]:
+                continue
+            for j in range(k):
+                if c[j]:
+                    total += c[i] * c[j] * d[i] * cartan[i][j]
+        out.append(total)
     return tuple(out)
 
 
@@ -46,7 +82,7 @@ def base_constants_by_tuples(datum):
         raise DomainError("structure constants require a reduced datum")
     pos, order_key = _positive_order(datum)
     pos_set = set(pos)
-    len2 = _squared_lengths(datum)
+    len2 = squared_lengths_by_fractions(datum)
     table: dict[tuple[int, int], Fraction | int] = {}
 
     def neg(i):

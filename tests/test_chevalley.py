@@ -1,5 +1,6 @@
 """Structure constants, Jacobi identity, equivariant sign adjustment."""
 
+import ast
 import dataclasses
 
 import pytest
@@ -19,14 +20,20 @@ from foldlab.action import trivial_action
 from foldlab.errors import DomainError, InternalInconsistencyError
 from foldlab.folding import folded_root_datum
 from foldlab.presets import load_preset, preset_names, type_a_flip
-from foldlab.rootdata import build_preset
+from foldlab.rootdata import build_preset, build_torus
 from constants_oracle import (
     automorphism_constants_by_tuples,
     base_constants_by_tuples,
     chain_length_by_tuples,
     rescale_by_tuples,
 )
-from jacobi_oracle import bracket_table_by_brackets, verify_jacobi_by_brackets
+from jacobi_oracle import (
+    bracket_table_by_brackets,
+    is_alternating_on,
+    jacobi_sum,
+    verify_jacobi_by_brackets,
+    verify_jacobi_exhaustive,
+)
 
 
 def root_string_bound(datum, i, j):
@@ -83,8 +90,9 @@ def test_magnitudes_equal_chain_lengths():
     "ctype", ["A2", "A3", "A4", "B2", "D4", "G2", "B3", "C3", "F4", "E6", "E7"]
 )
 def test_jacobi_exhaustive(ctype):
-    datum = build_preset(ctype, "sc")
-    assert verify_jacobi(base_constants(datum))
+    sc = base_constants(build_preset(ctype, "sc"))
+    assert verify_jacobi(sc) is True
+    assert verify_jacobi_exhaustive(sc) is True
 
 
 def _outcome(check, sc):
@@ -95,12 +103,33 @@ def _outcome(check, sc):
         return str(exc)
 
 
+def _assert_same_verdict(sc, oracle=verify_jacobi_exhaustive):
+    """verify_jacobi and the oracle agree, and a failure names a triple on
+    which the identity really fails or a pair on which the bracket really
+    is not alternating."""
+    outcome = _outcome(verify_jacobi, sc)
+    assert (outcome is True) == (_outcome(oracle, sc) is True)
+    if outcome is True:
+        return
+    head, named = outcome.split(" on ", 1)
+    keys = ast.literal_eval(f"({named},)")
+    if head == "Jacobi identity fails":
+        assert jacobi_sum(sc, *keys), outcome
+    else:
+        assert head == "bracket is not alternating", outcome
+        assert not is_alternating_on(sc, *keys), outcome
+
+
 # one-entry changes to a table of constants, each keyed by what it does to
-# N(i, j): the pair flip keeps antisymmetry, and x10^6 puts a coefficient
-# far past any code base fixed without looking at the table
+# N(i, j): the pair changes keep antisymmetry (pair_zero can leave a root
+# vector out of reach of the simple ones, so that it joins the generators),
+# and x10^6 puts a coefficient far past any code base fixed without looking
+# at the table
 MUTATIONS = {
     "sign": lambda t, i, j: {(i, j): -t[i, j]},
     "pair": lambda t, i, j: {(i, j): -t[i, j], (j, i): -t[j, i]},
+    "pair_x2": lambda t, i, j: {(i, j): 2 * t[i, j], (j, i): 2 * t[j, i]},
+    "pair_zero": lambda t, i, j: {(i, j): 0, (j, i): 0},
     "x3": lambda t, i, j: {(i, j): 3 * t[i, j]},
     "zero": lambda t, i, j: {(i, j): 0},
     "x1e6": lambda t, i, j: {(i, j): 10**6 * t[i, j]},
@@ -113,13 +142,54 @@ def test_jacobi_matches_bracket_oracle(ctype):
     assert _bracket_table(sc) == bracket_table_by_brackets(sc)
     assert verify_jacobi(sc) is True
     assert verify_jacobi_by_brackets(sc) is True
+    entries = list(sc.table)
+    # six positions spread over the table, the first entry among them
+    for i, j in entries[:: -(-len(entries) // 6)]:
+        for name, change in MUTATIONS.items():
+            broken = dataclasses.replace(sc, table={**sc.table, **change(sc.table, i, j)})
+            assert _bracket_table(broken) == bracket_table_by_brackets(broken), name
+            assert _outcome(verify_jacobi, broken) is not True, name
+            _assert_same_verdict(broken)
+            if (i, j) == entries[0]:
+                _assert_same_verdict(broken, oracle=verify_jacobi_by_brackets)
+
+
+def test_jacobi_rejects_a_bracket_off_its_weight(monkeypatch):
+    sc = base_constants(build_preset("A2", "sc"))
+    keys, br = _bracket_table(sc)
     i, j = next(iter(sc.table))
-    for name, change in MUTATIONS.items():
-        broken = dataclasses.replace(sc, table={**sc.table, **change(sc.table, i, j)})
-        assert _bracket_table(broken) == bracket_table_by_brackets(broken), name
-        outcome = _outcome(verify_jacobi, broken)
-        assert str(outcome).startswith("Jacobi identity fails on "), name
-        assert outcome == _outcome(verify_jacobi_by_brackets, broken), name
+    ((s, x),) = br[i][j]
+    wrong = next(k for k in range(sc.datum.nroots) if k != s)
+    br[i][j], br[j][i] = ((wrong, x),), ((wrong, -x),)
+    monkeypatch.setattr(chevalley, "_bracket_table", lambda _: (keys, br))
+    with pytest.raises(InternalInconsistencyError, match=r"is not of their weight$"):
+        verify_jacobi(sc)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_jacobi_matches_exhaustive_oracle_on_presets(name):
+    pre = load_preset(name)
+    sc = base_constants(pre.datum)
+    adjusted, _ = equivariant_signs(sc, pre.action)
+    for system in (sc, adjusted):
+        assert verify_jacobi(system) is True
+        assert verify_jacobi_exhaustive(system) is True
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [
+        pytest.param(load_preset("A1-torus-inversion").datum, id="A1-torus-inversion"),
+        pytest.param(build_torus(3), id="torus-3"),
+        pytest.param(build_torus(0), id="torus-0"),
+        pytest.param(build_preset("A3", "adjoint"), id="A3-adjoint"),
+        pytest.param(build_preset("E6", "adjoint"), id="E6-adjoint"),
+    ],
+)
+def test_jacobi_edge_cases(datum):
+    sc = base_constants(datum)
+    assert verify_jacobi(sc) is True
+    assert verify_jacobi_exhaustive(sc) is True
 
 
 ORACLE_TYPES = [

@@ -6,7 +6,9 @@ import json
 import pytest
 
 import foldlab.cli as cli
+from foldlab.intlat import IntMatrix
 from foldlab.matrixlab import CountReport
+from foldlab.presets import preset_names
 
 
 def write(tmp_path, text, name="job.ini"):
@@ -134,6 +136,17 @@ def test_non_unimodular_matrix_action_exit_3(tmp_path, capsys):
     )
     assert cli.main(["run", cfg]) == 3
     assert "generator is not unimodular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_fold_computes_no_determinant(name, tmp_path, monkeypatch):
+    # every generator reaching a coinvariant check was inverted before
+    def no_det(self):
+        raise AssertionError("determinant computed")
+
+    monkeypatch.setattr(IntMatrix, "det", no_det)
+    cfg = write(tmp_path, f"[datum]\npreset = {name}\n\n[run]\nanalyses = fold\n")
+    assert cli.main(["run", cfg]) == 0
 
 
 def test_count_on_wrong_shape_exit_3(tmp_path, capsys):

@@ -324,3 +324,34 @@ def test_inverse_rejects_like_adjugate_oracle(entries, message):
         with pytest.raises(DomainError) as info:
             inverse(m)
         assert str(info.value) == message
+
+
+def _no_det(self):
+    raise AssertionError("determinant computed")
+
+
+def test_inverse_is_kept_and_decides_unimodularity(monkeypatch):
+    u = IntMatrix([[2, 1], [1, 1]])
+    inv = u.inverse_unimodular()
+    monkeypatch.setattr(IntMatrix, "det", _no_det)
+    assert u.inverse_unimodular() is inv
+    assert u.is_unimodular()
+    assert coinvariants(2, [u]).is_trivial
+
+
+def test_permutation_matrix_knows_its_inverse(monkeypatch):
+    m = IntMatrix.permutation([2, 0, 1], 3)
+    assert m.apply((1, 0, 0)) == (0, 0, 1)
+    monkeypatch.setattr(IntMatrix, "det", _no_det)
+    monkeypatch.setattr("foldlab.intlat.smith_normal_form", _no_det)
+    assert m.is_unimodular()
+    assert m.inverse_unimodular() == m.transpose()
+    assert m @ m.inverse_unimodular() == IntMatrix.identity(3)
+    with pytest.raises(DomainError, match="^images do not define a permutation$"):
+        IntMatrix.permutation([0, 0, 1], 3)
+
+
+def test_raw_generators_keep_the_unimodularity_check():
+    with pytest.raises(InvalidActionError, match="^action generator is not unimodular$"):
+        coinvariants(2, [[[2, 1], [1, 2]]])
+    assert IntMatrix([[2, 1], [1, 2]]).is_unimodular() is False

@@ -372,3 +372,17 @@ def test_root_sums_on_e8_folded_variants_and_torus():
     nonreduced = folded_root_datum(pre.datum, pre.action, "nonreduced").datum
     assert any(row[i] is not None for i, row in enumerate(nonreduced.root_sums()))
     assert build_torus(40).root_sums() == ()
+
+
+@pytest.mark.parametrize("ctype", ["A1", "B2", "G2", "D4", "E8"])
+def test_negative_of_reads_a_table(ctype):
+    datum = build_preset(ctype, "sc")
+    for i in range(datum.nroots):
+        assert datum.roots[datum.negative_of(i)] == tuple(-x for x in datum.roots[i])
+    assert datum._root_sums is None  # the negation table does not need all sums
+
+
+def test_negative_of_a_root_without_negative():
+    datum = RootDatum(1, [(1,)], [(2,)], [0], validate=False)
+    with pytest.raises(DomainError, match=r"^\(-1,\) is not a root$"):
+        datum.negative_of(0)
