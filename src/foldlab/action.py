@@ -26,9 +26,8 @@ class PinnedAction:
             m = g if isinstance(g, IntMatrix) else IntMatrix(g)
             gens.append(m)
         self.generators = tuple(gens)
-        self.generator_duals = self._validate_generators()
+        self.generator_duals, self.generator_perms = self._validate_generators()
         self.elements, self._perm_of = self._close(limit)
-        self.generator_perms = tuple(self._perm_of[m] for m in self.generators)
 
     # -- validation ------------------------------------------------------
 
@@ -48,11 +47,11 @@ class PinnedAction:
 
     def _validate_generators(self):
         """Check each generator and return the duals, their inverse
-        transposes; the Smith form behind each inverse also decides
-        unimodularity."""
+        transposes, and the root permutations; the Smith form behind each
+        inverse also decides unimodularity."""
         d = self.datum
         base_set = set(d.basis_indices)
-        duals = []
+        duals, perms = [], []
         for m in self.generators:
             if m.rows != d.rank or m.cols != d.rank:
                 raise InvalidActionError(
@@ -74,11 +73,12 @@ class PinnedAction:
                         f"at root {d.roots[i]}"
                     )
             duals.append(dual)
-        return tuple(duals)
+            perms.append(perm)
+        return tuple(duals), tuple(perms)
 
     def _close(self, limit: int):
         ident = IntMatrix.identity(self.datum.rank)
-        gen_perms = [(g, self._root_permutation(g)) for g in self.generators]
+        gen_perms = list(zip(self.generators, self.generator_perms))
         perms = {ident: tuple(range(self.datum.nroots))}
         frontier = [ident]
         while frontier:

@@ -12,6 +12,7 @@ variant R1, the nonmultipliable variant R2, and their nonreduced union.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import DomainError, InternalInconsistencyError
 from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, cokernel
@@ -44,15 +45,17 @@ class FoldClass:
         return tuple(i for i in self.members if i not in sp)
 
 
-def _proportional(u, v) -> bool:
-    """Exact test for rational proportionality of nonzero integer vectors."""
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    # reject opposite orientations only if both zero patterns differ
-    return any(u) and any(v)
+def _direction(v) -> tuple[int, ...] | None:
+    """Primitive direction of an integer vector: v over the gcd of its
+    entries, signed so the first nonzero entry is positive.  Two nonzero
+    vectors are rationally proportional exactly when their directions are
+    equal; the zero vector, proportional to nothing, has None."""
+    g = gcd(*v)
+    if not g:
+        return None
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def _vector_sum(vectors):
@@ -76,17 +79,14 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
     if not orbits:
         return ()
     sums = {orbit: _vector_sum([datum.roots[i] for i in orbit]) for orbit in orbits}
-    buckets: list[list[tuple[int, ...]]] = []
+    buckets: dict[object, list[tuple[int, ...]]] = {}
     for orbit in orbits:
-        for bucket in buckets:
-            if _proportional(sums[bucket[0]], sums[orbit]):
-                bucket.append(orbit)
-                break
-        else:
-            buckets.append([orbit])
+        # a zero sum is proportional to nothing and keeps a bucket of its own
+        key = _direction(sums[orbit]) or ("zero", orbit)
+        buckets.setdefault(key, []).append(orbit)
 
     classes = []
-    for bucket in buckets:
+    for bucket in buckets.values():
         members = tuple(sorted(i for orbit in bucket for i in orbit))
         member_set = set(members)
         sums_inside = {}
@@ -249,12 +249,8 @@ def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> Fold
                     "special member differs from twice a nonspecial member in M_A"
                 )
         images.append(img)
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if _proportional(images[i], images[j]):
-                raise InternalInconsistencyError(
-                    "images of distinct classes are proportional"
-                )
+    if len({_direction(img) for img in images}) != len(images):
+        raise InternalInconsistencyError("images of distinct classes are proportional")
 
     def folded_coroot(cls, divisible):
         ambient = _class_coroot(datum, cls, divisible)

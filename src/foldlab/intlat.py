@@ -114,7 +114,7 @@ class IntMatrix:
         """Matrix times column vector, returned as a tuple."""
         if len(vector) != self.cols:
             raise DomainError("vector length mismatch")
-        return tuple(sum(a * v for a, v in zip(row, vector)) for row in self.entries)
+        return tuple(sum(map(mul, row, vector)) for row in self.entries)
 
     def det(self) -> int:
         """Determinant by fraction-free Bareiss elimination."""

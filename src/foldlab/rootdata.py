@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import IntMatrix, smith_normal_form
@@ -151,6 +151,7 @@ def _generate_root_coroot_pairs(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
 
     Roots carry coordinates in the simple-root basis, coroots in the
     simple-coroot basis; the reflection s_i acts on both sides at once.
+    s_i changes only coordinate i, and fixes v when <v, alpha_i^vee> = 0.
     """
     n = cartan.rows
     ct = cartan.transpose()
@@ -164,13 +165,13 @@ def _generate_root_coroot_pairs(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
         new = []
         for v in frontier:
             w = pairs[v]
-            cv = cartan.apply(v)
             cw = ct.apply(w)
-            for i in range(n):
-                rv = tuple(x - (cv[i] if k == i else 0) for k, x in enumerate(v))
-                rw = tuple(x - (cw[i] if k == i else 0) for k, x in enumerate(w))
+            for i, c in enumerate(cartan.apply(v)):
+                if not c:
+                    continue
+                rv = v[:i] + (v[i] - c,) + v[i + 1 :]
                 if rv not in pairs:
-                    pairs[rv] = rw
+                    pairs[rv] = w[:i] + (w[i] - cw[i],) + w[i + 1 :]
                     new.append(rv)
         frontier = new
     return sorted(pairs.items())
@@ -230,39 +231,21 @@ class RootDatum:
         for c in self.coroots:
             if len(c) != self.rank:
                 raise DomainError("coroot coordinate length differs from rank")
-        # pairs[i][j] = <root i, coroot j>, each computed once
-        pairs = [[sum(map(mul, r, c)) for c in self.coroots] for r in self.roots]
-        for i in range(self.nroots):
-            if pairs[i][i] != 2:
-                raise DomainError(
-                    f"<alpha, alpha^vee> = {pairs[i][i]} != 2 at root {self.roots[i]}"
-                )
+        for r, c in zip(self.roots, self.coroots):
+            n = sum(map(mul, r, c))
+            if n != 2:
+                raise DomainError(f"<alpha, alpha^vee> = {n} != 2 at root {r}")
         if len(set(self.coroots)) != len(self.coroots):
             raise DomainError("duplicate coroots")
-        # Reflection stability on both sides, on integer codes
-        # code(v) = sum_k v_k B^k.  With m the largest coordinate size of a
-        # root or coroot and P the largest pairing size, every root, coroot
-        # and image x - n y has coordinates of size at most m (1 + P), so
-        # B = 2 m (1 + P) + 1 makes the code injective on all of them, and
-        # code(x - n y) = code(x) - n code(y) by linearity.
-        m = max((abs(x) for v in self.roots + self.coroots for x in v), default=0)
-        big = 2 * m * (1 + max((abs(x) for row in pairs for x in row), default=0)) + 1
-        # a torus has no roots to code, whatever its rank
-        powers = [big**k for k in range(self.rank if self.roots else 0)]
-        root_codes = [sum(map(mul, r, powers)) for r in self.roots]
-        coroot_codes = [sum(map(mul, c, powers)) for c in self.coroots]
-        root_set, coroot_set = set(root_codes), set(coroot_codes)
-        for i in range(self.nroots):
-            root_i, coroot_i, row_i = root_codes[i], coroot_codes[i], pairs[i]
-            for j in range(self.nroots):
-                if root_codes[j] - pairs[j][i] * root_i not in root_set:
-                    raise DomainError(
-                        f"reflection of {self.roots[j]} along {self.roots[i]} leaves the root set"
-                    )
-                if coroot_codes[j] - row_i[j] * coroot_i not in coroot_set:
-                    raise DomainError(
-                        f"coreflection of {self.coroots[j]} leaves the coroot set"
-                    )
+        codes = self._reflection_codes()
+        try:
+            self._check_reflections(codes)
+        except DomainError:
+            # name the first failing pair in index order, as a scan of all
+            # pairs would
+            for i in range(self.nroots):
+                self._reflection_images(i, codes)
+            raise
         if self.reduced:
             for r in self.roots:
                 if tuple(2 * x for x in r) in self._index:
@@ -271,6 +254,81 @@ class RootDatum:
             if not 0 <= i < self.nroots:
                 raise DomainError("basis index out of range")
         self._compute_simple_coords()
+
+    def _reflection_codes(self):
+        """Integer codes code(v) = sum_k v_k B^k of the roots and coroots,
+        and the index of each code on either side.
+
+        With m the largest coordinate size of a root or coroot, every
+        pairing has size at most rank m^2, so every root, coroot and image
+        x - n y has coordinates of size at most m (1 + rank m^2);
+        B = 2 m (1 + rank m^2) + 1 makes the code injective on all of them,
+        and code(x - n y) = code(x) - n code(y) by linearity.
+        """
+        m = max((abs(x) for v in self.roots + self.coroots for x in v), default=0)
+        big = 2 * m * (1 + self.rank * m * m) + 1
+        # a torus has no roots to code, whatever its rank
+        powers = [big**k for k in range(self.rank if self.roots else 0)]
+        root_codes = [sum(map(mul, r, powers)) for r in self.roots]
+        coroot_codes = [sum(map(mul, c, powers)) for c in self.coroots]
+        root_at = {code: j for j, code in enumerate(root_codes)}
+        coroot_at = {code: j for j, code in enumerate(coroot_codes)}
+        return root_codes, coroot_codes, root_at, coroot_at
+
+    def _reflection_images(self, i: int, codes) -> tuple[list, list]:
+        """Indices of s_i(alpha_j) and s_i^vee(alpha_j^vee) for every j,
+        each one integer expression and one dict lookup.  Raises for the
+        first j, root side before coroot side, whose image leaves its set."""
+        root_codes, coroot_codes, root_at, coroot_at = codes
+        root, coroot = self.roots[i], self.coroots[i]
+        root_i, coroot_i = root_codes[i], coroot_codes[i]
+        images = [
+            root_at.get(x - sum(map(mul, r, coroot)) * root_i)
+            for x, r in zip(root_codes, self.roots)
+        ]
+        coimages = [
+            coroot_at.get(y - sum(map(mul, root, c)) * coroot_i)
+            for y, c in zip(coroot_codes, self.coroots)
+        ]
+        if None in images or None in coimages:
+            for j in range(self.nroots):
+                if images[j] is None:
+                    raise DomainError(
+                        f"reflection of {self.roots[j]} along {root} leaves the root set"
+                    )
+                if coimages[j] is None:
+                    raise DomainError(
+                        f"coreflection of {self.coroots[j]} leaves the coroot set"
+                    )
+        return images, coimages
+
+    def _check_reflections(self, codes):
+        """Reflection stability of the roots and coroots: checked directly
+        for the base roots, carried along the roots they reach, and checked
+        directly for every root left over.
+
+        If s_g is stable for a base root g, s_j is stable, s_g(alpha_j) =
+        alpha_k and s_g^vee(alpha_j^vee) = alpha_k^vee, then s_k = s_g s_j s_g
+        on X and on X^vee, so s_k is stable too.  Roots the base does not
+        reach this way (the doubled roots of a nonreduced datum, or every
+        root under a bad base) are checked directly.
+        """
+        base = [i for i in dict.fromkeys(self.basis_indices) if 0 <= i < self.nroots]
+        gens = [self._reflection_images(g, codes) for g in base]
+        reached = set(base)
+        frontier = base
+        while frontier:
+            new = []
+            for j in frontier:
+                for images, coimages in gens:
+                    k = images[j]
+                    if k == coimages[j] and k not in reached:
+                        reached.add(k)
+                        new.append(k)
+            frontier = new
+        for k in range(self.nroots):
+            if k not in reached:
+                self._reflection_images(k, codes)
 
     def _compute_simple_coords(self):
         """Solve each root as an integer combination of the base, and check
@@ -423,11 +481,17 @@ class WeylGroup:
         seen = {ident}
         frontier = [ident]
         gens = [tuple(g) for g in generators]
+        # itemgetter(*g)(w) is w composed with g; on one index it would
+        # return a scalar, and on no index it cannot be built
+        compose = [
+            itemgetter(*g) if degree > 1 else (lambda w, g=g: tuple(w[i] for i in g))
+            for g in gens
+        ]
         while frontier:
             new = []
             for w in frontier:
-                for g in gens:
-                    wg = tuple(w[g[i]] for i in range(degree))
+                for g in compose:
+                    wg = g(w)
                     if wg not in seen:
                         if len(seen) >= limit:
                             raise ResourceLimitError(

@@ -3,10 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from foldlab.action import trivial_action
 from foldlab.errors import DomainError, ResourceLimitError
 from foldlab.folding import (
     VARIANTS,
+    _direction,
+    _vector_sum,
     center_structure,
     equivalence_classes,
     fixed_weyl,
@@ -17,6 +21,7 @@ from foldlab.folding import (
 from foldlab.intlat import FinAbGroup
 from foldlab.presets import load_preset, preset_names, type_a_flip
 from foldlab.rootdata import build_preset, cartan_type_of
+from folding_oracle import buckets_by_proportional, proportional
 from weyl_oracle import brute_fixed_weyl
 
 CATALOG = [load_preset(name) for name in preset_names()]
@@ -26,8 +31,42 @@ def coords_of_members(datum, cls):
     return {datum.simple_coordinates(i) for i in cls.members}
 
 
-def proportional(u, v):
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(len(u)))
+def _oracle_partition(datum, act):
+    orbits = act.orbits("positive")
+    sums = [_vector_sum([datum.roots[i] for i in orbit]) for orbit in orbits]
+    return [[orbits[k] for k in bucket] for bucket in buckets_by_proportional(sums)]
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "E7", "E8"])
+def test_classes_match_pairwise_proportionality_oracle(name):
+    if name in ("E7", "E8"):
+        datum = build_preset(name, "sc")
+        act = trivial_action(datum)
+    else:
+        pre = load_preset(name)
+        datum, act = pre.datum, pre.action
+    got = sorted(c.orbits for c in equivalence_classes(datum, act))
+    expected = sorted(tuple(sorted(b)) for b in _oracle_partition(datum, act))
+    assert got == expected
+
+
+_vectors = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(-6, 6)] * n), min_size=1, max_size=8
+    )
+)
+_scales = st.lists(st.integers(-3, 3).filter(bool), min_size=8, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vectors, _scales)
+def test_direction_matches_pairwise_proportionality(vectors, scales):
+    # scaled copies make proportional pairs common, with both signs; zero
+    # vectors stay zero and are proportional to nothing
+    vectors = vectors + [tuple(s * x for x in v) for v, s in zip(vectors, scales)]
+    for u, v in itertools.product(vectors, repeat=2):
+        same = _direction(u) is not None and _direction(u) == _direction(v)
+        assert same == proportional(u, v), (u, v)
 
 
 def test_a2_flip_single_type_two_class():

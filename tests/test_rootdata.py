@@ -6,19 +6,21 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldlab import rootdata
 from foldlab.errors import DomainError, ResourceLimitError
 from foldlab.folding import VARIANTS, folded_root_datum
 from foldlab.presets import load_preset, preset_names
 from foldlab.rootdata import (
     CartanType,
     RootDatum,
+    WeylGroup,
     build_preset,
     build_torus,
     cartan_matrix,
     cartan_type_of,
 )
 from constants_oracle import root_sums_by_tuples
-from validate_oracle import validate_by_tuples
+from validate_oracle import generate_pairs_by_tuples, validate_by_tuples
 
 
 def test_cartan_type_parse():
@@ -257,8 +259,14 @@ def test_bad_base_rejected(build, message):
             "coreflection of (-2, 2) leaves the coroot set",
         ),
         (lambda: RootDatum(2, *_LARGE_IMAGE), "reflection of (0, 1) along (1, 0) leaves the root set"),
+        # the base reflection along (1, 0) fails first, but the pair named is
+        # the first failing one in index order, along (-1, 0)
+        (
+            lambda: RootDatum(2, *_BASE_FAILS_LATER),
+            "reflection of (0, -1) along (-1, 0) leaves the root set",
+        ),
     ],
-    ids=["pairing-not-2", "root-reflection", "coroot-reflection", "large-image"],
+    ids=["pairing-not-2", "root-reflection", "coroot-reflection", "large-image", "index-order"],
 )
 def test_validate_rejects(build, message):
     with pytest.raises(DomainError) as info:
@@ -272,6 +280,13 @@ _LARGE_IMAGE = (
     [(1, 0), (-1, 0), (0, 1), (0, -1)],
     [(2, 2), (-2, -2), (0, 2), (0, -2)],
     [0, 2],
+)
+
+# A1 x A1 roots with A2 coroots, negative roots first and the base last
+_BASE_FAILS_LATER = (
+    [(-1, 0), (0, -1), (1, 0), (0, 1)],
+    [(-2, 1), (1, -2), (2, -1), (-1, 2)],
+    [2, 3],
 )
 
 
@@ -317,6 +332,40 @@ def test_validate_matches_tuple_oracle_on_catalog():
         assert _agree_with_oracle(d.rank, d.roots, d.coroots, d.basis_indices) is None
     message = "reflection of (0, 1) along (1, 0) leaves the root set"
     assert _agree_with_oracle(2, *_LARGE_IMAGE) == message
+    message = "reflection of (0, -1) along (-1, 0) leaves the root set"
+    assert _agree_with_oracle(2, *_BASE_FAILS_LATER) == message
+
+
+def _directly_checked(monkeypatch, build):
+    """Roots whose reflections ``build`` checks one by one, in call order."""
+    calls = []
+    helper = RootDatum._reflection_images
+
+    def spy(self, i, codes):
+        calls.append(i)
+        return helper(self, i, codes)
+
+    with monkeypatch.context() as m:
+        m.setattr(RootDatum, "_reflection_images", spy)
+        build()
+    return calls
+
+
+def test_validation_checks_only_the_base_directly(monkeypatch):
+    e8 = build_preset("E8", "sc")
+    calls = _directly_checked(monkeypatch, lambda: build_preset("E8", "sc"))
+    assert len(calls) == 8
+    assert sorted(calls) == sorted(e8.basis_indices)
+    # the doubled roots of a nonreduced datum lie in no orbit of the base
+    pre = load_preset("A4-sc-flip")
+    folded = folded_root_datum(pre.datum, pre.action, "nonreduced")
+    d = folded.datum
+    doubled = {i for i, flag in folded.doubled.items() if flag}
+    calls = _directly_checked(
+        monkeypatch,
+        lambda: RootDatum(d.rank, d.roots, d.coroots, d.basis_indices, reduced=False),
+    )
+    assert sorted(calls) == sorted(set(d.basis_indices) | doubled)
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,6 +384,34 @@ def test_validate_matches_tuple_oracle_on_mutations(data):
     else:
         coroots = vectors
     _agree_with_oracle(rank, roots, coroots, basis, reduced)
+
+
+_CATALOG_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B2", "B3", "B4", "B5", "C3", "C4",
+    "C5", "D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2",
+]
+
+
+@pytest.mark.parametrize("ctype", _CATALOG_TYPES)
+def test_build_preset_matches_tuple_generation(ctype, monkeypatch):
+    for isogeny in ("sc", "adjoint"):
+        new = build_preset(ctype, isogeny)
+        with monkeypatch.context() as m:
+            m.setattr(rootdata, "_generate_root_coroot_pairs", generate_pairs_by_tuples)
+            old = build_preset(ctype, isogeny)
+        assert new.roots == old.roots
+        assert new.coroots == old.coroots
+        assert new.basis_indices == old.basis_indices
+        assert new._simple_coords == old._simple_coords
+
+
+def test_weyl_closure_of_degree_at_most_one():
+    # a single index would make itemgetter return a scalar, none would fail
+    assert build_torus(3).weyl_group().elements == ((),)
+    assert WeylGroup.generate(0, []).elements == ((),)
+    assert WeylGroup.generate(1, [(0,)]).elements == ((0,),)
+    a1 = build_preset("A1", "sc")
+    assert a1.weyl_group().elements == ((0, 1), (1, 0))
 
 
 def test_simple_reflection_permutation():

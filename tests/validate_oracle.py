@@ -1,12 +1,19 @@
-"""Tuple-based oracles for datum validation and the unimodular inverse.
+"""Tuple-based oracles for datum validation, root generation and the
+unimodular inverse.
 
 ``validate_by_tuples`` checks reflection stability by building the image
 tuple of every (root, root) pair and looking it up among the roots and the
 coroots.  ``RootDatum._validate`` instead encodes every vector as one
 integer and checks each image by one integer expression, so this is an
 independent cross-check of the encoding, with the same checks, messages and
-order.  ``inverse_by_adjugate`` forms the inverse from n^2 cofactor
-determinants; ``IntMatrix.inverse_unimodular`` reads it off the Smith form.
+order; it checks every reflection directly, where the datum checks the base
+reflections and carries stability along the orbits they reach.
+``generate_pairs_by_tuples`` closes the simple (root, coroot) pairs under
+every simple reflection by rebuilding both tuples, where
+``rootdata._generate_root_coroot_pairs`` skips reflections that fix a root
+and changes one coordinate.  ``inverse_by_adjugate`` forms the inverse
+from n^2 cofactor determinants; ``IntMatrix.inverse_unimodular`` reads it
+off the Smith form.
 """
 
 from foldlab.errors import DomainError
@@ -59,6 +66,33 @@ def validate_by_tuples(datum):
         if not 0 <= i < datum.nroots:
             raise DomainError("basis index out of range")
     datum._compute_simple_coords()
+
+
+def generate_pairs_by_tuples(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
+    """Sorted (root, coroot) pairs in simple coordinates, from every
+    simple reflection of every pair found."""
+    n = cartan.rows
+    ct = cartan.transpose()
+    pairs = {}
+    frontier = []
+    for i in range(n):
+        e = tuple(1 if k == i else 0 for k in range(n))
+        pairs[e] = e
+        frontier.append(e)
+    while frontier:
+        new = []
+        for v in frontier:
+            w = pairs[v]
+            cv = cartan.apply(v)
+            cw = ct.apply(w)
+            for i in range(n):
+                rv = tuple(x - (cv[i] if k == i else 0) for k, x in enumerate(v))
+                rw = tuple(x - (cw[i] if k == i else 0) for k, x in enumerate(w))
+                if rv not in pairs:
+                    pairs[rv] = rw
+                    new.append(rv)
+        frontier = new
+    return sorted(pairs.items())
 
 
 def inverse_by_adjugate(m: IntMatrix) -> IntMatrix:
