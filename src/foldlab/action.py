@@ -110,9 +110,6 @@ class PinnedAction:
     def element_permutations(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self._perm_of[m] for m in self.elements)
 
-    def dual_matrix(self, element: IntMatrix) -> IntMatrix:
-        return element.inverse_unimodular().transpose()
-
     def orbits(self, items: str = "roots") -> tuple[tuple[int, ...], ...]:
         """Orbits on 'roots' (all root indices), 'positive', 'simple'
         (base positions), or 'components'."""
@@ -188,20 +185,6 @@ class PinnedAction:
                             "component permutation is not multiplicative"
                         )
         return sigma
-
-    def orbit_of_root(self, root_index: int) -> tuple[int, ...]:
-        orbit = {root_index}
-        frontier = [root_index]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for perm in self.generator_perms:
-                    z = perm[y]
-                    if z not in orbit:
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return tuple(sorted(orbit))
 
     def stabilizer_moves_component(self, comp_index: int) -> bool:
         """Does some element fixing the component move one of its roots?"""

@@ -446,28 +446,20 @@ def _d4_seed(sc: StructureConstants, comp: tuple[int, ...]) -> dict[int, int]:
     b = idx[hubs[0]]
     o1, o2, o3 = (idx[p] for p in sorted(q for q in base_pos if q != hubs[0]))
 
-    def x(i):
-        return {("r", i): 1}
-
-    def br(ea, eb):
-        return sc.bracket_elements(ea, eb)
-
-    words = [
-        br(x(o1), x(b)),
-        br(x(o2), x(b)),
-        br(x(o3), x(b)),
-        br(br(x(o1), x(b)), x(o2)),
-        br(br(x(o2), x(b)), x(o3)),
-        br(br(x(o1), x(b)), x(o3)),
-        br(br(br(x(o1), x(b)), x(o2)), x(o3)),
-        br(br(br(br(x(o1), x(b)), x(o2)), x(o3)), x(b)),
-    ]
+    # the word (w0, w1, ..., wn) is [..[[X_w0, X_w1], X_w2].., X_wn], walked
+    # one root vector at a time on the root sums and the constants
+    words = [(o1, b), (o2, b), (o3, b), (o1, b, o2), (o2, b, o3), (o1, b, o3)]
+    words += [(o1, b, o2, o3), (o1, b, o2, o3, b)]
+    sums = d.root_sums()
     seed = {}
-    for w in words:
-        if len(w) != 1:
-            raise InternalInconsistencyError("bracket word did not land on a root vector")
-        (kind, i), coeff = next(iter(w.items()))
-        if kind != "r" or abs(coeff) != 1:
+    for first, *rest in words:
+        i, coeff = first, 1
+        for j in rest:
+            k = sums[i][j]
+            if k is None or k < 0:
+                raise InternalInconsistencyError("bracket word did not land on a root vector")
+            i, coeff = k, coeff * sc.table[(i, j)]
+        if abs(coeff) != 1:
             raise InternalInconsistencyError("bracket word has non-unit coefficient")
         seed[i] = coeff
     if len(seed) != 8:
@@ -497,11 +489,12 @@ def equivariant_signs(sc: StructureConstants, act: PinnedAction):
     base_c = automorphism_constants(sc, act)
     perms = act.element_permutations()
 
+    orbit_of = {i: orb for orb in act.orbits("roots") for i in orb}
     done = set()
     for rho in pos:
         if rho in done or rho in special:
             continue
-        orb = set(act.orbit_of_root(rho))
+        orb = set(orbit_of[rho])
         done |= orb
         for c, perm in zip(base_c, perms):
             for y in orb:
@@ -576,6 +569,7 @@ def check_equivariance(sc: StructureConstants, act: PinnedAction) -> Equivarianc
     classes = equivalence_classes(d, act)
     special = {i for cls in classes for i in cls.special}
     c_tables = automorphism_constants(sc, act)
+    orbit_of = {i: orb for orb in act.orbits("roots") for i in orb}
     reports = []
     for cls in classes:
         groups = []
@@ -589,7 +583,7 @@ def check_equivariance(sc: StructureConstants, act: PinnedAction) -> Equivarianc
             rest = set(members)
             while rest:
                 i = min(rest)
-                orb = set(act.orbit_of_root(i))
+                orb = set(orbit_of[i])
                 rest -= orb
                 vals = sorted({c[y] for c in c_tables for y in orb})
                 is_special = i in special

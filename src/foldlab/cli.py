@@ -73,13 +73,15 @@ def _is_int_matrix(obj) -> bool:
     )
 
 
-def _check_datum_size(rank: int, nroots: int, limit: int):
+def _check_datum_size(rank: int, nroots: int | None, limit: int):
     """Refuse a datum before it is built when checking it and its action,
-    nroots^2 root pairs or a rank^3 elimination, exceeds the limit."""
-    work = max(nroots**2, rank**3)
+    nroots^2 root pairs or a rank^3 elimination, exceeds the limit; with
+    nroots None only rank^3 is compared."""
+    work = max((nroots or 0) ** 2, rank**3)
     if work > limit:
+        roots = "" if nroots is None else f" with {nroots} roots"
         raise ResourceLimitError(
-            f"checking a datum of rank {rank} with {nroots} roots and its action takes"
+            f"checking a datum of rank {rank}{roots} and its action takes"
             f" {work} steps, past the limit {limit} (raise --limit-enum)"
         )
 
@@ -111,6 +113,8 @@ def _build_datum_and_action(parser, enum_limit):
             datum = build_torus(rank)
         else:
             ct = CartanType.parse(kind)
+            # rank^3 first: listing the degrees takes O(rank) time and memory
+            _check_datum_size(ct.rank, None, enum_limit)
             # W has sum(d_i - 1) reflections, one per positive root (Humphreys 3.9)
             _check_datum_size(ct.rank, 2 * sum(d - 1 for d in ct.degrees), enum_limit)
             datum = build_preset(ct, datum_cfg.get("isogeny", "sc"))

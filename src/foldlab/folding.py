@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DomainError, InternalInconsistencyError
-from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, cokernel
+from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, _relation_matrix, cokernel
 from .rootdata import (
     RootDatum,
     WeylGroup,
@@ -196,7 +196,6 @@ class FoldedDatum:
     variant: str
     classes: tuple[FoldClass, ...]
     lattice: CoinvariantLattice
-    class_of_root: dict[int, int]  # folded root index -> class position
     doubled: dict[int, bool] = field(default_factory=dict)  # folded index -> is 2*image
 
     @property
@@ -311,11 +310,7 @@ def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> Fold
         basis_indices=[basis_slots[p] for p in sorted(basis_slots)],
         reduced=(variant != "nonreduced"),
     )
-    class_map = {}
     npos = len(pos_roots)
-    for slot in range(npos):
-        class_map[slot] = owner[slot]
-        class_map[slot + npos] = owner[slot]
     dbl = {slot: doubled_flags[slot] for slot in range(npos)}
     dbl.update({slot + npos: doubled_flags[slot] for slot in range(npos)})
     return FoldedDatum(
@@ -323,7 +318,6 @@ def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> Fold
         variant=variant,
         classes=classes,
         lattice=lattice,
-        class_of_root=class_map,
         doubled=dbl,
     )
 
@@ -394,16 +388,8 @@ def center_structure(datum: RootDatum, act: PinnedAction) -> FinAbGroup:
     structure of the fixed points of the center."""
     if act.datum is not datum:
         raise DomainError("action was built for a different datum")
-    columns = [datum.roots[i] for i in datum.basis_indices]
-    ident = IntMatrix.identity(datum.rank)
-    for g in act.generators:
-        delta = g - ident
-        columns.extend(delta.column(j) for j in range(datum.rank))
-    if columns:
-        rel = IntMatrix.from_columns(columns, datum.rank)
-    else:
-        rel = IntMatrix.zero(datum.rank, 0)
-    return cokernel(rel)
+    rel = _relation_matrix(datum.rank, act.generators)
+    return cokernel(IntMatrix.from_columns(datum.basis + rel.transpose().entries, datum.rank))
 
 
 def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:

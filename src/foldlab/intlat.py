@@ -143,7 +143,11 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def is_unimodular(self) -> bool:
-        return self._inverse is not None or (self.rows == self.cols and abs(self.det()) == 1)
+        try:
+            self.inverse_unimodular()
+        except DomainError:
+            return False
+        return True
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse; defined only when det = +/-1.

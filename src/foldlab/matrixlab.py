@@ -196,7 +196,7 @@ def mat_mul(F: GF, a, b):
 
 
 def _dot(F: GF, u, v):
-    acc = 0
+    acc = F.zero
     for x, y in zip(u, v):
         acc = F.add(acc, F.mul(x, y))
     return acc
@@ -503,29 +503,11 @@ def dual_fixed_count(n: int, p: int, scan_limit: int = FULL_SCAN_LIMIT) -> int:
             )
             for i in range(m)
         )
-        gt = tuple(zip(*g))
-        jg = tuple(
-            tuple(
-                _ring_dot(R, row, col)
-                for col in zip(*g)
-            )
-            for row in jr
-        )
-        gtjg = tuple(
-            tuple(_ring_dot(R, row, col) for col in zip(*jg)) for row in gt
-        )
-        if gtjg != jr:
+        if mat_mul(R, mat_transpose(g), mat_mul(R, jr, g)) != jr:
             continue
         if _det_ring(R, g) == R.one:
             count += 1
     return count
-
-
-def _ring_dot(R, u, v):
-    acc = R.zero
-    for x, y in zip(u, v):
-        acc = R.add(acc, R.mul(x, y))
-    return acc
 
 
 # -- rank-one embeddings --------------------------------------------------

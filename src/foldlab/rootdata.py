@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter, mul
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
@@ -371,9 +370,6 @@ class RootDatum:
     def positive_root_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.nroots) if self.is_positive(i))
 
-    def positive_roots(self) -> tuple[tuple, ...]:
-        return tuple(self.roots[i] for i in self.positive_root_indices())
-
     def height(self, root_index: int) -> int:
         return sum(self._simple_coords[root_index])
 
@@ -447,15 +443,7 @@ class RootDatum:
         """Permutation of root indices induced by reflecting along the
         basis_position-th simple root."""
         i = self.basis_indices[basis_position]
-        images = []
-        for j in range(self.nroots):
-            n = self.pairing(j, i)
-            images.append(
-                self.root_index(
-                    tuple(x - n * y for x, y in zip(self.roots[j], self.roots[i]))
-                )
-            )
-        return tuple(images)
+        return tuple(self._reflection_images(i, self._reflection_codes())[0])
 
     def weyl_group(self, limit: int = WEYL_LIMIT_DEFAULT) -> "WeylGroup":
         gens = [self.simple_reflection_permutation(p) for p in range(len(self.basis_indices))]
@@ -591,21 +579,13 @@ def _component_type(datum: RootDatum, comp: tuple[int, ...]) -> tuple[str, int]:
             raise InternalInconsistencyError("branch node in a doubly laced component")
         if n == 2:
             return ("C", 2)  # B2 and C2 coincide; normalized to C2
-        # propagate relative squared lengths: L_b = L_a * pair[a,b] / pair[b,a]
-        lengths = {0: Fraction(1)}
-        stack = [0]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b not in lengths:
-                    lengths[b] = lengths[a] * pair[a, b] / pair[b, a]
-                    stack.append(b)
-        shortest = min(lengths.values())
-        shorts = [a for a in range(n) if lengths[a] == shortest]
-        double_edge = next((a, b) for (a, b), w in bonds.items() if w == 2 and a < b)
-        ends = [a for a in range(n) if len(adj[a]) == 1]
-        if set(double_edge) & set(ends):
-            return ("B", n) if len(shorts) == 1 else ("C", n)
+        a, b = next(edge for edge, w in bonds.items() if w == 2)
+        if len(adj[a]) != 1:
+            a, b = b, a
+        if len(adj[a]) == 1:
+            # the end node a is short, and then the only short node (B),
+            # exactly when its coroot pairs to -2 with its neighbour's root
+            return ("B", n) if pair[a, b] == -2 else ("C", n)
         if n == 4:
             return ("F", 4)
         raise InternalInconsistencyError("interior double bond outside F4")

@@ -9,6 +9,7 @@ import foldlab.cli as cli
 from foldlab.intlat import IntMatrix
 from foldlab.matrixlab import CountReport
 from foldlab.presets import preset_names
+from foldlab.rootdata import CartanType
 
 
 def write(tmp_path, text, name="job.ini"):
@@ -219,6 +220,20 @@ def test_datum_size_guard_reads_limit_enum(tmp_path, capsys):
     assert "with 6 roots and its action takes 36 steps" in capsys.readouterr().err
 
 
+def test_datum_size_guard_refuses_rank_before_degrees(tmp_path, capsys, monkeypatch):
+    # listing the degrees of A1000000000 would take a billion ints; rank^3
+    # alone is past the limit, so they are never read
+    def no_degrees(self):
+        raise AssertionError("degrees read before the rank^3 check")
+
+    monkeypatch.setattr(CartanType, "degrees", property(no_degrees))
+    cfg = write(tmp_path, "[datum]\ntype = A1000000000\n")
+    assert cli.main(["run", cfg, "--analysis", "criteria"]) == 4
+    err = capsys.readouterr().err
+    assert f"of rank 1000000000 and its action takes {10**27} steps" in err
+    assert "past the limit 100000000 (raise --limit-enum)" in err
+
+
 def test_run_settings_read_before_datum(tmp_path, capsys):
     # a bad setting is reported before the (refused) datum is looked at
     cfg = write(tmp_path, "[datum]\ntype = A400\n\n[run]\nanalyses = dance\n")
@@ -286,6 +301,12 @@ GOLDEN_SHA256 = {
     ("A5-sc-flip", "fold"): "3128cc9717915b8b992285489cdfb5958c20b10faa3e2f9093e0425ea3dae683",
     ("A5-sc-flip", "criteria"): "1581aa144de1fb0a4d73879169f9dcee02e49bc20fe9579c7903147fffd25b1a",
     ("A5-sc-flip", "chevalley"): "3e059913805c118eb4829d37bab04e39de5e6a44fec954896432bdedc66f078b",
+    ("B3", "fold"): "545f85b817af7ed7e070cd922b9f4b008e9c5e1c7cc02f9ada751b2bf7d155f0",
+    ("B3", "criteria"): "22db3dca4d7719f8d9ec78f501aa0e87394e29536ec0f75849cb0a006a750bcd",
+    ("B3", "chevalley"): "c49ee03577762fe146f66168639d92be5ae2860ededef7b7d10243e156a1debb",
+    ("C3", "fold"): "0584d76696168e6db9ea2aaf7cd0535386e04b6f3f7c0c29a80dda0e9113a107",
+    ("C3", "criteria"): "1c879881ee903c6f552c84a5e227f7053765fadd1f6b49675388f9b03c3bc9aa",
+    ("C3", "chevalley"): "63aaa2179b63a66fe0b8c5a11cbf98c5e35a5116728423c2c5811f5d26bec223",
     ("D4-sc-cyclic3", "fold"): "d1a92474ac562f2c51d83bd68616ed0e70f0c3f746b74f38f28312a748d0c8f3",
     ("D4-sc-cyclic3", "criteria"): "282852ca7fbfd698d5cd434c81c65c6ba7213171d917066263f9ec87c57b3394",
     ("D4-sc-cyclic3", "chevalley"): "218e22ebeb3cafda6052a51243d27c64e5492586a394f73a59d3eecb1d5862a4",
@@ -299,6 +320,12 @@ GOLDEN_SHA256 = {
     ("E7", "chevalley"): "263689c59e5a38d8ae6ea4820b329114ae71025a0107dbf80fd85eda3aaa37f5",
     ("E8", "criteria"): "507b7e575ea527f540cb294f9ac7910c82101888582cf9e716eda4acd7783412",
     ("E8", "chevalley"): "e9f6f7c8a7d2cc3102bfd29fb3becbe98e792d255717561f6e2744860c4a4a5c",
+    ("F4", "fold"): "51e23a41d191b2c0c5164c8073506237dd7f5560b194ac70bc60cc3663813670",
+    ("F4", "criteria"): "f3383ecb1ad8fabb6d3cddc0793e6c9d071a53aca401d09e8379a823073bf506",
+    ("F4", "chevalley"): "b141b79c831b91389f2b6e069f969f193b339d8c94e369e831d94d7361e300c9",
+    ("G2", "fold"): "fd4ddfa57f77e46547b25004f95509b4d6e3c61567f1c3c4baffc9e338799c85",
+    ("G2", "criteria"): "c282aef5986955c1aac334e1282b7d361de356a8673a4e5602ea6457a9c384f8",
+    ("G2", "chevalley"): "b9163eb5ebc52806183ad0b7de29539b4b3f95914fde207dae587942446a3e0e",
 }
 
 

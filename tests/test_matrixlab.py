@@ -264,6 +264,8 @@ def test_tangent_dim_requires_prime():
 
 def test_dual_numbers_spot_check():
     assert dual_fixed_count(1, 2) == 2 ** tangent_dim(1, 2)
+    # an odd prime, through the same mat_mul as the field code
+    assert dual_fixed_count(1, 3) == 3 ** tangent_dim(1, 3) == 27
     with pytest.raises(ResourceLimitError):
         dual_fixed_count(2, 2)
 

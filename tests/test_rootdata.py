@@ -154,13 +154,17 @@ def test_sc_and_adjoint_lattices_a1():
     assert adj.coroots[adj.basis_indices[0]] == (2,)
 
 
-@pytest.mark.parametrize(
-    "ctype", ["A1", "A2", "A4", "B3", "C3", "D4", "D5", "G2", "F4", "E6", "A2+A2", "A1+C3"]
-)
+RECOGNITION_TYPES = [
+    "A1", "A2", "A4", "B3", "C3", "D4", "D5", "G2", "F4", "E6", "A2+A2", "A1+C3",
+    "B4", "B5", "C4", "C5", "B3+C4",
+]
+
+
+@pytest.mark.parametrize("ctype", RECOGNITION_TYPES)
 def test_type_recognition_roundtrip(ctype):
-    datum = build_preset(ctype, "sc")
-    recognized = cartan_type_of(datum)
-    assert sorted(recognized.components) == sorted(CartanType.parse(ctype).components)
+    for isogeny in ("sc", "adjoint"):
+        recognized = cartan_type_of(build_preset(ctype, isogeny))
+        assert sorted(recognized.components) == sorted(CartanType.parse(ctype).components)
 
 
 def test_type_recognition_normalizations():
@@ -420,6 +424,17 @@ def test_simple_reflection_permutation():
     i0, i1 = datum.basis_indices
     assert perm[i0] == datum.negative_of(i0)  # s_0 negates alpha_0
     assert perm[perm[i1]] == i1  # involution
+    # every simple reflection on every root: s_i(a_j) = a_j - <a_j, a_i^vee> a_i
+    for ctype in RECOGNITION_TYPES:
+        for isogeny in ("sc", "adjoint"):
+            datum = build_preset(ctype, isogeny)
+            for p, i in enumerate(datum.basis_indices):
+                perm = datum.simple_reflection_permutation(p)
+                root_i, coroot_i = datum.roots[i], datum.coroots[i]
+                for j, root_j in enumerate(datum.roots):
+                    n = sum(x * y for x, y in zip(root_j, coroot_i))
+                    image = tuple(x - n * y for x, y in zip(root_j, root_i))
+                    assert datum.roots[perm[j]] == image, (ctype, isogeny, p, j)
 
 
 @pytest.mark.parametrize(
