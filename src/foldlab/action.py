@@ -28,6 +28,7 @@ class PinnedAction:
         self.generators = tuple(gens)
         self.generator_duals, self.generator_perms = self._validate_generators()
         self.elements, self._perm_of = self._close(limit)
+        self._component_perms = None
 
     # -- validation ------------------------------------------------------
 
@@ -157,6 +158,8 @@ class PinnedAction:
     def component_permutations(self) -> dict[IntMatrix, tuple[int, ...]]:
         """Permutation of datum components induced by each element; checked
         to be a homomorphism of the closed group."""
+        if self._component_perms is not None:
+            return self._component_perms
         comps = self.datum.components()
         where = {}
         for ci, comp in enumerate(comps):
@@ -184,6 +187,7 @@ class PinnedAction:
                         raise InvalidActionError(
                             "component permutation is not multiplicative"
                         )
+        self._component_perms = sigma
         return sigma
 
     def stabilizer_moves_component(self, comp_index: int) -> bool:

@@ -17,17 +17,11 @@ import json
 import sys
 
 from .errors import DomainError, InvalidActionError, ResourceLimitError
-from .intlat import IntMatrix, coinvariants
+from .intlat import IntMatrix
 from .rootdata import WEYL_LIMIT_DEFAULT, CartanType, build_preset, build_torus, cartan_type_of
 from .action import PinnedAction, permutation_matrix, trivial_action
-from .folding import (
-    center_structure,
-    equivalence_classes,
-    fixed_weyl,
-    folded_root_datum,
-    isogeny_injectivity_check,
-)
-from .criteria import BaseSpec, decide, fiber_report
+from .folding import VARIANTS, center_structure, fixed_weyl, isogeny_injectivity_check
+from .criteria import BaseSpec, decide, fiber_reports
 from .chevalley import (
     base_constants,
     check_equivariance,
@@ -142,7 +136,7 @@ def _build_datum_and_action(parser, enum_limit):
     elif mats_raw is not None:
         try:
             data = json.loads(mats_raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
             raise ConfigError(f"matrices is not valid JSON: {exc}") from None
         if data and _is_int_matrix(data):
             data = [data]  # a single matrix was given bare
@@ -236,45 +230,42 @@ def _flip_rank(datum, act) -> int:
 
 
 def _analysis_fold(datum, act, weyl_limit):
-    classes = equivalence_classes(datum, act)
+    fw = fixed_weyl(datum, act, limit=weyl_limit)
+    r1 = fw.variants["R1"]
     out = {
-        "class_count": len(classes),
+        "class_count": len(r1.classes),
         "classes": [
             {
                 "kind": cls.kind,
                 "members": [list(datum.roots[i]) for i in cls.members],
                 "special": [list(datum.roots[i]) for i in cls.special],
             }
-            for cls in classes
+            for cls in r1.classes
         ],
     }
-    has_type_two = any(cls.kind == "II" for cls in classes)
-    variants = ("R1", "R2", "nonreduced") if has_type_two else ("R1",)
+    has_type_two = any(cls.kind == "II" for cls in r1.classes)
     folded = {}
-    for variant in variants:
-        fd = folded_root_datum(datum, act, variant)
+    for variant in VARIANTS if has_type_two else ("R1",):
+        fd = fw.variants[variant]
         folded[variant] = {
             "rank": fd.datum.rank,
             "root_count": fd.datum.nroots,
             "type": str(cartan_type_of(fd.datum)) if fd.datum.reduced else "nonreduced",
         }
     out["folded"] = folded
-    fw = fixed_weyl(datum, act, limit=weyl_limit)
     out["fixed_weyl_order"] = fw.order
     out["center"] = center_structure(datum, act).describe()
     out["isogeny_injective"] = isogeny_injectivity_check(datum, act)
-    out["coinvariants"] = coinvariants(datum.rank, list(act.generators)).describe()
+    out["coinvariants"] = r1.lattice.group.describe()
     return out
 
 
 def _analysis_criteria(datum, act, base, p):
-    report = decide(datum, act, base)
-    out = report.as_dict()
-    fibers = {}
-    for char in sorted({0, 2} | ({p} if p is not None else set())):
-        fr = fiber_report(datum, act, char)
-        fibers[str(char)] = fr.as_dict()
-    out["fibers"] = fibers
+    out = decide(datum, act, base).as_dict()
+    chars = sorted({0, 2} | ({p} if p is not None else set()))
+    out["fibers"] = {
+        str(char): fr.as_dict() for char, fr in fiber_reports(datum, act, chars).items()
+    }
     return out
 
 

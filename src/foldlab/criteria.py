@@ -183,28 +183,29 @@ class FiberReport:
         }
 
 
+def fiber_reports(datum: RootDatum, act: PinnedAction, chars) -> dict[int, FiberReport]:
+    """Geometry of the fixed-point fiber in each characteristic of
+    ``chars`` (0 allowed), keyed by characteristic."""
+    for p in chars:
+        if p != 0 and not is_prime(p):
+            raise DomainError(f"characteristic must be 0 or prime, got {p}")
+    group = coinvariants(datum.rank, act.generators)
+    dimension = group.free_rank + 2 * len(equivalence_classes(datum, act))
+    active = bool(active_even_a_components(datum, act))
+    reports = {}
+    for p in chars:
+        reduced = p == 0 or (gcd(group.torsion_order(), p) == 1 and not (active and p == 2))
+        kept = group if p == 0 else group.without_prime_part(p)
+        reports[p] = FiberReport(
+            characteristic=p,
+            dimension=dimension,
+            reduced=reduced,
+            variant="R2" if p == 2 else "R1",
+            component_group=FinAbGroup(0, kept.invariant_factors),
+        )
+    return reports
+
+
 def fiber_report(datum: RootDatum, act: PinnedAction, p: int) -> FiberReport:
     """Geometry of the fixed-point fiber in characteristic p (0 allowed)."""
-    if p != 0 and not is_prime(p):
-        raise DomainError(f"characteristic must be 0 or prime, got {p}")
-    group = coinvariants(datum.rank, act.generators)
-    classes = equivalence_classes(datum, act)
-    dimension = group.free_rank + 2 * len(classes)
-    active = bool(active_even_a_components(datum, act))
-    if p == 0:
-        reduced = True
-    else:
-        reduced = gcd(group.torsion_order(), p) == 1 and not (active and p == 2)
-    variant = "R2" if p == 2 else "R1"
-    component_group = (
-        FinAbGroup(0, group.invariant_factors)
-        if p == 0
-        else FinAbGroup(0, group.without_prime_part(p).invariant_factors)
-    )
-    return FiberReport(
-        characteristic=p,
-        dimension=dimension,
-        reduced=reduced,
-        variant=variant,
-        component_group=component_group,
-    )
+    return fiber_reports(datum, act, (p,))[p]

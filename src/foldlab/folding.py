@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import DomainError, InternalInconsistencyError
+from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, _relation_matrix, cokernel
 from .rootdata import (
     RootDatum,
@@ -203,27 +203,14 @@ class FoldedDatum:
         return self.datum.rank
 
 
-def _class_coroot(datum, cls: FoldClass, divisible: bool) -> tuple:
-    members = cls.special if divisible else cls.members
-    return _vector_sum([datum.coroots[i] for i in members])
-
-
-def _oriented_lattice(datum: RootDatum, act: PinnedAction) -> CoinvariantLattice:
-    """Coinvariant lattice whose free coordinates send the sum of the
-    positive roots to a nonnegative vector."""
+def _fold_pass(datum: RootDatum, act: PinnedAction):
+    """The classes, the coinvariant lattice and each class's image in its
+    free part, with the checks that the images are well defined.  The free
+    coordinates send the sum of the positive roots to a nonnegative vector."""
+    classes = equivalence_classes(datum, act)
     positive = datum.positive_root_indices()
     orient = _vector_sum([datum.roots[i] for i in positive]) if positive else None
-    return CoinvariantLattice(datum.rank, act.generators, orient=orient)
-
-
-def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> FoldedDatum:
-    """Build the folded datum for one of the variants R1, R2, nonreduced."""
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown folded variant {variant!r}; expected {VARIANTS}")
-    classes = equivalence_classes(datum, act)
-    lattice = _oriented_lattice(datum, act)
-    r = lattice.free_rank
-
+    lattice = CoinvariantLattice(datum.rank, act.generators, orient=orient)
     images = []
     for cls in classes:
         img = lattice.free_image(datum.roots[cls.representative])
@@ -250,85 +237,85 @@ def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> Fold
         images.append(img)
     if len({_direction(img) for img in images}) != len(images):
         raise InternalInconsistencyError("images of distinct classes are proportional")
+    return classes, lattice, images
 
-    def folded_coroot(cls, divisible):
-        ambient = _class_coroot(datum, cls, divisible)
+
+def folded_root_data(datum: RootDatum, act: PinnedAction) -> dict[str, FoldedDatum]:
+    """The folded data R1, R2 and nonreduced, all assembled from one pass
+    over the classes and the coinvariant lattice."""
+    classes, lattice, images = _fold_pass(datum, act)
+
+    def folded_root(img, cls, divisible):
+        """(root, coroot, is doubled) of a class; a divisible one sums only
+        the special members' coroots."""
+        members = cls.special if divisible else cls.members
+        ambient = _vector_sum([datum.coroots[i] for i in members])
         for dm in act.generator_duals:
             if dm.apply(ambient) != ambient:
                 raise InternalInconsistencyError(
                     "summed coroot is not invariant under the dual action"
                 )
-        return lattice.dual_coords(ambient)
+        root = tuple(2 * x for x in img) if divisible else img
+        return root, lattice.dual_coords(ambient), divisible
 
-    pos_roots: list[tuple] = []
-    pos_coroots: list[tuple] = []
-    owner: list[int] = []
-    doubled_flags: list[bool] = []
-    basis_slots: dict[int, int] = {}
+    # per variant: its positive (root, coroot, is doubled) slots and the
+    # slots of its base
+    slots: dict[str, list] = {v: [] for v in VARIANTS}
+    bases: dict[str, list[int]] = {v: [] for v in VARIANTS}
     base_set = set(datum.basis_indices)
-
-    def add(cls_pos, root, coroot, is_doubled):
-        pos_roots.append(root)
-        pos_coroots.append(coroot)
-        owner.append(cls_pos)
-        doubled_flags.append(is_doubled)
-        return len(pos_roots) - 1
-
     for pos, (cls, img) in enumerate(zip(classes, images)):
-        double = tuple(2 * x for x in img)
-        meets_base = bool(set(cls.members) & base_set)
-        if variant == "R1":
-            slot = add(pos, img, folded_coroot(cls, divisible=False), False)
+        single = folded_root(img, cls, divisible=False)
+        double = folded_root(img, cls, divisible=True) if cls.kind == "II" else None
+        for root, coroot, _ in filter(None, (single, double)):
+            if sum(a * b for a, b in zip(root, coroot)) != 2:
+                raise InternalInconsistencyError(
+                    f"folded pairing <root, coroot> != 2 at class {pos}"
+                )
+        meets_base = not base_set.isdisjoint(cls.members)
+        for variant, slot in (("R1", single), ("R2", double or single), ("nonreduced", single)):
             if meets_base:
-                basis_slots[pos] = slot
-        elif variant == "R2":
-            if cls.kind == "I":
-                slot = add(pos, img, folded_coroot(cls, divisible=False), False)
-            else:
-                slot = add(pos, double, folded_coroot(cls, divisible=True), True)
-            if meets_base:
-                basis_slots[pos] = slot
-        else:  # nonreduced
-            slot = add(pos, img, folded_coroot(cls, divisible=False), False)
-            if meets_base:
-                basis_slots[pos] = slot
-            if cls.kind == "II":
-                add(pos, double, folded_coroot(cls, divisible=True), True)
+                bases[variant].append(len(slots[variant]))
+            slots[variant].append(slot)
+        if double:
+            slots["nonreduced"].append(double)
 
-    for slot, (root, coroot) in enumerate(zip(pos_roots, pos_coroots)):
-        if sum(a * b for a, b in zip(root, coroot)) != 2:
-            raise InternalInconsistencyError(
-                f"folded pairing <root, coroot> != 2 at class {owner[slot]}"
-            )
+    out = {}
+    for variant in VARIANTS:
+        roots = [s[0] for s in slots[variant]]
+        coroots = [s[1] for s in slots[variant]]
+        folded = RootDatum(
+            lattice.free_rank,
+            roots + [tuple(-x for x in v) for v in roots],
+            coroots + [tuple(-x for x in v) for v in coroots],
+            basis_indices=bases[variant],
+            reduced=(variant != "nonreduced"),
+        )
+        out[variant] = FoldedDatum(
+            datum=folded,
+            variant=variant,
+            classes=classes,
+            lattice=lattice,
+            doubled=dict(enumerate([s[2] for s in slots[variant]] * 2)),
+        )
+    return out
 
-    all_roots = list(pos_roots) + [tuple(-x for x in v) for v in pos_roots]
-    all_coroots = list(pos_coroots) + [tuple(-x for x in v) for v in pos_coroots]
-    folded = RootDatum(
-        r,
-        all_roots,
-        all_coroots,
-        basis_indices=[basis_slots[p] for p in sorted(basis_slots)],
-        reduced=(variant != "nonreduced"),
-    )
-    npos = len(pos_roots)
-    dbl = {slot: doubled_flags[slot] for slot in range(npos)}
-    dbl.update({slot + npos: doubled_flags[slot] for slot in range(npos)})
-    return FoldedDatum(
-        datum=folded,
-        variant=variant,
-        classes=classes,
-        lattice=lattice,
-        doubled=dbl,
-    )
+
+def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> FoldedDatum:
+    """Build the folded datum for one of the variants R1, R2, nonreduced."""
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown folded variant {variant!r}; expected {VARIANTS}")
+    return folded_root_data(datum, act)[variant]
 
 
 @dataclass
 class FixedWeyl:
-    """Centralizer of the action inside the Weyl group."""
+    """Centralizer of the action inside the Weyl group, with the folded
+    variants it was checked against."""
 
     order: int
     elements: tuple[tuple[int, ...], ...]
     coxeter_generators: tuple[tuple[int, ...], ...]
+    variants: dict[str, FoldedDatum]
 
 
 def _orbit_longest_element(datum: RootDatum, orbit) -> tuple[int, ...]:
@@ -355,8 +342,16 @@ def fixed_weyl(datum: RootDatum, act: PinnedAction, limit: int = WEYL_LIMIT_DEFA
     AMS 80, 1968), so it is the closure of those elements; W itself is never
     enumerated.  ``limit`` bounds |W^A|.  Each generator is checked to be
     action-fixed, and |W^A| is checked against the product of the degrees
-    of the folded R1 type.
+    of the folded R1 type.  That product is the exact closure size, so a
+    W^A past ``limit`` is refused before any closure runs.
     """
+    variants = folded_root_data(datum, act)
+    folded_type = cartan_type_of(variants["R1"].datum)
+    if folded_type.weyl_order > limit:
+        raise ResourceLimitError(
+            f"the fixed Weyl group W^A exceeded {limit} elements: its folded type"
+            f" {folded_type} has {folded_type.weyl_order} (raise --limit-weyl)"
+        )
     gen_perms = act.generator_perms
     coxeter = []
     for orbit in act.orbits("simple"):
@@ -370,7 +365,6 @@ def fixed_weyl(datum: RootDatum, act: PinnedAction, limit: int = WEYL_LIMIT_DEFA
     closure = WeylGroup.generate(
         datum.nroots, coxeter, limit=limit, name="the fixed Weyl group W^A"
     )
-    folded_type = cartan_type_of(folded_root_datum(datum, act, "R1").datum)
     if closure.order != folded_type.weyl_order:
         raise InternalInconsistencyError(
             f"orbit longest elements generate {closure.order} elements, but the "
@@ -380,6 +374,7 @@ def fixed_weyl(datum: RootDatum, act: PinnedAction, limit: int = WEYL_LIMIT_DEFA
         order=closure.order,
         elements=closure.elements,
         coxeter_generators=tuple(coxeter),
+        variants=variants,
     )
 
 
@@ -457,8 +452,7 @@ def parabolic_correspondence(datum: RootDatum, act: PinnedAction, gamma) -> Para
         if {pos_of[perm[base[p]]] for p in gamma} != gset:
             raise DomainError("subset of the base is not action-stable")
 
-    classes = equivalence_classes(datum, act)
-    lattice = _oriented_lattice(datum, act)
+    classes, lattice, _ = _fold_pass(datum, act)
 
     base_set = set(base)
     base_classes = tuple(

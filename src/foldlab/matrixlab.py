@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .intlat import coinvariants, hom_to_units_count, prime_power
+from .intlat import hom_to_units_count, prime_power
 from .poly import Poly, poly_adjugate, poly_det, poly_matrix_mul
 from .folding import equivalence_classes, fixed_weyl
 from .presets import type_a_flip
@@ -342,10 +342,10 @@ def bruhat_predicted_count(datum, act, q: int) -> int:
     times the length generating function of the fixed Weyl group, where
     lengths count root classes sent to negatives."""
     prime_power(q)
-    group = coinvariants(datum.rank, list(act.generators))
-    t_count = hom_to_units_count(group, q)
-    classes = equivalence_classes(datum, act)
     fw = fixed_weyl(datum, act)
+    r1 = fw.variants["R1"]
+    t_count = hom_to_units_count(r1.lattice.group, q)
+    classes = r1.classes
     positives = set(datum.positive_root_indices())
     total = 0
     for w in fw.elements:

@@ -49,7 +49,12 @@ class CartanType:
             m = re.fullmatch(r"\s*([A-G])\s*(\d+)\s*", chunk)
             if not m:
                 raise DomainError(f"cannot parse Cartan type {text!r}")
-            parts.append((m.group(1), int(m.group(2))))
+            try:
+                parts.append((m.group(1), int(m.group(2))))
+            except ValueError:  # past Python's limit on the digits of an int
+                raise DomainError(
+                    f"rank of {m.group(1)} in a Cartan type has {len(m.group(2))} digits"
+                ) from None
         return cls(tuple(parts))
 
     @property

@@ -105,6 +105,7 @@ def test_component_permutations():
     pre = load_preset("A2+A2-sc-swap")
     datum, act = pre.datum, pre.action
     comp_perms = act.component_permutations()
+    assert act.component_permutations() is comp_perms  # computed once per action
     swaps = [p for p in comp_perms.values() if p != (0, 1)]
     assert len(swaps) == 1 and swaps[0] == (1, 0)
     # the stabilizer of either factor is trivial, so neither is moved by it

@@ -5,11 +5,13 @@ import json
 
 import pytest
 
+import foldlab
 import foldlab.cli as cli
-from foldlab.intlat import IntMatrix
+from foldlab.folding import equivalence_classes
+from foldlab.intlat import CoinvariantLattice, IntMatrix
 from foldlab.matrixlab import CountReport
 from foldlab.presets import preset_names
-from foldlab.rootdata import CartanType
+from foldlab.rootdata import CartanType, WeylGroup
 
 
 def write(tmp_path, text, name="job.ini"):
@@ -163,6 +165,20 @@ def test_resource_limit_exit_4(tmp_path):
     assert cli.main(["run", cfg, "--limit-weyl", "10"]) == 4
 
 
+@pytest.mark.parametrize("kind,order", [("E7", 2903040), ("E8", 696729600)])
+def test_fixed_weyl_refused_before_its_closure(tmp_path, capsys, monkeypatch, kind, order):
+    # |W^A| is the product of the folded degrees, known before any closure
+    def no_closure(cls, *args, **kwargs):
+        raise AssertionError("a Weyl group was closed")
+
+    monkeypatch.setattr(WeylGroup, "generate", classmethod(no_closure))
+    cfg = write(tmp_path, f"[datum]\ntype = {kind}\n")
+    assert cli.main(["run", cfg, "--analysis", "fold"]) == 4
+    err = capsys.readouterr().err
+    assert "fixed Weyl group W^A exceeded 1000000 elements" in err
+    assert f"folded type {kind} has {order}" in err and "--limit-weyl" in err
+
+
 def test_enum_limit_exit_4(tmp_path):
     # |SL_3(F_5)| = 372,000 is past the limit of 10
     cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n\n[run]\nanalyses = count\nq = 5\n")
@@ -185,6 +201,24 @@ def test_bare_int_matrices_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, "[datum]\ntype = A2\n\n[action]\nmatrices = [1]\n")
     assert cli.main(["run", cfg]) == 2
     assert "matrices" in capsys.readouterr().err
+
+
+# Python refuses to read an integer of more than 4300 digits
+def test_huge_cartan_rank_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path, "[datum]\ntype = A" + "9" * 5000 + "\n")
+    assert cli.main(["run", cfg]) == 2
+    assert "configuration error: rank of A in a Cartan type has 5000 digits" in (
+        capsys.readouterr().err
+    )
+
+
+def test_huge_matrix_entry_exit_2(tmp_path, capsys):
+    matrices = "[[" + "9" * 5000 + ",0],[0,1]]"
+    cfg = write(
+        tmp_path, f"[datum]\ntype = torus\nrank = 2\n\n[action]\nmatrices = {matrices}\n"
+    )
+    assert cli.main(["run", cfg]) == 2
+    assert "configuration error: matrices is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("matrices", ["[[[true, 0], [0, 1]]]", "[[1, false], [0, 1]]"])
@@ -338,3 +372,52 @@ def test_json_report_matches_golden_digest(tmp_path, capsys, preset, analysis):
     assert cli.main(["run", cfg, "--analysis", analysis, "--json", str(out_path)]) == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[preset, analysis]
+
+
+# the rank-3 torus under -1 has coinvariants (Z/2)^3, all torsion; these
+# digests pin the fold's `coinvariants` field where torsion is present
+TORUS_TORSION_SHA256 = {
+    "fold": "8397f3ec8ddffeed1c2b8bf4f664f80f4445a03dee8ec9014f43fdc6b052d81e",
+    "criteria": "5e5caf44ebf1ca72fede5240dba6d58eaca609c44f9b864efc44636af0331bd2",
+}
+
+
+@pytest.mark.parametrize("analysis", sorted(TORUS_TORSION_SHA256))
+def test_torus_with_torsion_coinvariants_golden_digest(tmp_path, capsys, analysis):
+    cfg = write(
+        tmp_path,
+        "[datum]\ntype = torus\nrank = 3\n\n"
+        "[action]\nmatrices = [[[-1,0,0],[0,-1,0],[0,0,-1]]]\n",
+    )
+    out_path = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--analysis", analysis, "--json", str(out_path)]) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == TORUS_TORSION_SHA256[analysis]
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_one_run_computes_classes_once(tmp_path, monkeypatch, preset):
+    # one class computation per run, and at most the oriented lattice and
+    # isogeny_injectivity_check's own per fold
+    calls = {"classes": 0, "lattices": 0}
+
+    def counted_classes(*args, **kwargs):
+        calls["classes"] += 1
+        return equivalence_classes(*args, **kwargs)
+
+    lattice_init = CoinvariantLattice.__init__
+
+    def counted_lattice(self, *args, **kwargs):
+        calls["lattices"] += 1
+        lattice_init(self, *args, **kwargs)
+
+    for module in (foldlab, *vars(foldlab).values()):
+        if getattr(module, "equivalence_classes", None) is equivalence_classes:
+            monkeypatch.setattr(module, "equivalence_classes", counted_classes)
+    monkeypatch.setattr(CoinvariantLattice, "__init__", counted_lattice)
+    cfg = write(tmp_path, f"[datum]\npreset = {preset}\n")
+    assert cli.main(["run", cfg, "--analysis", "fold"]) == 0
+    assert calls["classes"] == 1 and calls["lattices"] <= 2, calls
+    calls.update(classes=0, lattices=0)
+    assert cli.main(["run", cfg, "--analysis", "criteria"]) == 0
+    assert calls["classes"] == 1, calls

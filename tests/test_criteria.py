@@ -7,6 +7,7 @@ from foldlab.criteria import (
     active_even_a_components,
     decide,
     fiber_report,
+    fiber_reports,
 )
 from foldlab.errors import DomainError
 from foldlab.intlat import FinAbGroup
@@ -165,8 +166,11 @@ def test_fiber_report_torus_inversion():
 def test_fiber_dimension_constant_in_p():
     for name in preset_names():
         pre = load_preset(name)
-        dims = {fiber_report(pre.datum, pre.action, p).dimension for p in (0, 2, 3, 5)}
-        assert len(dims) == 1
+        reports = fiber_reports(pre.datum, pre.action, (0, 2, 3, 5))
+        assert len({r.dimension for r in reports.values()}) == 1
+        # one call for all characteristics equals one call per characteristic
+        for p, report in reports.items():
+            assert report == fiber_report(pre.datum, pre.action, p)
 
 
 def test_fiber_dimension_formula():
@@ -186,6 +190,8 @@ def test_fiber_report_invalid_characteristic():
     for bad in (1, 4, -2, 6):
         with pytest.raises(DomainError):
             fiber_report(datum, act, bad)
+        with pytest.raises(DomainError):
+            fiber_reports(datum, act, (0, 2, bad))
 
 
 def test_reasons_are_sentences():

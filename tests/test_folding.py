@@ -245,6 +245,21 @@ def test_fixed_weyl_matches_folded_weyl_order():
                 assert folded.datum.weyl_group().order == fw.order
 
 
+def test_fixed_weyl_returns_the_folded_variants():
+    for pre in CATALOG:
+        variants = fixed_weyl(pre.datum, pre.action).variants
+        assert tuple(variants) == VARIANTS
+        for v in VARIANTS:
+            got = variants[v].datum
+            want = folded_root_datum(pre.datum, pre.action, v).datum
+            assert (got.roots, got.coroots, got.basis_indices, got.reduced) == (
+                want.roots,
+                want.coroots,
+                want.basis_indices,
+                want.reduced,
+            ), (pre.name, v)
+
+
 def test_fixed_weyl_coxeter_generator_count():
     # one generator per class meeting the base
     datum, act = type_a_flip(4)
