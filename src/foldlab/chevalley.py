@@ -16,10 +16,6 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-
 from .errors import DomainError, InternalInconsistencyError
 from .rootdata import RootDatum, _component_type
 from .action import PinnedAction
@@ -36,10 +32,11 @@ def chain_length(datum: RootDatum, i: int, j: int) -> int:
     return r
 
 
-def _squared_lengths(datum: RootDatum) -> tuple[tuple[int, ...], int]:
+def _squared_lengths(datum: RootDatum) -> tuple[int, ...]:
     """W-invariant squared lengths as the integer form L(c) = sum_ij c_i c_j
-    D d_i cartan[i][j], and the scale D, L/D being 2 on the first simple
-    root of each component; only within-component ratios are ever used."""
+    d_i cartan[i][j], with d = 6 on the first simple root of each component;
+    6 clears every ratio 2^+-1 and 3^+-1 of a Dynkin bond, and only
+    within-component ratios are ever used."""
     k = len(datum.basis_indices)
     cartan = [
         [datum.pairing(datum.basis_indices[j], datum.basis_indices[i]) for j in range(k)]
@@ -49,34 +46,39 @@ def _squared_lengths(datum: RootDatum) -> tuple[tuple[int, ...], int]:
     for start in range(k):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        d[start] = 6
         stack = [start]
         while stack:
             a = stack.pop()
             for b in range(k):
                 if a != b and cartan[a][b] and d[b] is None:
-                    d[b] = d[a] * cartan[a][b] / cartan[b][a]
+                    d[b] = d[a] * cartan[a][b] // cartan[b][a]
                     stack.append(b)
-    scale = lcm(*(x.denominator for x in d))
-    form = [[int(x * scale) * a for a in row] for x, row in zip(d, cartan)]
+    form = [[x * a for a in row] for x, row in zip(d, cartan)]
     out = []
     for idx in range(datum.nroots):
         c = datum.simple_coordinates(idx)
         support = [i for i in range(k) if c[i]]
         out.append(sum(c[i] * c[j] * form[i][j] for i in support for j in support))
-    return tuple(out), scale
+    return tuple(out)
 
 
-@dataclass
 class StructureConstants:
     """Full table N(i, j) over ordered root-index pairs with a root sum."""
 
-    datum: RootDatum
-    table: dict[tuple[int, int], int]
-    eps: dict[int, int]  # positive root index -> sign relative to the base system
-    xs_pair: dict[int, tuple[int, int]]  # positive nonsimple root -> extraspecial pair
-    lengths2: tuple[Fraction, ...]
-    order_key: dict[int, tuple]
+    def __init__(
+        self,
+        datum: RootDatum,
+        table: dict[tuple[int, int], int],
+        eps: dict[int, int],  # positive root index -> sign relative to the base system
+        xs_pair: dict[int, tuple[int, int]],  # positive nonsimple root -> extraspecial pair
+        order_key: dict[int, tuple],
+    ):
+        self.datum = datum
+        self.table = table
+        self.eps = eps
+        self.xs_pair = xs_pair
+        self.order_key = order_key
 
     def constant(self, i: int, j: int) -> int:
         return self.table[(i, j)]
@@ -143,7 +145,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         raise DomainError("structure constants require a reduced datum")
     pos, order_key = _positive_order(datum)
     pos_set = set(pos)
-    len2, scale = _squared_lengths(datum)
+    len2 = _squared_lengths(datum)
     sums = datum.root_sums()
     neg = [datum.negative_of(i) for i in range(datum.nroots)]
     table: dict[tuple[int, int], int] = {}
@@ -207,7 +209,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             val, rem = divmod(-t, n_c_nege)
             if rem:
                 raise InternalInconsistencyError(
-                    f"derived constant is not an integer: {Fraction(-t, n_c_nege)}"
+                    f"derived constant is not an integer: {-t}/{n_c_nege}"
                 )
             table[(a, b)] = val
             table[(b, a)] = -val
@@ -232,7 +234,6 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         table=final,
         eps={i: 1 for i in pos},
         xs_pair=xs_pair,
-        lengths2=tuple(Fraction(x, scale) for x in len2),
         order_key=order_key,
     )
 
@@ -363,7 +364,6 @@ def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
         table=new_table,
         eps=new_eps,
         xs_pair=sc.xs_pair,
-        lengths2=sc.lengths2,
         order_key=sc.order_key,
     )
 
@@ -536,17 +536,23 @@ def equivariant_signs(sc: StructureConstants, act: PinnedAction):
     return adjusted, classes
 
 
-@dataclass
 class OrbitReport:
-    members: tuple[int, ...]
-    special: bool
-    satisfied: bool
-    discrepancies: tuple[int, ...]
+    def __init__(
+        self,
+        members: tuple[int, ...],
+        special: bool,
+        satisfied: bool,
+        discrepancies: tuple[int, ...],
+    ):
+        self.members = members
+        self.special = special
+        self.satisfied = satisfied
+        self.discrepancies = discrepancies
 
 
-@dataclass
 class EquivarianceReport:
-    orbits: tuple[OrbitReport, ...]
+    def __init__(self, orbits: tuple[OrbitReport, ...]):
+        self.orbits = orbits
 
     @property
     def nonspecial_all_satisfied(self) -> bool:

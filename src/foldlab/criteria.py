@@ -8,7 +8,6 @@ carries the textual reason that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError
@@ -18,21 +17,28 @@ from .action import PinnedAction
 from .folding import equivalence_classes
 
 
-@dataclass(frozen=True)
 class BaseSpec:
     """Residual characteristics of the intended base scheme."""
 
-    kind: str  # "all" or "explicit"
-    primes: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("all", "explicit"):
-            raise DomainError(f"unknown base kind {self.kind!r}")
-        if self.kind == "all" and self.primes:
+    def __init__(self, kind: str, primes: tuple[int, ...] = ()):  # kind "all" or "explicit"
+        if kind not in ("all", "explicit"):
+            raise DomainError(f"unknown base kind {kind!r}")
+        if kind == "all" and primes:
             raise DomainError("all-primes base does not list primes")
-        for p in self.primes:
+        for p in primes:
             if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "primes", primes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BaseSpec is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, BaseSpec) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @classmethod
     def all_primes(cls) -> "BaseSpec":
@@ -63,18 +69,30 @@ def active_even_a_components(datum: RootDatum, act: PinnedAction) -> tuple[int, 
     return tuple(out)
 
 
-@dataclass
 class CriteriaReport:
-    flat: bool
-    flat_reason: str
-    geometrically_connected: bool
-    connected_reason: str
-    smooth: bool
-    smooth_reason: str
-    torsion: FinAbGroup
-    has_active_even_a: bool
-    quasi_reductive_over_mixed_char_dvr: dict[int, bool]
-    torsion_free: bool
+    def __init__(
+        self,
+        flat: bool,
+        flat_reason: str,
+        geometrically_connected: bool,
+        connected_reason: str,
+        smooth: bool,
+        smooth_reason: str,
+        torsion: FinAbGroup,
+        has_active_even_a: bool,
+        quasi_reductive_over_mixed_char_dvr: dict[int, bool],
+        torsion_free: bool,
+    ):
+        self.flat = flat
+        self.flat_reason = flat_reason
+        self.geometrically_connected = geometrically_connected
+        self.connected_reason = connected_reason
+        self.smooth = smooth
+        self.smooth_reason = smooth_reason
+        self.torsion = torsion
+        self.has_active_even_a = has_active_even_a
+        self.quasi_reductive_over_mixed_char_dvr = quasi_reductive_over_mixed_char_dvr
+        self.torsion_free = torsion_free
 
     def as_dict(self) -> dict:
         return {
@@ -165,13 +183,23 @@ def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaRepor
     )
 
 
-@dataclass
 class FiberReport:
-    characteristic: int
-    dimension: int
-    reduced: bool
-    variant: str
-    component_group: FinAbGroup
+    def __init__(
+        self,
+        characteristic: int,
+        dimension: int,
+        reduced: bool,
+        variant: str,
+        component_group: FinAbGroup,
+    ):
+        self.characteristic = characteristic
+        self.dimension = dimension
+        self.reduced = reduced
+        self.variant = variant
+        self.component_group = component_group
+
+    def __eq__(self, other):
+        return isinstance(other, FiberReport) and vars(self) == vars(other)
 
     def as_dict(self) -> dict:
         return {

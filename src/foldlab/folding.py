@@ -11,7 +11,6 @@ variant R1, the nonmultipliable variant R2, and their nonreduced union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
@@ -28,16 +27,33 @@ from .action import PinnedAction, permutation_matrix
 VARIANTS = ("R1", "R2", "nonreduced")
 
 
-@dataclass(frozen=True)
 class FoldClass:
     """One equivalence class of positive roots."""
 
-    members: tuple[int, ...]
-    orbits: tuple[tuple[int, ...], ...]
-    kind: str  # "I" or "II"
-    special: tuple[int, ...]
-    representative: int  # least nonspecial member
-    orbit_sum: tuple[int, ...]
+    def __init__(
+        self,
+        members: tuple[int, ...],
+        orbits: tuple[tuple[int, ...], ...],
+        kind: str,  # "I" or "II"
+        special: tuple[int, ...],
+        representative: int,  # least nonspecial member
+        orbit_sum: tuple[int, ...],
+    ):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "special", special)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "orbit_sum", orbit_sum)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FoldClass is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, FoldClass) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @property
     def nonspecial(self) -> tuple[int, ...]:
@@ -188,15 +204,22 @@ def _check_type_two_shape(datum, act, classes):
                 )
 
 
-@dataclass
 class FoldedDatum:
     """A folded root datum plus the bookkeeping used to build it."""
 
-    datum: RootDatum
-    variant: str
-    classes: tuple[FoldClass, ...]
-    lattice: CoinvariantLattice
-    doubled: dict[int, bool] = field(default_factory=dict)  # folded index -> is 2*image
+    def __init__(
+        self,
+        datum: RootDatum,
+        variant: str,
+        classes: tuple[FoldClass, ...],
+        lattice: CoinvariantLattice,
+        doubled: dict[int, bool] | None = None,  # folded index -> is 2*image
+    ):
+        self.datum = datum
+        self.variant = variant
+        self.classes = classes
+        self.lattice = lattice
+        self.doubled = {} if doubled is None else doubled
 
     @property
     def rank(self) -> int:
@@ -307,15 +330,21 @@ def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> Fold
     return folded_root_data(datum, act)[variant]
 
 
-@dataclass
 class FixedWeyl:
     """Centralizer of the action inside the Weyl group, with the folded
     variants it was checked against."""
 
-    order: int
-    elements: tuple[tuple[int, ...], ...]
-    coxeter_generators: tuple[tuple[int, ...], ...]
-    variants: dict[str, FoldedDatum]
+    def __init__(
+        self,
+        order: int,
+        elements: tuple[tuple[int, ...], ...],
+        coxeter_generators: tuple[tuple[int, ...], ...],
+        variants: dict[str, FoldedDatum],
+    ):
+        self.order = order
+        self.elements = elements
+        self.coxeter_generators = coxeter_generators
+        self.variants = variants
 
 
 def _orbit_longest_element(datum: RootDatum, orbit) -> tuple[int, ...]:
@@ -428,13 +457,18 @@ def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:
     return phi.rank() == lattice.free_rank
 
 
-@dataclass
 class ParabolicReport:
     """Folded base data attached to an action-stable subset of the base."""
 
-    base_classes: tuple[int, ...]  # class positions forming the folded base
-    gamma_classes: tuple[int, ...]  # subset corresponding to gamma
-    monoid_generators: tuple[tuple[str, tuple, tuple], ...]  # (label, torsion, free)
+    def __init__(
+        self,
+        base_classes: tuple[int, ...],  # class positions forming the folded base
+        gamma_classes: tuple[int, ...],  # subset corresponding to gamma
+        monoid_generators: tuple[tuple[str, tuple, tuple], ...],  # (label, torsion, free)
+    ):
+        self.base_classes = base_classes
+        self.gamma_classes = gamma_classes
+        self.monoid_generators = monoid_generators
 
 
 def parabolic_correspondence(datum: RootDatum, act: PinnedAction, gamma) -> ParabolicReport:

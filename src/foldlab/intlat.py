@@ -8,7 +8,6 @@ identities that are cheap to assert in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -172,16 +171,19 @@ class IntMatrix:
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U @ m @ V = D, U and V unimodular, D diagonal
-    with nonnegative entries d1 | d2 | ... .
+    with nonnegative entries d1 | d2 | ... .  U keeps its inverse, built
+    alongside U by undoing each row operation on the columns of the identity.
     """
     a = [list(r) for r in m.entries]
     rows, cols = m.rows, m.cols
     u = [list(r) for r in IntMatrix.identity(rows).entries]
     v = [list(r) for r in IntMatrix.identity(cols).entries]
+    wt = [list(r) for r in IntMatrix.identity(rows).entries]  # columns of U^-1
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        wt[i], wt[j] = wt[j], wt[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -193,6 +195,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         # row dst += c * row src
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        wt[src] = [x - c * y for x, y in zip(wt[src], wt[dst])]
 
     def add_col(src, dst, c):
         for r in a:
@@ -203,6 +206,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        wt[i] = [-x for x in wt[i]]
 
     t = 0
     limit = min(rows, cols)
@@ -258,32 +262,37 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             negate_row(t)
         t += 1
 
-    return (
-        IntMatrix(u, cols=rows),
-        IntMatrix(a, cols=cols),
-        IntMatrix(v, cols=cols),
-    )
+    u = IntMatrix(u, cols=rows)
+    object.__setattr__(u, "_inverse", IntMatrix.from_columns(wt, rows))
+    return u, IntMatrix(a, cols=cols), IntMatrix(v, cols=cols)
 
 
-@dataclass(frozen=True)
 class FinAbGroup:
     """Finitely generated abelian group: Z^free_rank x prod Z/d_i.
 
     invariant_factors is the chain d1 | d2 | ... with every d_i >= 2.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...]):
+        if free_rank < 0:
             raise DomainError("negative free rank")
-        for d in self.invariant_factors:
+        for d in invariant_factors:
             if d < 2:
                 raise DomainError("invariant factors must be >= 2")
-        for x, y in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for x, y in zip(invariant_factors, invariant_factors[1:]):
             if y % x:
                 raise DomainError("invariant factors must form a divisor chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FinAbGroup is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, FinAbGroup) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @property
     def is_trivial(self) -> bool:
@@ -391,13 +400,17 @@ class CoinvariantLattice:
         self.free_rank = rank - nonzero
         self.group = FinAbGroup(self.free_rank, self.torsion_moduli)
         rows = [list(r) for r in u.entries]
+        w = u.inverse_unimodular()
+        sections = [w.column(j) for j in range(nonzero, rank)]
         if orient is not None and self.free_rank:
             probe = u.apply(tuple(orient))
             for k in range(nonzero, rank):
                 if probe[k] < 0:
+                    # negating row k of U negates column k of U^-1
                     rows[k] = [-x for x in rows[k]]
+                    sections[k - nonzero] = tuple(-x for x in sections[k - nonzero])
         self._u = IntMatrix(rows, cols=rank)
-        self._w = self._u.inverse_unimodular()
+        self._sections = sections
         self._split = nonzero
 
     def free_image(self, vector) -> tuple:
@@ -422,7 +435,7 @@ class CoinvariantLattice:
 
     def section(self, k: int) -> tuple:
         """Lattice vector mapping to the k-th free basis vector."""
-        return self._w.column(self._split + k)
+        return self._sections[k]
 
     def dual_coords(self, covector) -> tuple:
         """Coordinates of an invariant covector in the basis dual to the

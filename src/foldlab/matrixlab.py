@@ -11,7 +11,6 @@ compared.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import hom_to_units_count, prime_power
@@ -358,12 +357,12 @@ def bruhat_predicted_count(datum, act, q: int) -> int:
     return t_count * q ** len(classes) * total
 
 
-@dataclass
 class CountReport:
-    n: int
-    q: int
-    brute: int
-    predicted: int
+    def __init__(self, n: int, q: int, brute: int, predicted: int):
+        self.n = n
+        self.q = q
+        self.brute = brute
+        self.predicted = predicted
 
     @property
     def agree(self) -> bool:
@@ -648,14 +647,27 @@ def _restrict_to_xy(poly: Poly) -> Poly:
     return Poly(2, out)
 
 
-@dataclass(frozen=True)
 class UnipotentFixedPresentation:
     """Coordinate presentation of the fixed locus in the 3x3 unitriangular
     group: two generators cut it out, and eliminating the dependent
     coordinate leaves one plane relation in (x, y)."""
 
-    fixed_equations: tuple[Poly, ...]  # in (x, y, z)
-    relation: Poly  # in (x, y) after eliminating z
+    def __init__(
+        self,
+        fixed_equations: tuple[Poly, ...],  # in (x, y, z)
+        relation: Poly,  # in (x, y) after eliminating z
+    ):
+        object.__setattr__(self, "fixed_equations", fixed_equations)
+        object.__setattr__(self, "relation", relation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UnipotentFixedPresentation is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, UnipotentFixedPresentation) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def point_count(self, q: int) -> int:
         F = GF(q)
@@ -713,13 +725,22 @@ def u3_fixed_presentation() -> UnipotentFixedPresentation:
     )
 
 
-@dataclass(frozen=True)
 class UnipotentFactor:
     """One coordinate factor of the fixed unipotent group: a plain affine
     line for a one-orbit class, the thickened line for a two-orbit class."""
 
-    kind: str  # "line" or "twisted"
-    members: tuple[int, ...]
+    def __init__(self, kind: str, members: tuple[int, ...]):  # kind "line" or "twisted"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UnipotentFactor is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, UnipotentFactor) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def point_count(self, q: int) -> int:
         if self.kind == "line":

@@ -6,20 +6,18 @@ the catalog doubles as the CLI's shorthand vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .intlat import IntMatrix
 from .rootdata import RootDatum, build_preset, build_torus
 from .action import PinnedAction, permutation_matrix
 
 
-@dataclass
 class Preset:
-    name: str
-    note: str
-    datum: RootDatum
-    action: PinnedAction
+    def __init__(self, name: str, note: str, datum: RootDatum, action: PinnedAction):
+        self.name = name
+        self.note = note
+        self.datum = datum
+        self.action = action
 
 
 def type_a_flip(rank: int, isogeny: str = "sc") -> tuple[RootDatum, PinnedAction]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from operator import itemgetter, mul
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
@@ -20,11 +19,8 @@ from .intlat import IntMatrix, smith_normal_form
 WEYL_LIMIT_DEFAULT = 10**6
 
 
-@dataclass(frozen=True)
 class CartanType:
     """Product of simple types, e.g. (('A', 2), ('A', 2)) for A2+A2."""
-
-    components: tuple[tuple[str, int], ...]
 
     _RANK_RULES = {
         "A": lambda n: n >= 1,
@@ -36,11 +32,21 @@ class CartanType:
         "G": lambda n: n == 2,
     }
 
-    def __post_init__(self):
-        for fam, n in self.components:
+    def __init__(self, components: tuple[tuple[str, int], ...]):
+        for fam, n in components:
             rule = self._RANK_RULES.get(fam)
             if rule is None or not rule(n):
                 raise DomainError(f"no simple type {fam}{n}")
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CartanType is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, CartanType) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":

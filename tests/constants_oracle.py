@@ -193,7 +193,6 @@ def base_constants_by_tuples(datum):
         table=final,
         eps={i: 1 for i in pos},
         xs_pair=xs_pair,
-        lengths2=len2,
         order_key=order_key,
     )
 
@@ -219,7 +218,6 @@ def rescale_by_tuples(sc, eps):
         table=new_table,
         eps=new_eps,
         xs_pair=sc.xs_pair,
-        lengths2=sc.lengths2,
         order_key=sc.order_key,
     )
 

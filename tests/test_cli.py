@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -421,3 +425,26 @@ def test_one_run_computes_classes_once(tmp_path, monkeypatch, preset):
     calls.update(classes=0, lattices=0)
     assert cli.main(["run", cfg, "--analysis", "criteria"]) == 0
     assert calls["classes"] == 1, calls
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# The layer modules whose entry points perfbench/trace_child.py wraps.
+LAYERS = (
+    "intlat", "rootdata", "action", "folding", "criteria", "chevalley", "matrixlab", "presets"
+)
+
+
+def _modules_after(statement):
+    code = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_import_loads_every_layer_and_no_record_machinery():
+    added = _modules_after("import foldlab.cli") - _modules_after("pass")
+    assert not added & {"dataclasses", "inspect", "fractions"}
+    assert {f"foldlab.{layer}" for layer in LAYERS} <= added

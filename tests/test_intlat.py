@@ -112,11 +112,23 @@ def test_snf_rectangular():
     assert d.entries[0][1] == 0 and d.entries[0][2] == 0
 
 
+@pytest.mark.parametrize(
+    "entries", [[[2, 4], [6, 8]], [[6, 10, 15]], [[0, 3, 1], [5, 0, 2], [4, 4, 0], [1, 0, 7]]]
+)
+def test_snf_u_keeps_its_inverse(monkeypatch, entries):
+    m = IntMatrix(entries)
+    u, _, _ = smith_normal_form(m)
+    monkeypatch.setattr("foldlab.intlat.smith_normal_form", _no_det)
+    w = u.inverse_unimodular()
+    assert u @ w == IntMatrix.identity(m.rows) == w @ u
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_matrices())
 def test_snf_roundtrip_and_divisor_chain(m):
     u, d, v = smith_normal_form(m)
     assert u @ m @ v == d
+    assert u @ u.inverse_unimodular() == IntMatrix.identity(m.rows)
     assert u.is_unimodular()
     assert v.is_unimodular()
     diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
@@ -151,12 +163,15 @@ def test_cokernel_examples():
 
 
 def test_finabgroup_validation_and_helpers():
-    with pytest.raises(DomainError):
-        FinAbGroup(0, (4, 2))  # not a divisor chain
-    with pytest.raises(DomainError):
-        FinAbGroup(0, (1,))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^invariant factors must form a divisor chain$"):
+        FinAbGroup(0, (4, 2))
+    for factors in ((1,), (0,), (2, -4)):
+        with pytest.raises(DomainError, match="^invariant factors must be >= 2$"):
+            FinAbGroup(0, factors)
+    with pytest.raises(DomainError, match="^negative free rank$"):
         FinAbGroup(-1, ())
+    with pytest.raises(DomainError, match="^negative free rank$"):
+        FinAbGroup(free_rank=-1, invariant_factors=(2,))
     g = FinAbGroup(1, (2, 6))
     assert not g.is_trivial and not g.is_torsion_free and not g.is_finite
     assert g.torsion_order() == 12
