@@ -112,8 +112,8 @@ class PinnedAction:
         return tuple(self._perm_of[m] for m in self.elements)
 
     def orbits(self, items: str = "roots") -> tuple[tuple[int, ...], ...]:
-        """Orbits on 'roots' (all root indices), 'positive', 'simple'
-        (base positions), or 'components'."""
+        """Orbits on 'roots' (all root indices), 'positive' or 'simple'
+        (base positions)."""
         d = self.datum
         if items == "roots":
             universe = list(range(d.nroots))
@@ -128,13 +128,8 @@ class PinnedAction:
                 tuple(table[perm[d.basis_indices[p]]] for p in range(len(d.basis_indices)))
                 for perm in self.generator_perms
             ]
-        elif items == "components":
-            sigma = self.component_permutations()
-            act = [sigma[m] for m in self.generators]
-            universe = list(range(len(d.components())))
         else:
             raise DomainError(f"unknown orbit universe {items!r}")
-        pos = {x: i for i, x in enumerate(universe)}
         seen = set()
         orbits = []
         for x in universe:
@@ -146,7 +141,7 @@ class PinnedAction:
                 nxt = []
                 for y in frontier:
                     for perm in act:
-                        z = perm[pos[y]] if items in ("simple", "components") else perm[y]
+                        z = perm[y]
                         if z not in orbit:
                             orbit.add(z)
                             nxt.append(z)

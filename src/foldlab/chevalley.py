@@ -80,35 +80,6 @@ class StructureConstants:
         self.xs_pair = xs_pair
         self.order_key = order_key
 
-    def constant(self, i: int, j: int) -> int:
-        return self.table[(i, j)]
-
-    def bracket(self, key_a, key_b) -> dict:
-        """Bracket of basis elements; keys ('r', i) or ('h', k)."""
-        d = self.datum
-        kind_a, a = key_a
-        kind_b, b = key_b
-        if kind_a == "h" and kind_b == "h":
-            return {}
-        if kind_a == "h" and kind_b == "r":
-            return {key_b: d.roots[b][a]}
-        if kind_a == "r" and kind_b == "h":
-            return {key_a: -d.roots[a][b]}
-        total = tuple(x + y for x, y in zip(d.roots[a], d.roots[b]))
-        if all(x == 0 for x in total):
-            return {("h", k): c for k, c in enumerate(d.coroots[a]) if c}
-        if d.is_root(total):
-            return {("r", d.root_index(total)): self.table[(a, b)]}
-        return {}
-
-    def bracket_elements(self, ea: dict, eb: dict) -> dict:
-        out: dict = {}
-        for ka, ca in ea.items():
-            for kb, cb in eb.items():
-                for k, c in self.bracket(ka, kb).items():
-                    out[k] = out.get(k, 0) + ca * cb * c
-        return {k: c for k, c in out.items() if c}
-
 
 def _positive_order(datum: RootDatum):
     pos = sorted(
@@ -241,8 +212,9 @@ def base_constants(datum: RootDatum) -> StructureConstants:
 def _bracket_table(sc: StructureConstants):
     """Basis keys (the roots, then the Cartan keys) and the table br[a][b]
     of (index, coefficient) pairs with nonzero coefficient of each basis
-    bracket: the same brackets as ``StructureConstants.bracket``, read off
-    the root-sum table."""
+    bracket, read off the root-sum table: [h_k, X_b] = b_k X_b,
+    [X_a, X_-a] = the coroot of a in the Cartan keys, and
+    [X_a, X_b] = N(a, b) X_(a+b) when a + b is a root."""
     d = sc.datum
     n, rank = d.nroots, d.rank
     keys = [("r", i) for i in range(n)] + [("h", k) for k in range(rank)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .errors import DomainError, InvalidActionError
+from .errors import DomainError, InvalidActionError, ResourceLimitError
 
 
 class IntMatrix:
@@ -40,10 +40,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def permutation(cls, images, n: int) -> "IntMatrix":
         """Matrix sending e_j to e_{images[j]}; its inverse is its transpose."""
         if sorted(images[j] for j in range(n)) != list(range(n)):
@@ -60,9 +56,6 @@ class IntMatrix:
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
@@ -115,32 +108,6 @@ class IntMatrix:
             raise DomainError("vector length mismatch")
         return tuple(sum(map(mul, row, vector)) for row in self.entries)
 
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise DomainError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def is_unimodular(self) -> bool:
         try:
             self.inverse_unimodular()
@@ -156,7 +123,7 @@ class IntMatrix:
         """
         if self._inverse is None:
             if self.rows != self.cols:
-                raise DomainError("determinant of non-square matrix")
+                raise DomainError("inverse of non-square matrix")
             u, d, v = smith_normal_form(self)
             if d != IntMatrix.identity(self.rows):
                 raise DomainError("inverse requested for non-unimodular matrix")
@@ -456,21 +423,57 @@ def integer_kernel(m: IntMatrix) -> list[tuple]:
     return [v.column(j) for j in range(nonzero, m.cols)]
 
 
+# Trial division by these settles every q with a small prime factor.
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > a passes the Miller-Rabin test to base a, as every
+    prime does: with n - 1 = d 2^s and d odd, a^d = 1 or a^(d 2^k) = -1
+    mod n for some k < s."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    return x == 1 or any(pow(x, 1 << k, n) == n - 1 for k in range(s))
+
+
+def _integer_root(n: int, e: int) -> int:
+    """The largest r with r**e <= n, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p**e, or raise DomainError."""
+    """Return (p, e) with q = p**e, or raise DomainError.
+
+    A q with a prime factor below 100 is decided by dividing it out.
+    Otherwise q = r**e for the largest e with an exact integer root r,
+    and q is a prime power exactly when r is prime, which Miller-Rabin
+    decides exactly for q below MILLER_RABIN_BOUND; a larger q without a
+    small factor raises ResourceLimitError.
+    """
     if q < 2:
         raise DomainError(f"{q} is not a prime power")
-    p = None
-    n = q
-    for cand in range(2, q + 1):
-        if cand * cand > n:
-            break
-        if n % cand == 0:
-            p = cand
-            break
+    p = next((p for p in _SMALL_PRIMES if q % p == 0), None)
     if p is None:
-        p = n
-    e = 0
+        if q >= MILLER_RABIN_BOUND:
+            raise ResourceLimitError(
+                f"cannot decide whether {q} is a prime power: it has no prime factor"
+                f" below 100, and the primality test is exact only below {MILLER_RABIN_BOUND}"
+            )
+        p = next(
+            r for e in range(q.bit_length(), 0, -1) if (r := _integer_root(q, e)) ** e == q
+        )
+        if not all(_is_strong_probable_prime(p, a) for a in _MILLER_RABIN_BASES):
+            raise DomainError(f"{q} is not a prime power")
+    n, e = q, 0
     while n % p == 0:
         n //= p
         e += 1

@@ -11,11 +11,13 @@ compared.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import hom_to_units_count, prime_power
 from .poly import Poly, poly_adjugate, poly_det, poly_matrix_mul
-from .folding import equivalence_classes, fixed_weyl
+from .rootdata import cartan_type_of
+from .folding import equivalence_classes, folded_root_data
 from .presets import type_a_flip
 
 FULL_SCAN_LIMIT = 300_000
@@ -201,10 +203,6 @@ def _dot(F: GF, u, v):
     return acc
 
 
-def mat_identity(m: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-
-
 def mat_det(F: GF, a) -> int:
     m = len(a)
     rows = [list(r) for r in a]
@@ -338,23 +336,19 @@ def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
 
 def bruhat_predicted_count(datum, act, q: int) -> int:
     """Predicted number of fixed rational points: torus part times q^N
-    times the length generating function of the fixed Weyl group, where
-    lengths count root classes sent to negatives."""
+    times the length generating function of the fixed Weyl group W^A.
+
+    W^A is the Weyl group of the folded R1 datum, whose lengths count root
+    classes sent to negatives, so by Solomon's factorisation that function
+    is prod (q^d_i - 1)/(q - 1) over the degrees d_i of the folded type
+    (L. Solomon, The orders of the finite Chevalley groups, J. Algebra 3,
+    1966); W^A is never enumerated.
+    """
     prime_power(q)
-    fw = fixed_weyl(datum, act)
-    r1 = fw.variants["R1"]
+    r1 = folded_root_data(datum, act)["R1"]
     t_count = hom_to_units_count(r1.lattice.group, q)
-    classes = r1.classes
-    positives = set(datum.positive_root_indices())
-    total = 0
-    for w in fw.elements:
-        drop = sum(
-            1
-            for cls in classes
-            if all(w[i] not in positives for i in cls.members)
-        )
-        total += q**drop
-    return t_count * q ** len(classes) * total
+    lengths = math.prod((q**d - 1) // (q - 1) for d in cartan_type_of(r1.datum).degrees)
+    return t_count * q ** len(r1.classes) * lengths
 
 
 class CountReport:
@@ -481,14 +475,14 @@ def _det_ring(R, rows) -> object:
     return total
 
 
-def dual_fixed_count(n: int, p: int, scan_limit: int = FULL_SCAN_LIMIT) -> int:
+def dual_fixed_count(n: int, p: int) -> int:
     """Count fixed points congruent to the identity over F_p[t]/(t^2).
 
     This equals p to the tangent dimension, giving an independent check
     on the linear-algebra computation.
     """
     m = 2 * n + 1
-    if p ** (m * m) > scan_limit:
+    if p ** (m * m) > FULL_SCAN_LIMIT:
         raise ResourceLimitError("dual-number enumeration too large")
     R = DualNumbers(p)
     j = involution_form(n)
@@ -765,14 +759,3 @@ def u_fixed_point_count(datum, act, q: int) -> int:
         total *= factor.point_count(q)
     return total
 
-
-def special_linear_sample(F: GF, size: int, rng):
-    """A uniform-ish determinant-one matrix: draw until invertible, then
-    scale the first row."""
-    while True:
-        rows = [[rng.randrange(F.q) for _ in range(size)] for _ in range(size)]
-        d = mat_det(F, rows)
-        if d:
-            inv = F.inv(d)
-            rows[0] = [F.mul(inv, x) for x in rows[0]]
-            return tuple(tuple(r) for r in rows)

@@ -6,16 +6,46 @@ The oracles here check it on every triple a < b < c of basis elements:
 - ``verify_jacobi_exhaustive`` sums integer codes of the brackets in the
   table of ``chevalley._bracket_table``, one triple after another;
 - ``verify_jacobi_by_brackets`` rebuilds every bracket of every triple
-  through ``StructureConstants.bracket`` and ``bracket_elements``.
+  through ``bracket`` and ``bracket_elements``.
 
-``bracket_table_by_brackets`` builds the basis bracket table of
-``verify_jacobi`` through ``StructureConstants.bracket``, as it was built
-before the root-sum table.  ``jacobi_sum`` and ``is_alternating_on``
+``bracket`` brackets two basis elements by adding their coordinate tuples,
+and ``bracket_elements`` extends it bilinearly.  ``bracket_table_by_brackets``
+builds the basis bracket table of ``verify_jacobi`` through ``bracket``, as
+it was built before the root-sum table.  ``jacobi_sum`` and ``is_alternating_on``
 check the one triple or pair that a failure message names.
 """
 
 from foldlab.chevalley import _bracket_table
 from foldlab.errors import InternalInconsistencyError
+
+
+def bracket(sc, key_a, key_b) -> dict:
+    """Bracket of basis elements; keys ('r', i) or ('h', k)."""
+    d = sc.datum
+    kind_a, a = key_a
+    kind_b, b = key_b
+    if kind_a == "h" and kind_b == "h":
+        return {}
+    if kind_a == "h" and kind_b == "r":
+        return {key_b: d.roots[b][a]}
+    if kind_a == "r" and kind_b == "h":
+        return {key_a: -d.roots[a][b]}
+    total = tuple(x + y for x, y in zip(d.roots[a], d.roots[b]))
+    if all(x == 0 for x in total):
+        return {("h", k): c for k, c in enumerate(d.coroots[a]) if c}
+    if d.is_root(total):
+        return {("r", d.root_index(total)): sc.table[(a, b)]}
+    return {}
+
+
+def bracket_elements(sc, ea: dict, eb: dict) -> dict:
+    """Bracket of two elements given as {basis key: coefficient}."""
+    out: dict = {}
+    for ka, ca in ea.items():
+        for kb, cb in eb.items():
+            for k, c in bracket(sc, ka, kb).items():
+                out[k] = out.get(k, 0) + ca * cb * c
+    return {k: c for k, c in out.items() if c}
 
 
 def bracket_table_by_brackets(sc):
@@ -25,7 +55,7 @@ def bracket_table_by_brackets(sc):
     keys = [("r", i) for i in range(d.nroots)] + [("h", k) for k in range(d.rank)]
     index = {key: a for a, key in enumerate(keys)}
     br = [
-        [tuple((index[k], x) for k, x in sc.bracket(ka, kb).items() if x) for kb in keys]
+        [tuple((index[k], x) for k, x in bracket(sc, ka, kb).items() if x) for kb in keys]
         for ka in keys
     ]
     return keys, br
@@ -38,13 +68,13 @@ def verify_jacobi_by_brackets(sc):
     m = len(keys)
     for a in range(m):
         for b in range(a + 1, m):
-            ab = sc.bracket(keys[a], keys[b])
+            ab = bracket(sc, keys[a], keys[b])
             for c in range(b + 1, m):
                 total: dict = {}
                 for term in (
-                    sc.bracket_elements(ab, {keys[c]: 1}),
-                    sc.bracket_elements(sc.bracket(keys[b], keys[c]), {keys[a]: 1}),
-                    sc.bracket_elements(sc.bracket(keys[c], keys[a]), {keys[b]: 1}),
+                    bracket_elements(sc, ab, {keys[c]: 1}),
+                    bracket_elements(sc, bracket(sc, keys[b], keys[c]), {keys[a]: 1}),
+                    bracket_elements(sc, bracket(sc, keys[c], keys[a]), {keys[b]: 1}),
                 ):
                     for k, v in term.items():
                         total[k] = total.get(k, 0) + v
@@ -106,12 +136,12 @@ def jacobi_sum(sc, key_a, key_b, key_c):
     coefficients dropped."""
     total: dict = {}
     for x, y, z in ((key_a, key_b, key_c), (key_b, key_c, key_a), (key_c, key_a, key_b)):
-        for k, v in sc.bracket_elements(sc.bracket(x, y), {z: 1}).items():
+        for k, v in bracket_elements(sc, bracket(sc, x, y), {z: 1}).items():
             total[k] = total.get(k, 0) + v
     return {k: v for k, v in total.items() if v}
 
 
 def is_alternating_on(sc, key_a, key_b):
     """Whether [b, a] = -[a, b] on two basis keys."""
-    ab, ba = sc.bracket(key_a, key_b), sc.bracket(key_b, key_a)
+    ab, ba = bracket(sc, key_a, key_b), bracket(sc, key_b, key_a)
     return {k: -v for k, v in ab.items() if v} == {k: v for k, v in ba.items() if v}

@@ -28,6 +28,7 @@ from constants_oracle import (
     rescale_by_tuples,
 )
 from jacobi_oracle import (
+    bracket,
     bracket_table_by_brackets,
     is_alternating_on,
     jacobi_sum,
@@ -250,10 +251,10 @@ def test_bracket_basis_relations():
     i0, i1 = datum.basis_indices
     neg0 = datum.negative_of(i0)
     # [X_a, X_{-a}] = H_{a^vee}
-    h = sc.bracket(("r", i0), ("r", neg0))
+    h = bracket(sc, ("r", i0), ("r", neg0))
     assert h == {("h", k): c for k, c in enumerate(datum.coroots[i0]) if c}
     # [H_u, X_a] = <a, u> X_a
-    x = sc.bracket(("h", 0), ("r", i1))
+    x = bracket(sc, ("h", 0), ("r", i1))
     assert x == {("r", i1): datum.roots[i1][0]}
 
 

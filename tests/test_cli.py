@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -146,12 +147,9 @@ def test_non_unimodular_matrix_action_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", preset_names())
-def test_preset_fold_computes_no_determinant(name, tmp_path, monkeypatch):
+def test_preset_fold_computes_no_determinant(name, tmp_path):
     # every generator reaching a coinvariant check was inverted before
-    def no_det(self):
-        raise AssertionError("determinant computed")
-
-    monkeypatch.setattr(IntMatrix, "det", no_det)
+    assert not hasattr(IntMatrix, "det")
     cfg = write(tmp_path, f"[datum]\npreset = {name}\n\n[run]\nanalyses = fold\n")
     assert cli.main(["run", cfg]) == 0
 
@@ -284,6 +282,29 @@ def test_count_bad_field_size_exit_2(tmp_path, capsys, q):
     cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
     assert cli.main(["run", cfg, "--analysis", "count", "--q", q]) == 2
     assert "prime power" in capsys.readouterr().err
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "ini,args,code",
+    [
+        ("", ["--analysis", "count", "--q", str(MERSENNE_61)], 4),
+        ("", ["--analysis", "criteria", "--p", str(MERSENNE_61)], 0),
+        ("", ["--analysis", "tangent", "--p", str(MERSENNE_61)], 0),
+        (f"\n[base]\nprimes = {MERSENNE_61}\n", [], 0),
+    ],
+    ids=["count-q", "criteria-p", "tangent-p", "base-primes"],
+)
+def test_large_prime_decided_at_once(tmp_path, capsys, ini, args, code):
+    # trial division to the square root of 2^61 - 1 takes 1.5e9 steps
+    cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n" + ini)
+    start = time.perf_counter()
+    assert cli.main(["run", cfg] + args) == code
+    assert time.perf_counter() - start < 2
+    if code == 4:
+        assert f"|SL_3(F_{MERSENNE_61})|" in capsys.readouterr().err
 
 
 def test_count_mismatch_exit_5(tmp_path, capsys, monkeypatch):

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldlab.errors import DomainError, InvalidActionError
+from foldlab.errors import DomainError, InvalidActionError, ResourceLimitError
 from foldlab.intlat import (
+    MILLER_RABIN_BOUND,
     CoinvariantLattice,
     FinAbGroup,
     IntMatrix,
@@ -15,10 +17,11 @@ from foldlab.intlat import (
     cokernel,
     hom_to_units_count,
     integer_kernel,
+    is_prime,
     prime_power,
     smith_normal_form,
 )
-from validate_oracle import inverse_by_adjugate
+from validate_oracle import bareiss_det, inverse_by_adjugate
 
 
 def minor_det(rows, row_idx, col_idx):
@@ -301,9 +304,55 @@ def test_prime_power():
             prime_power(bad)
 
 
+def _prime_power_by_trial_division(q):
+    """(p, e) with q = p**e from the least divisor p of q, or None."""
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q, e = q // p, e + 1
+    return (p, e) if q == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(2, 10**5):
+        try:
+            got = prime_power(q)
+        except DomainError:
+            got = None
+        assert got == _prime_power_by_trial_division(q), q
+
+
+def test_prime_power_of_large_primes_in_milliseconds():
+    start = time.perf_counter()
+    assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(DomainError, match="^10{36} is not a prime power$"):
+        prime_power(10**36)  # a small factor decides q at any size
+    with pytest.raises(ResourceLimitError, match=str(MILLER_RABIN_BOUND)):
+        prime_power(2**89 - 1)  # a prime past the exact range of the test
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael numbers
+        1729,
+        56052361,  # 211 * 421 * 631, no factor below 100
+        118901521,  # 271 * 541 * 811
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        318665857834031151167461,  # strong pseudoprime to the bases 2..37
+    ],
+)
+def test_pseudoprimes_are_not_prime(n):
+    assert not is_prime(n)
+    with pytest.raises(DomainError, match=f"^{n} is not a prime power$"):
+        prime_power(n)
+
+
 def test_intmatrix_basics():
     m = IntMatrix([[1, 2], [3, 4]])
-    assert m.det() == -2
+    assert bareiss_det(m) == -2
     assert m.transpose() == IntMatrix([[1, 3], [2, 4]])
     assert m @ IntMatrix.identity(2) == m
     assert m.rank() == 2
@@ -329,7 +378,7 @@ def test_inverse_matches_adjugate_oracle(m):
     [
         ([[1, 2], [2, 4]], "inverse requested for non-unimodular matrix"),
         ([[2, 0], [0, 1]], "inverse requested for non-unimodular matrix"),
-        ([[1, 0, 0], [0, 1, 0]], "determinant of non-square matrix"),
+        ([[1, 0, 0], [0, 1, 0]], "inverse of non-square matrix"),
     ],
     ids=["singular", "det-2", "non-square"],
 )
@@ -345,10 +394,10 @@ def _no_det(self):
     raise AssertionError("determinant computed")
 
 
-def test_inverse_is_kept_and_decides_unimodularity(monkeypatch):
+def test_inverse_is_kept_and_decides_unimodularity():
     u = IntMatrix([[2, 1], [1, 1]])
     inv = u.inverse_unimodular()
-    monkeypatch.setattr(IntMatrix, "det", _no_det)
+    assert not hasattr(IntMatrix, "det")
     assert u.inverse_unimodular() is inv
     assert u.is_unimodular()
     assert coinvariants(2, [u]).is_trivial
@@ -357,7 +406,7 @@ def test_inverse_is_kept_and_decides_unimodularity(monkeypatch):
 def test_permutation_matrix_knows_its_inverse(monkeypatch):
     m = IntMatrix.permutation([2, 0, 1], 3)
     assert m.apply((1, 0, 0)) == (0, 0, 1)
-    monkeypatch.setattr(IntMatrix, "det", _no_det)
+    assert not hasattr(IntMatrix, "det")
     monkeypatch.setattr("foldlab.intlat.smith_normal_form", _no_det)
     assert m.is_unimodular()
     assert m.inverse_unimodular() == m.transpose()

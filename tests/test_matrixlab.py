@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
+from foldlab import folding, matrixlab
+from foldlab.action import PinnedAction, permutation_matrix, trivial_action
 from foldlab.errors import DomainError, ResourceLimitError
 from foldlab.intlat import is_prime
 from foldlab.matrixlab import (
@@ -20,11 +23,9 @@ from foldlab.matrixlab import (
     involution_form,
     is_theta_fixed,
     mat_det,
-    mat_identity,
     mat_inv,
     mat_mul,
     sl_order,
-    special_linear_sample,
     tangent_dim,
     theta,
     u3_fixed_presentation,
@@ -36,7 +37,10 @@ from foldlab.matrixlab import (
 )
 from foldlab.poly import Poly
 from count_oracle import classical_fixed_order, count_fixed_by_scan
-from foldlab.presets import load_preset, type_a_flip
+from matrix_samples import mat_identity, special_linear_sample
+from foldlab.presets import load_preset, preset_names, type_a_flip
+from foldlab.rootdata import WeylGroup, build_preset
+from weyl_oracle import bruhat_count_by_elements
 
 
 # -- finite fields --------------------------------------------------------
@@ -233,6 +237,78 @@ def test_bruhat_prediction_rank_two():
     # |SO_5(F_q)| = q^4 (q^2 - 1)(q^4 - 1)
     for q in (2, 3, 4, 5):
         assert bruhat_predicted_count(datum, act, q) == q**4 * (q**2 - 1) * (q**4 - 1)
+
+
+def _diagram_action(ctype, images):
+    datum = build_preset(ctype)
+    return datum, PinnedAction(datum, [permutation_matrix(dict(enumerate(images)), datum.rank)])
+
+
+def _trivial(ctype):
+    datum = build_preset(ctype)
+    return datum, trivial_action(datum)
+
+
+def _preset(name):
+    pre = load_preset(name)
+    return pre.datum, pre.action
+
+
+# the (datum, action) pairs on which the closed form meets the element sum;
+# the presets A2-A5-sc-flip are also the A2-A5 sc flips, so 28 are distinct
+BRUHAT_PAIRS = {
+    **{name: partial(_preset, name) for name in preset_names()},
+    **{
+        f"A{rank}-{isogeny}-flip": partial(type_a_flip, rank, isogeny)
+        for rank in range(1, 8)
+        for isogeny in ("sc", "adjoint")
+    },
+    "B2+B2-swap": partial(_diagram_action, "B2+B2", [2, 3, 0, 1]),
+    "G2+G2+G2-cycle": partial(_diagram_action, "G2+G2+G2", [2, 3, 4, 5, 0, 1]),
+    "D5-flip": partial(_diagram_action, "D5", [0, 1, 2, 4, 3]),
+    **{
+        f"{ctype}-trivial": partial(_trivial, ctype)
+        for ctype in ("B2+B2", "G2+G2+G2", "D5", "A3+A3", "F4", "C3")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUHAT_PAIRS))
+def test_bruhat_matches_element_sum(name):
+    datum, act = BRUHAT_PAIRS[name]()
+    for q in (2, 3, 4, 5, 7):
+        assert bruhat_predicted_count(datum, act, q) == bruhat_count_by_elements(datum, act, q)
+
+
+@pytest.mark.parametrize(
+    "ctype,degrees",
+    [
+        ("E6", (2, 5, 6, 8, 9, 12)),
+        ("E7", (2, 6, 8, 10, 12, 14, 18)),
+        ("E8", (2, 8, 12, 14, 18, 20, 24, 30)),
+    ],
+    ids=["E6", "E7", "E8"],
+)
+def test_bruhat_prediction_is_the_classical_order(ctype, degrees):
+    # |G(F_q)| = q^N prod (q^d_i - 1) for split G (Carter, Simple Groups of
+    # Lie Type, 9.4), with N = sum (d_i - 1) positive roots
+    datum, act = _trivial(ctype)
+    for q in (2, 3):
+        order = q ** sum(d - 1 for d in degrees)
+        for d in degrees:
+            order *= q**d - 1
+        assert bruhat_predicted_count(datum, act, q) == order
+
+
+def test_bruhat_prediction_closes_no_weyl_group(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a Weyl group was closed")
+
+    monkeypatch.setattr(folding, "fixed_weyl", no_closure)
+    monkeypatch.setattr(WeylGroup, "generate", classmethod(no_closure))
+    assert not hasattr(matrixlab, "fixed_weyl")
+    assert bruhat_predicted_count(*type_a_flip(4), 3) == 51840
+    assert bruhat_predicted_count(*_trivial("E8"), 2) > 0
 
 
 def test_verify_fixed_count_agrees():

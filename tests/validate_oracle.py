@@ -12,8 +12,8 @@ reflections and carries stability along the orbits they reach.
 every simple reflection by rebuilding both tuples, where
 ``rootdata._generate_root_coroot_pairs`` skips reflections that fix a root
 and changes one coordinate.  ``inverse_by_adjugate`` forms the inverse
-from n^2 cofactor determinants; ``IntMatrix.inverse_unimodular`` reads it
-off the Smith form.
+from n^2 cofactor determinants, each a fraction-free ``bareiss_det``;
+``IntMatrix.inverse_unimodular`` reads it off the Smith form.
 """
 
 from foldlab.errors import DomainError
@@ -95,9 +95,38 @@ def generate_pairs_by_tuples(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
     return sorted(pairs.items())
 
 
+def bareiss_det(m: IntMatrix) -> int:
+    """Determinant by fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise DomainError("determinant of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def inverse_by_adjugate(m: IntMatrix) -> IntMatrix:
     """Exact inverse as the adjugate times det = +/-1."""
-    d = m.det()
+    if m.rows != m.cols:
+        raise DomainError("inverse of non-square matrix")
+    d = bareiss_det(m)
     if abs(d) != 1:
         raise DomainError("inverse requested for non-unimodular matrix")
     n = m.rows
@@ -105,6 +134,6 @@ def inverse_by_adjugate(m: IntMatrix) -> IntMatrix:
     for i in range(n):
         for j in range(n):
             minor = [[m[r, c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = IntMatrix(minor, cols=n - 1).det() if n > 1 else 1
+            cof = bareiss_det(IntMatrix(minor, cols=n - 1)) if n > 1 else 1
             adj[j][i] = (-1) ** (i + j) * cof
     return IntMatrix([[a * d for a in row] for row in adj], cols=n)

@@ -6,8 +6,15 @@ parabolic subgroup and picking the element that sends all its positive
 roots to negatives.  ``fixed_weyl`` never enumerates W and finds the
 longest elements by descent, so this is an independent cross-check.  The
 caller passes the elements of W, so one enumeration can serve many tests.
+
+``bruhat_count_by_elements`` sums q^(length) over the closed elements of
+W^A, the lengths counting root classes sent to negatives;
+``bruhat_predicted_count`` takes the same sum from Solomon's product over
+the degrees of the folded type, so this checks the closed form.
 """
 
+from foldlab.folding import fixed_weyl
+from foldlab.intlat import hom_to_units_count, prime_power
 from foldlab.rootdata import WeylGroup
 
 
@@ -45,3 +52,23 @@ def brute_fixed_weyl(datum, act, weyl_elements):
     """(fixed elements, orbit longest elements) found by brute force."""
     coxeter = tuple(longest_by_closure(datum, o) for o in act.orbits("simple"))
     return fixed_by_filter(datum, act, weyl_elements), coxeter
+
+
+def bruhat_count_by_elements(datum, act, q):
+    """Torus part times q^N times the sum of q^(length) over the elements of
+    W^A from ``fixed_weyl``'s closure."""
+    prime_power(q)
+    fw = fixed_weyl(datum, act)
+    r1 = fw.variants["R1"]
+    t_count = hom_to_units_count(r1.lattice.group, q)
+    classes = r1.classes
+    positives = set(datum.positive_root_indices())
+    total = 0
+    for w in fw.elements:
+        drop = sum(
+            1
+            for cls in classes
+            if all(w[i] not in positives for i in cls.members)
+        )
+        total += q**drop
+    return t_count * q ** len(classes) * total
