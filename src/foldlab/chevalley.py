@@ -20,6 +20,7 @@ from .errors import DomainError, InternalInconsistencyError
 from .rootdata import RootDatum, _component_type
 from .action import PinnedAction
 from .folding import equivalence_classes
+from .record import Record
 
 
 def chain_length(datum: RootDatum, i: int, j: int) -> int:
@@ -63,22 +64,14 @@ def _squared_lengths(datum: RootDatum) -> tuple[int, ...]:
     return tuple(out)
 
 
-class StructureConstants:
+class StructureConstants(Record):
     """Full table N(i, j) over ordered root-index pairs with a root sum."""
 
-    def __init__(
-        self,
-        datum: RootDatum,
-        table: dict[tuple[int, int], int],
-        eps: dict[int, int],  # positive root index -> sign relative to the base system
-        xs_pair: dict[int, tuple[int, int]],  # positive nonsimple root -> extraspecial pair
-        order_key: dict[int, tuple],
-    ):
-        self.datum = datum
-        self.table = table
-        self.eps = eps
-        self.xs_pair = xs_pair
-        self.order_key = order_key
+    datum: RootDatum
+    table: dict[tuple[int, int], int]
+    eps: dict[int, int]  # positive root index -> sign relative to the base system
+    xs_pair: dict[int, tuple[int, int]]  # positive nonsimple root -> extraspecial pair
+    order_key: dict[int, tuple]
 
 
 def _positive_order(datum: RootDatum):
@@ -378,18 +371,14 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
 def _d4_components_with_s3(sc: StructureConstants, act: PinnedAction):
     """Components of type D4 whose stabilizer acts with full image S3."""
     d = sc.datum
-    comps = d.components()
-    sigma = act.component_permutations()
     found = []
-    for ci, comp in enumerate(comps):
+    for ci, comp in enumerate(d.components()):
         if _component_type(d, comp) != ("D", 4):
             continue
-        restricted = set()
         comp_sorted = tuple(sorted(comp))
-        for m in act.elements:
-            if sigma[m][ci] == ci:
-                perm = act.root_permutation(m)
-                restricted.add(tuple(perm[i] for i in comp_sorted))
+        restricted = {
+            tuple(perm[i] for i in comp_sorted) for perm in act.component_stabilizer(ci)
+        }
         if len(restricted) == 6:
             found.append(ci)
     return found
@@ -508,23 +497,15 @@ def equivariant_signs(sc: StructureConstants, act: PinnedAction):
     return adjusted, classes
 
 
-class OrbitReport:
-    def __init__(
-        self,
-        members: tuple[int, ...],
-        special: bool,
-        satisfied: bool,
-        discrepancies: tuple[int, ...],
-    ):
-        self.members = members
-        self.special = special
-        self.satisfied = satisfied
-        self.discrepancies = discrepancies
+class OrbitReport(Record):
+    members: tuple[int, ...]
+    special: bool
+    satisfied: bool
+    discrepancies: tuple[int, ...]
 
 
-class EquivarianceReport:
-    def __init__(self, orbits: tuple[OrbitReport, ...]):
-        self.orbits = orbits
+class EquivarianceReport(Record):
+    orbits: tuple[OrbitReport, ...]
 
     @property
     def nonspecial_all_satisfied(self) -> bool:

@@ -33,6 +33,14 @@ from .presets import load_preset, preset_names
 
 ANALYSES = ("fold", "criteria", "chevalley", "count", "tangent")
 
+# section -> the keys it may hold
+CONFIG_KEYS = {
+    "datum": ("preset", "type", "rank", "isogeny"),
+    "action": ("basis_permutation", "matrices"),
+    "base": ("primes",),
+    "run": ("analyses", "q", "p"),
+}
+
 
 class ConfigError(Exception):
     """Configuration that cannot be acted on."""
@@ -55,8 +63,14 @@ def _load_config(path: str):
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     for section in parser.sections():
-        if section not in ("datum", "action", "base", "run"):
+        if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown section [{section}]")
+        for key in parser[section]:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}];"
+                    f" expected one of {', '.join(CONFIG_KEYS[section])}"
+                )
     return parser
 
 
@@ -199,16 +213,8 @@ def _run_settings(parser, args):
     p = args.p
     if p is None and "p" in run_cfg:
         p = _parse_int("run", "p", run_cfg["p"])
-    weyl_limit = args.limit_weyl
-    if weyl_limit is None and "limit_weyl" in run_cfg:
-        weyl_limit = _parse_int("run", "limit_weyl", run_cfg["limit_weyl"])
-    if weyl_limit is None:
-        weyl_limit = WEYL_LIMIT_DEFAULT
-    enum_limit = args.limit_enum
-    if enum_limit is None and "limit_enum" in run_cfg:
-        enum_limit = _parse_int("run", "limit_enum", run_cfg["limit_enum"])
-    if enum_limit is None:
-        enum_limit = GROUP_ORDER_LIMIT
+    weyl_limit = WEYL_LIMIT_DEFAULT if args.limit_weyl is None else args.limit_weyl
+    enum_limit = GROUP_ORDER_LIMIT if args.limit_enum is None else args.limit_enum
     return analyses, q, p, weyl_limit, enum_limit
 
 
@@ -313,8 +319,6 @@ def _flatten(prefix, obj, lines):
     if isinstance(obj, dict):
         for key in obj:
             _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], lines)
-    elif isinstance(obj, list):
-        lines.append(f"{prefix} = {json.dumps(obj)}")
     else:
         lines.append(f"{prefix} = {json.dumps(obj)}")
     return lines

@@ -12,15 +12,19 @@ from math import gcd
 
 from .errors import DomainError
 from .intlat import FinAbGroup, coinvariants, is_prime
-from .rootdata import RootDatum, cartan_type_of, _component_type
+from .rootdata import RootDatum
 from .action import PinnedAction
-from .folding import equivalence_classes
+from .folding import active_even_a_components, equivalence_classes
+from .record import FrozenRecord, Record, ValueRecord
 
 
-class BaseSpec:
+class BaseSpec(FrozenRecord):
     """Residual characteristics of the intended base scheme."""
 
-    def __init__(self, kind: str, primes: tuple[int, ...] = ()):  # kind "all" or "explicit"
+    kind: str  # "all" or "explicit"
+    primes: tuple[int, ...]
+
+    def __init__(self, kind: str, primes: tuple[int, ...] = ()):
         if kind not in ("all", "explicit"):
             raise DomainError(f"unknown base kind {kind!r}")
         if kind == "all" and primes:
@@ -28,17 +32,7 @@ class BaseSpec:
         for p in primes:
             if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "primes", primes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BaseSpec is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, BaseSpec) and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        super().__init__(kind, primes)
 
     @classmethod
     def all_primes(cls) -> "BaseSpec":
@@ -59,40 +53,17 @@ class BaseSpec:
         return "residual primes {" + ", ".join(map(str, self.primes)) + "}"
 
 
-def active_even_a_components(datum: RootDatum, act: PinnedAction) -> tuple[int, ...]:
-    """Indices of even-rank type A components moved by their stabilizer."""
-    out = []
-    for ci, comp in enumerate(datum.components()):
-        fam, rank = _component_type(datum, comp)
-        if fam == "A" and rank % 2 == 0 and act.stabilizer_moves_component(ci):
-            out.append(ci)
-    return tuple(out)
-
-
-class CriteriaReport:
-    def __init__(
-        self,
-        flat: bool,
-        flat_reason: str,
-        geometrically_connected: bool,
-        connected_reason: str,
-        smooth: bool,
-        smooth_reason: str,
-        torsion: FinAbGroup,
-        has_active_even_a: bool,
-        quasi_reductive_over_mixed_char_dvr: dict[int, bool],
-        torsion_free: bool,
-    ):
-        self.flat = flat
-        self.flat_reason = flat_reason
-        self.geometrically_connected = geometrically_connected
-        self.connected_reason = connected_reason
-        self.smooth = smooth
-        self.smooth_reason = smooth_reason
-        self.torsion = torsion
-        self.has_active_even_a = has_active_even_a
-        self.quasi_reductive_over_mixed_char_dvr = quasi_reductive_over_mixed_char_dvr
-        self.torsion_free = torsion_free
+class CriteriaReport(Record):
+    flat: bool
+    flat_reason: str
+    geometrically_connected: bool
+    connected_reason: str
+    smooth: bool
+    smooth_reason: str
+    torsion: FinAbGroup
+    has_active_even_a: bool
+    quasi_reductive_over_mixed_char_dvr: dict[int, bool]
+    torsion_free: bool
 
     def as_dict(self) -> dict:
         return {
@@ -183,23 +154,12 @@ def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaRepor
     )
 
 
-class FiberReport:
-    def __init__(
-        self,
-        characteristic: int,
-        dimension: int,
-        reduced: bool,
-        variant: str,
-        component_group: FinAbGroup,
-    ):
-        self.characteristic = characteristic
-        self.dimension = dimension
-        self.reduced = reduced
-        self.variant = variant
-        self.component_group = component_group
-
-    def __eq__(self, other):
-        return isinstance(other, FiberReport) and vars(self) == vars(other)
+class FiberReport(ValueRecord):
+    characteristic: int
+    dimension: int
+    reduced: bool
+    variant: str
+    component_group: FinAbGroup
 
     def as_dict(self) -> dict:
         return {

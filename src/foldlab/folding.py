@@ -23,37 +23,20 @@ from .rootdata import (
     cartan_type_of,
 )
 from .action import PinnedAction, permutation_matrix
+from .record import FrozenRecord, Record
 
 VARIANTS = ("R1", "R2", "nonreduced")
 
 
-class FoldClass:
+class FoldClass(FrozenRecord):
     """One equivalence class of positive roots."""
 
-    def __init__(
-        self,
-        members: tuple[int, ...],
-        orbits: tuple[tuple[int, ...], ...],
-        kind: str,  # "I" or "II"
-        special: tuple[int, ...],
-        representative: int,  # least nonspecial member
-        orbit_sum: tuple[int, ...],
-    ):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "orbits", orbits)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "special", special)
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "orbit_sum", orbit_sum)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FoldClass is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FoldClass) and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
+    members: tuple[int, ...]
+    orbits: tuple[tuple[int, ...], ...]
+    kind: str  # "I" or "II"
+    special: tuple[int, ...]
+    representative: int  # least nonspecial member
+    orbit_sum: tuple[int, ...]
 
     @property
     def nonspecial(self) -> tuple[int, ...]:
@@ -163,17 +146,28 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
     return tuple(classes)
 
 
+def active_even_a_components(datum: RootDatum, act: PinnedAction) -> tuple[int, ...]:
+    """Indices of even-rank type A components moved by their stabilizer."""
+    out = []
+    for ci, comp in enumerate(datum.components()):
+        fam, rank = _component_type(datum, comp)
+        if fam == "A" and rank % 2 == 0 and act.stabilizer_moves_component(ci):
+            out.append(ci)
+    return tuple(out)
+
+
 def _check_type_two_shape(datum, act, classes):
     """Cross-check: type II classes occur exactly on even-rank A components
     whose stabilizer acts nontrivially, in per-component triples x, y, x+y."""
-    comps = datum.components()
+    type_two = [cls for cls in classes if cls.kind == "II"]
+    if not type_two:
+        return
+    active = active_even_a_components(datum, act)
     comp_of = {}
-    for ci, comp in enumerate(comps):
+    for ci, comp in enumerate(datum.components()):
         for i in comp:
             comp_of[i] = ci
-    for cls in classes:
-        if cls.kind != "II":
-            continue
+    for cls in type_two:
         touched = sorted({comp_of[i] for i in cls.members})
         for ci in touched:
             inside = [i for i in cls.members if comp_of[i] == ci]
@@ -187,33 +181,24 @@ def _check_type_two_shape(datum, act, classes):
                 raise InternalInconsistencyError(
                     "component triple of a type II class is not x, y, x+y"
                 )
-            fam, rank = _component_type(datum, comps[ci])
-            if fam != "A" or rank % 2:
+            if ci not in active:
                 raise InternalInconsistencyError(
-                    "type II class on a component not of even-rank type A"
-                )
-            if not act.stabilizer_moves_component(ci):
-                raise InternalInconsistencyError(
-                    "type II class on a component with trivial stabilizer action"
+                    "type II class on a component that is not an even-rank A"
+                    " moved by its stabilizer"
                 )
 
 
-class FoldedDatum:
+class FoldedDatum(Record):
     """A folded root datum plus the bookkeeping used to build it."""
 
-    def __init__(
-        self,
-        datum: RootDatum,
-        variant: str,
-        classes: tuple[FoldClass, ...],
-        lattice: CoinvariantLattice,
-        doubled: dict[int, bool] | None = None,  # folded index -> is 2*image
-    ):
-        self.datum = datum
-        self.variant = variant
-        self.classes = classes
-        self.lattice = lattice
-        self.doubled = {} if doubled is None else doubled
+    datum: RootDatum
+    variant: str
+    classes: tuple[FoldClass, ...]
+    lattice: CoinvariantLattice
+    doubled: dict[int, bool]  # folded index -> is 2*image
+
+    def __init__(self, datum, variant, classes, lattice, doubled=None):
+        super().__init__(datum, variant, classes, lattice, {} if doubled is None else doubled)
 
     @property
     def rank(self) -> int:
@@ -324,21 +309,14 @@ def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> Fold
     return folded_root_data(datum, act)[variant]
 
 
-class FixedWeyl:
+class FixedWeyl(Record):
     """Centralizer of the action inside the Weyl group, with the folded
     variants it was checked against."""
 
-    def __init__(
-        self,
-        order: int,
-        elements: tuple[tuple[int, ...], ...],
-        coxeter_generators: tuple[tuple[int, ...], ...],
-        variants: dict[str, FoldedDatum],
-    ):
-        self.order = order
-        self.elements = elements
-        self.coxeter_generators = coxeter_generators
-        self.variants = variants
+    order: int
+    elements: tuple[tuple[int, ...], ...]
+    coxeter_generators: tuple[tuple[int, ...], ...]
+    variants: dict[str, FoldedDatum]
 
 
 def _orbit_longest_element(datum: RootDatum, orbit) -> tuple[int, ...]:
@@ -451,18 +429,12 @@ def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:
     return phi.rank() == lattice.free_rank
 
 
-class ParabolicReport:
+class ParabolicReport(Record):
     """Folded base data attached to an action-stable subset of the base."""
 
-    def __init__(
-        self,
-        base_classes: tuple[int, ...],  # class positions forming the folded base
-        gamma_classes: tuple[int, ...],  # subset corresponding to gamma
-        monoid_generators: tuple[tuple[str, tuple, tuple], ...],  # (label, torsion, free)
-    ):
-        self.base_classes = base_classes
-        self.gamma_classes = gamma_classes
-        self.monoid_generators = monoid_generators
+    base_classes: tuple[int, ...]  # class positions forming the folded base
+    gamma_classes: tuple[int, ...]  # subset corresponding to gamma
+    monoid_generators: tuple[tuple[str, tuple, tuple], ...]  # (label, torsion, free)
 
 
 def parabolic_correspondence(datum: RootDatum, act: PinnedAction, gamma) -> ParabolicReport:

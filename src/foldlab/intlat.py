@@ -12,6 +12,7 @@ from math import gcd
 from operator import mul
 
 from .errors import DomainError, InvalidActionError, ResourceLimitError
+from .record import FrozenRecord
 
 
 class IntMatrix:
@@ -132,8 +133,7 @@ class IntMatrix:
 
     def rank(self) -> int:
         """Rank over the rationals: the number of nonzero Smith invariants."""
-        _, d, _ = smith_normal_form(self)
-        return sum(1 for i in range(min(d.rows, d.cols)) if d[i, i])
+        return len(_smith_invariants(self)[1])
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -234,11 +234,21 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return u, IntMatrix(a, cols=cols), IntMatrix(v, cols=cols)
 
 
-class FinAbGroup:
+def _smith_invariants(m: IntMatrix) -> tuple[IntMatrix, list[int], IntMatrix]:
+    """(U, invariants, V) from the Smith form U m V = D: the invariants are
+    D's nonzero diagonal entries, which come first, 1s included."""
+    u, d, v = smith_normal_form(m)
+    return u, [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i]], v
+
+
+class FinAbGroup(FrozenRecord):
     """Finitely generated abelian group: Z^free_rank x prod Z/d_i.
 
     invariant_factors is the chain d1 | d2 | ... with every d_i >= 2.
     """
+
+    free_rank: int
+    invariant_factors: tuple[int, ...]
 
     def __init__(self, free_rank: int, invariant_factors: tuple[int, ...]):
         if free_rank < 0:
@@ -249,17 +259,7 @@ class FinAbGroup:
         for x, y in zip(invariant_factors, invariant_factors[1:]):
             if y % x:
                 raise DomainError("invariant factors must form a divisor chain")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinAbGroup is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FinAbGroup) and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        super().__init__(free_rank, invariant_factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -268,10 +268,6 @@ class FinAbGroup:
     @property
     def is_torsion_free(self) -> bool:
         return not self.invariant_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
 
     def torsion_order(self) -> int:
         n = 1
@@ -305,12 +301,10 @@ class FinAbGroup:
 
 def cokernel(relations: IntMatrix) -> FinAbGroup:
     """Z^rows / (column span of `relations`) as an abstract group."""
-    _, d, _ = smith_normal_form(relations)
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-    nonzero = [x for x in diag if x != 0]
+    _, diag, _ = _smith_invariants(relations)
     return FinAbGroup(
-        free_rank=relations.rows - len(nonzero),
-        invariant_factors=tuple(x for x in nonzero if x >= 2),
+        free_rank=relations.rows - len(diag),
+        invariant_factors=tuple(x for x in diag if x >= 2),
     )
 
 
@@ -359,11 +353,10 @@ class CoinvariantLattice:
         self.rank = rank
         self.generators = mats
         rel = _relation_matrix(rank, mats)
-        u, d, _ = smith_normal_form(rel)
-        diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-        nonzero = len([x for x in diag if x != 0])
+        u, diag, _ = _smith_invariants(rel)
+        nonzero = len(diag)
         self.torsion_moduli = tuple(x for x in diag if x >= 2)
-        self._moduli_all = tuple(diag[:nonzero])
+        self._moduli_all = tuple(diag)
         self.free_rank = rank - nonzero
         self.group = FinAbGroup(self.free_rank, self.torsion_moduli)
         rows = [list(r) for r in u.entries]
@@ -411,16 +404,6 @@ class CoinvariantLattice:
             sum(a * b for a, b in zip(self.section(k), covector))
             for k in range(self.free_rank)
         )
-
-
-def integer_kernel(m: IntMatrix) -> list[tuple]:
-    """Basis of the integer kernel {x : m @ x = 0}; saturated by construction."""
-    _, d, v = smith_normal_form(m)
-    nonzero = 0
-    for i in range(min(d.rows, d.cols)):
-        if d[i, i] != 0:
-            nonzero += 1
-    return [v.column(j) for j in range(nonzero, m.cols)]
 
 
 # Trial division by these settles every q with a small prime factor.

@@ -19,6 +19,7 @@ from .poly import Poly, poly_adjugate, poly_det, poly_matrix_mul
 from .rootdata import cartan_type_of
 from .folding import equivalence_classes, folded_root_data
 from .presets import type_a_flip
+from .record import FrozenRecord, Record
 
 FULL_SCAN_LIMIT = 300_000
 GROUP_ORDER_LIMIT = 10**8
@@ -167,9 +168,6 @@ class GF:
         if a == 0:
             raise DomainError("zero has no inverse")
         return self._inv[a]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def from_int(self, n: int) -> int:
         return n % self.p
@@ -351,12 +349,11 @@ def bruhat_predicted_count(datum, act, q: int) -> int:
     return t_count * q ** len(r1.classes) * lengths
 
 
-class CountReport:
-    def __init__(self, n: int, q: int, brute: int, predicted: int):
-        self.n = n
-        self.q = q
-        self.brute = brute
-        self.predicted = predicted
+class CountReport(Record):
+    n: int
+    q: int
+    brute: int
+    predicted: int
 
     @property
     def agree(self) -> bool:
@@ -641,27 +638,13 @@ def _restrict_to_xy(poly: Poly) -> Poly:
     return Poly(2, out)
 
 
-class UnipotentFixedPresentation:
+class UnipotentFixedPresentation(FrozenRecord):
     """Coordinate presentation of the fixed locus in the 3x3 unitriangular
     group: two generators cut it out, and eliminating the dependent
     coordinate leaves one plane relation in (x, y)."""
 
-    def __init__(
-        self,
-        fixed_equations: tuple[Poly, ...],  # in (x, y, z)
-        relation: Poly,  # in (x, y) after eliminating z
-    ):
-        object.__setattr__(self, "fixed_equations", fixed_equations)
-        object.__setattr__(self, "relation", relation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnipotentFixedPresentation is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, UnipotentFixedPresentation) and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
+    fixed_equations: tuple[Poly, ...]  # in (x, y, z)
+    relation: Poly  # in (x, y) after eliminating z
 
     def point_count(self, q: int) -> int:
         F = GF(q)
@@ -719,22 +702,12 @@ def u3_fixed_presentation() -> UnipotentFixedPresentation:
     )
 
 
-class UnipotentFactor:
+class UnipotentFactor(FrozenRecord):
     """One coordinate factor of the fixed unipotent group: a plain affine
     line for a one-orbit class, the thickened line for a two-orbit class."""
 
-    def __init__(self, kind: str, members: tuple[int, ...]):  # kind "line" or "twisted"
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "members", members)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnipotentFactor is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, UnipotentFactor) and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
+    kind: str  # "line" or "twisted"
+    members: tuple[int, ...]
 
     def point_count(self, q: int) -> int:
         if self.kind == "line":

@@ -10,14 +10,14 @@ from .errors import DomainError
 from .intlat import IntMatrix
 from .rootdata import RootDatum, build_preset, build_torus
 from .action import PinnedAction, permutation_matrix
+from .record import Record
 
 
-class Preset:
-    def __init__(self, name: str, note: str, datum: RootDatum, action: PinnedAction):
-        self.name = name
-        self.note = note
-        self.datum = datum
-        self.action = action
+class Preset(Record):
+    name: str
+    note: str
+    datum: RootDatum
+    action: PinnedAction
 
 
 def type_a_flip(rank: int, isogeny: str = "sc") -> tuple[RootDatum, PinnedAction]:

@@ -14,13 +14,16 @@ import re
 from operator import itemgetter, mul
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .intlat import IntMatrix, smith_normal_form
+from .intlat import IntMatrix, _smith_invariants
+from .record import FrozenRecord
 
 WEYL_LIMIT_DEFAULT = 10**6
 
 
-class CartanType:
+class CartanType(FrozenRecord):
     """Product of simple types, e.g. (('A', 2), ('A', 2)) for A2+A2."""
+
+    components: tuple[tuple[str, int], ...]
 
     _RANK_RULES = {
         "A": lambda n: n >= 1,
@@ -37,16 +40,7 @@ class CartanType:
             rule = self._RANK_RULES.get(fam)
             if rule is None or not rule(n):
                 raise DomainError(f"no simple type {fam}{n}")
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CartanType is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, CartanType) and vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        super().__init__(components)
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
@@ -351,8 +345,7 @@ class RootDatum:
         """
         base = [self.roots[i] for i in self.basis_indices]
         k = len(base)
-        u, d, v = smith_normal_form(IntMatrix.from_columns(base, self.rank))
-        diag = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i]]
+        u, diag, v = _smith_invariants(IntMatrix.from_columns(base, self.rank))
         if len(diag) != k:
             raise DomainError("base of simple roots is linearly dependent")
         coords = []
@@ -464,9 +457,7 @@ class RootDatum:
 class WeylGroup:
     """Finite permutation group on the root list."""
 
-    def __init__(self, degree: int, generators, elements):
-        self.degree = degree
-        self.generators = tuple(generators)
+    def __init__(self, elements):
         self.elements = tuple(elements)
         self.order = len(self.elements)
 
@@ -500,7 +491,7 @@ class WeylGroup:
                         seen.add(wg)
                         new.append(wg)
             frontier = new
-        return cls(degree, gens, sorted(seen))
+        return cls(sorted(seen))
 
 
 def build_torus(rank: int) -> RootDatum:
@@ -531,32 +522,17 @@ def build_preset(cartan_type, isogeny: str = "sc") -> RootDatum:
         else:
             roots.append(v)
             coroots.append(ctr.apply(w))
-    datum = RootDatum(
-        n,
-        roots,
-        coroots,
-        basis_indices=[
-            roots.index(
-                c.apply(tuple(1 if k == i else 0 for k in range(n)))
-                if isogeny == "sc"
-                else tuple(1 if k == i else 0 for k in range(n))
-            )
-            for i in range(n)
-        ],
-    )
-    return datum
+    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    simple = [c.apply(e) for e in units] if isogeny == "sc" else units
+    return RootDatum(n, roots, coroots, basis_indices=[roots.index(s) for s in simple])
 
 
 # -- type recognition ---------------------------------------------------
 
 
 def _component_type(datum: RootDatum, comp: tuple[int, ...]) -> tuple[str, int]:
-    base_pos = [
-        p
-        for p, i in enumerate(datum.basis_indices)
-        if i in set(comp)
-    ]
-    idx = [datum.basis_indices[p] for p in base_pos]
+    members = set(comp)
+    idx = [i for i in datum.basis_indices if i in members]
     n = len(idx)
     if n == 1:
         return ("A", 1)
@@ -630,13 +606,5 @@ def cartan_type_of(datum: RootDatum) -> CartanType:
 
     Rank-2 double-bond components normalize to C2 and rank-3 D to A3.
     """
-    comps = [
-        _component_type(datum, comp) for comp in datum.components()
-    ]
-    normalized = []
-    for fam, n in comps:
-        if fam == "D" and n == 3:
-            fam = "A"
-        normalized.append((fam, n))
-    normalized.sort()
-    return CartanType(tuple(normalized))
+    comps = [_component_type(datum, comp) for comp in datum.components()]
+    return CartanType(tuple(sorted(("A", 3) if t == ("D", 3) else t for t in comps)))

@@ -324,6 +324,25 @@ def test_presets_listing(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize(
+    "ini,section,key",
+    [
+        ("[datum]\ntype = torus\nrnak = 40\n", "datum", "rnak"),
+        ("[datum]\ntype = A2\n\n[action]\nbasis_permutaton = 1,0\n", "action", "basis_permutaton"),
+        ("[datum]\npreset = A2-sc-flip\n\n[base]\nprime = 3\n", "base", "prime"),
+        ("[datum]\npreset = A2-sc-flip\n\n[run]\nanalysis = count\n", "run", "analysis"),
+        ("[datum]\ntype = E7\n\n[run]\nlimit_weyl = 1000\n", "run", "limit_weyl"),
+    ],
+    ids=["datum", "action", "base", "run", "run-limit"],
+)
+def test_unknown_key_exit_2(tmp_path, capsys, ini, section, key):
+    # a misspelled key used to be ignored: the trivial action, fold for
+    # count, a rank-1 torus
+    cfg = write(tmp_path, ini)
+    assert cli.main(["run", cfg]) == 2
+    assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+
+
 def test_unknown_analysis(tmp_path):
     cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n\n[run]\nanalyses = dance\n")
     assert cli.main(["run", cfg]) == 2

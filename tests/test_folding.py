@@ -5,8 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldlab import criteria, folding
 from foldlab.action import trivial_action
-from foldlab.errors import DomainError, ResourceLimitError
+from foldlab.errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from foldlab.folding import (
     VARIANTS,
     _direction,
@@ -80,6 +81,17 @@ def test_a2_flip_single_type_two_class():
     assert datum.simple_coordinates(cls.special[0]) == (1, 1)
     assert sorted(len(o) for o in cls.orbits) == [1, 2]
     assert cls.representative == min(cls.nonspecial)
+
+
+def test_type_two_check_reads_the_active_components(monkeypatch):
+    # the cross-check and the criteria share one even-rank A test
+    datum, act = type_a_flip(4)
+    monkeypatch.setattr("foldlab.folding.active_even_a_components", lambda d, a: ())
+    with pytest.raises(InternalInconsistencyError, match="not an even-rank A moved by"):
+        equivalence_classes(datum, act)
+    monkeypatch.undo()
+    assert equivalence_classes(datum, act)
+    assert criteria.active_even_a_components is folding.active_even_a_components
 
 
 def test_a3_flip_classes_exact():

@@ -16,7 +16,6 @@ from foldlab.intlat import (
     coinvariants,
     cokernel,
     hom_to_units_count,
-    integer_kernel,
     is_prime,
     prime_power,
     smith_normal_form,
@@ -176,7 +175,7 @@ def test_finabgroup_validation_and_helpers():
     with pytest.raises(DomainError, match="^negative free rank$"):
         FinAbGroup(free_rank=-1, invariant_factors=(2,))
     g = FinAbGroup(1, (2, 6))
-    assert not g.is_trivial and not g.is_torsion_free and not g.is_finite
+    assert not g.is_trivial and not g.is_torsion_free
     assert g.torsion_order() == 12
     assert not g.is_p_group(2)
     assert FinAbGroup(0, (2, 4)).is_p_group(2)
@@ -283,15 +282,6 @@ def test_coinvariant_lattice_torsion():
     assert tor == (1,)
     tor, free = lat.full_image((2,))
     assert tor == (0,)
-
-
-def test_integer_kernel():
-    ker = integer_kernel(IntMatrix([[1, 1]]))
-    assert len(ker) == 1
-    (v,) = ker
-    assert v[0] + v[1] == 0
-    assert math.gcd(*v) == 1
-    assert integer_kernel(IntMatrix([[1, 0], [0, 1]])) == []
 
 
 def test_prime_power():
