@@ -4,17 +4,17 @@
 file (or a named preset), runs the requested analyses, prints a
 deterministic text report, and optionally writes the same data as JSON.
 
-Exit codes: 0 success, 2 unreadable or inconsistent configuration,
-3 invalid action, 4 resource limit exceeded, 5 a brute-force count
-disagreed with its prediction.
+Exit codes: 0 success, 2 a malformed command line or an unreadable or
+inconsistent configuration, 3 invalid action, 4 resource limit exceeded,
+5 a brute-force count disagreed with its prediction.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import json
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError, InvalidActionError, ResourceLimitError
 from .intlat import IntMatrix
@@ -62,6 +62,12 @@ def _load_config(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
+    if parser.defaults():
+        # configparser would copy these keys into every section
+        raise ConfigError(
+            f"unknown section [DEFAULT] (with {', '.join(parser.defaults())});"
+            f" put each key in its own section"
+        )
     for section in parser.sections():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown section [{section}]")
@@ -390,35 +396,105 @@ def presets_command(_args) -> int:
     return 0
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="foldlab",
-        description="fold root data under pinned actions and verify the results",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+# run's options: flag -> (attribute, metavar, help); a metavar N takes an integer
+RUN_OPTIONS = {
+    "--analysis": ("analysis", "NAME", "analysis to run (repeatable); overrides [run] analyses"),
+    "--q": ("q", "N", "field size for count"),
+    "--p": ("p", "N", "characteristic for criteria fibers and tangent"),
+    "--json": ("json", "PATH", "also write the report as JSON to this path"),
+    "--limit-weyl": ("limit_weyl", "N", f"largest W^A fold closes; default {WEYL_LIMIT_DEFAULT}"),
+    "--limit-enum": ("limit_enum", "N", f"largest count or check; default {GROUP_ORDER_LIMIT}"),
+}
 
-    runp = sub.add_parser("run", help="run analyses described by an INI config")
-    runp.add_argument("config", help="path to the INI configuration")
-    runp.add_argument(
-        "--analysis",
-        action="append",
-        help="analysis to run (repeatable); overrides [run] analyses",
-    )
-    runp.add_argument("--q", type=int, help="field size for counting analyses")
-    runp.add_argument("--p", type=int, help="characteristic for fiber analyses")
-    runp.add_argument("--json", help="also write results as JSON to this path")
-    runp.add_argument("--limit-weyl", type=int, dest="limit_weyl")
-    runp.add_argument("--limit-enum", type=int, dest="limit_enum")
-    runp.set_defaults(func=run_command)
+USAGE = """\
+usage: foldlab run CONFIG [--analysis NAME]... [--q N] [--p N] [--json PATH]
+                          [--limit-weyl N] [--limit-enum N]
+       foldlab presets
+       foldlab -h | --help
+"""
 
-    listp = sub.add_parser("presets", help="list the named example configurations")
-    listp.set_defaults(func=presets_command)
-    return ap
+HELP = (
+    USAGE
+    + """
+fold root data under pinned actions and verify the results
+
+commands:
+  run CONFIG            run the analyses an INI config describes
+  presets               list the named example configurations
+
+options of run, spelled in full, as --flag VALUE or --flag=VALUE:
+"""
+    + "".join(
+        f"  {f'{flag} {metavar}':<22}{text}\n" for flag, (_, metavar, text) in RUN_OPTIONS.items()
+    )
+)
+
+
+class UsageError(Exception):
+    """A command line that names no job."""
+
+
+def _is_option(token: str) -> bool:
+    # a negative number is a value, as it was for argparse
+    return token.startswith("-") and token != "-" and not token[1:].isdigit()
+
+
+def _parse_command_line(argv):
+    """Return the command argv names and the settings of run, or
+    (None, None) when argv asks for help; raise UsageError otherwise."""
+    args = SimpleNamespace(config=None, **{attr: None for attr, _, _ in RUN_OPTIONS.values()})
+    command = None
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token in ("-h", "--help"):
+            return None, None
+        flag, eq, value = token.partition("=")
+        if command is None:
+            if token not in ("run", "presets"):
+                raise UsageError(f"unknown command {token!r}; choose run or presets")
+            command = token
+        elif command == "run" and flag in RUN_OPTIONS:
+            if not eq:
+                if i == len(argv) or _is_option(argv[i]):
+                    raise UsageError(f"{flag} needs a value")
+                value = argv[i]
+                i += 1
+            attr, metavar, _ = RUN_OPTIONS[flag]
+            if metavar == "N":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"{flag} needs an integer, not {value!r}") from None
+            if flag == "--analysis":
+                value = (args.analysis or []) + [value]
+            setattr(args, attr, value)
+        elif _is_option(token):
+            raise UsageError(f"unknown option {flag!r} for {command}")
+        elif command == "presets":
+            raise UsageError(f"presets takes no arguments, not {token!r}")
+        elif args.config is None:
+            args.config = token
+        else:
+            raise UsageError(f"run takes one CONFIG, not also {token!r}")
+    if command is None:
+        raise UsageError("no command given; choose run or presets")
+    if command == "run" and args.config is None:
+        raise UsageError("run needs a CONFIG")
+    return command, args
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        command, args = _parse_command_line(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{USAGE}foldlab: error: {exc}\n")
+        return 2
+    if command is None:
+        sys.stdout.write(HELP)
+        return 0
+    return run_command(args) if command == "run" else presets_command(args)
 
 
 if __name__ == "__main__":

@@ -178,17 +178,19 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # locate a nonzero pivot of least magnitude in the trailing block
-        pivot = None
-        best = None
+        # the first nonzero entry of least magnitude in the trailing block,
+        # in row-major order; nothing is less than 1, so a unit ends the scan
+        pi = None
+        best = 0
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best, pivot = x, (i, j)
-        if pivot is None:
+            least = min(map(abs, filter(None, a[i][t:])), default=0)
+            if least and (not best or least < best):
+                best, pi = least, i
+                if least == 1:
+                    break
+        if pi is None:
             break
-        pi, pj = pivot
+        pj = next(j for j in range(t, cols) if abs(a[pi][j]) == best)
         if pi != t:
             swap_rows(t, pi)
         if pj != t:
@@ -213,15 +215,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         done = False
             if not done:
                 continue
+            if abs(a[t][t]) == 1:
+                break  # a unit divides the remaining block
             # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            rest = a[t][t].__rmod__  # rest(x) == x % a[t][t]
+            offender = next(
+                (i for i in range(t + 1, rows) if any(map(rest, a[i][t + 1 :]))), None
+            )
             if offender is None:
                 break
             add_row(offender, t, 1)

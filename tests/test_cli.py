@@ -324,6 +324,72 @@ def test_presets_listing(capsys):
         assert name in out
 
 
+PARSED = dict(
+    config="job.ini", analysis=None, q=None, p=None, json=None, limit_weyl=None, limit_enum=None
+)
+
+
+@pytest.mark.parametrize(
+    "argv,code,expected",
+    [
+        # parsed: the settings run_command receives
+        (["run", "job.ini"], 0, {}),
+        (["run", "job.ini", "--analysis", "fold"], 0, {"analysis": ["fold"]}),
+        (["run", "job.ini", "--analysis=fold"], 0, {"analysis": ["fold"]}),
+        (["run", "--analysis", "fold", "job.ini", "--analysis=count"], 0,
+         {"analysis": ["fold", "count"]}),
+        (["run", "job.ini", "--q", "4"], 0, {"q": 4}),
+        (["run", "job.ini", "--q=4"], 0, {"q": 4}),
+        (["run", "job.ini", "--q", "-3"], 0, {"q": -3}),
+        (["run", "job.ini", "--p", "3"], 0, {"p": 3}),
+        (["run", "job.ini", "--p=3"], 0, {"p": 3}),
+        (["run", "job.ini", "--json", "out.json"], 0, {"json": "out.json"}),
+        (["run", "job.ini", "--json=out.json"], 0, {"json": "out.json"}),
+        (["run", "job.ini", "--limit-weyl", "10"], 0, {"limit_weyl": 10}),
+        (["run", "job.ini", "--limit-weyl=10"], 0, {"limit_weyl": 10}),
+        (["run", "job.ini", "--limit-enum", "36"], 0, {"limit_enum": 36}),
+        (["run", "job.ini", "--limit-enum=36"], 0, {"limit_enum": 36}),
+        (["run", "--q", "3", "--json=out.json", "job.ini"], 0, {"q": 3, "json": "out.json"}),
+        # help and presets: a substring of stdout
+        (["-h"], 0, "usage: foldlab run CONFIG"),
+        (["--help"], 0, "--limit-enum N"),
+        (["run", "job.ini", "--help"], 0, "spelled in full"),
+        (["presets"], 0, "A2-sc-flip: "),
+        # usage errors: a substring of stderr
+        ([], 2, "no command given"),
+        (["frob"], 2, "unknown command 'frob'"),
+        (["run", "job.ini", "--ana", "fold"], 2, "unknown option '--ana' for run"),
+        (["presets", "--q", "3"], 2, "unknown option '--q' for presets"),
+        (["run", "job.ini", "--q"], 2, "--q needs a value"),
+        (["run", "job.ini", "--json", "--q", "3"], 2, "--json needs a value"),
+        (["run", "job.ini", "--q", "two"], 2, "--q needs an integer, not 'two'"),
+        (["run", "job.ini", "--limit-enum=1e8"], 2, "--limit-enum needs an integer, not '1e8'"),
+        (["run"], 2, "run needs a CONFIG"),
+        (["run", "--q", "3"], 2, "run needs a CONFIG"),
+        (["run", "a.ini", "b.ini"], 2, "run takes one CONFIG, not also 'b.ini'"),
+        (["presets", "extra"], 2, "presets takes no arguments, not 'extra'"),
+    ],
+)
+def test_command_line(argv, code, expected, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_command", lambda args: seen.append(vars(args)) or 0)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if isinstance(expected, dict):
+        assert seen == [{**PARSED, **expected}]
+    elif code == 2:
+        assert not seen and not out
+        assert err.startswith("usage: foldlab ")
+        assert f"\nfoldlab: error: {expected}" in err
+    else:
+        assert not seen and expected in out
+
+
+def test_readme_shows_the_help():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"```text\n{cli.HELP}```" in readme
+
+
 @pytest.mark.parametrize(
     "ini,section,key",
     [
@@ -341,6 +407,22 @@ def test_unknown_key_exit_2(tmp_path, capsys, ini, section, key):
     cfg = write(tmp_path, ini)
     assert cli.main(["run", cfg]) == 2
     assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ini,key",
+    [
+        ("[DEFAULT]\nisogeny = adjoint\n\n[datum]\ntype = A2\n", "isogeny"),
+        ("[DEFAULT]\nq = 2\n\n[datum]\npreset = A2-sc-flip\n", "q"),
+    ],
+    ids=["isogeny", "q"],
+)
+def test_default_section_exit_2(tmp_path, capsys, ini, key):
+    # configparser copies [DEFAULT] into every section: the first built the
+    # adjoint datum (center trivial, not Z/3), the second blamed [datum] for q
+    cfg = write(tmp_path, ini)
+    assert cli.main(["run", cfg]) == 2
+    assert f"unknown section [DEFAULT] (with {key})" in capsys.readouterr().err
 
 
 def test_unknown_analysis(tmp_path):
@@ -486,5 +568,5 @@ def _modules_after(statement):
 
 def test_import_loads_every_layer_and_no_record_machinery():
     added = _modules_after("import foldlab.cli") - _modules_after("pass")
-    assert not added & {"dataclasses", "inspect", "fractions"}
+    assert not added & {"dataclasses", "inspect", "fractions", "argparse", "gettext"}
     assert {f"foldlab.{layer}" for layer in LAYERS} <= added

@@ -1,7 +1,9 @@
 """Exact integer lattice arithmetic: Smith form, coinvariants, duals."""
 
+import hashlib
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -123,6 +125,27 @@ def test_snf_u_keeps_its_inverse(monkeypatch, entries):
     monkeypatch.setattr("foldlab.intlat.smith_normal_form", _no_det)
     w = u.inverse_unimodular()
     assert u @ w == IntMatrix.identity(m.rows) == w @ u
+
+
+def test_snf_transforms_golden_digest():
+    # U, D, V and U^-1 depend on which pivot each step takes (the first of
+    # least magnitude, row by row); a faster pivot search must keep them
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append(
+            [[rng.randint(-6, 6) * rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
+        )
+    for n in range(1, 7):
+        cases.append([[-(i == j) for j in range(n)] for i in range(n)])
+        cases.append([[2 * (i == j) for j in range(n)] for i in range(n)])
+        cases.append([[(-1) ** i * (j == n - 1 - i) for j in range(n)] for i in range(n)])
+    h = hashlib.sha256()
+    for entries in cases:
+        u, d, v = smith_normal_form(IntMatrix(entries))
+        h.update(repr((u.entries, d.entries, v.entries, u.inverse_unimodular().entries)).encode())
+    assert h.hexdigest() == "46598d0044c04a764c4443a5596d8441370494ba56fd190b7db0cd6171fc48b4"
 
 
 @settings(max_examples=150, deadline=None)
