@@ -105,9 +105,6 @@ class PinnedAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def root_permutation(self, element: IntMatrix) -> tuple[int, ...]:
-        return self._perm_of[element]
-
     def element_permutations(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self._perm_of[m] for m in self.elements)
 

@@ -62,8 +62,15 @@ class CriteriaReport(Record):
     smooth_reason: str
     torsion: FinAbGroup
     has_active_even_a: bool
-    quasi_reductive_over_mixed_char_dvr: dict[int, bool]
-    torsion_free: bool
+    residual_primes: tuple[int, ...]  # the base's explicit primes; () for all primes
+
+    @property
+    def torsion_free(self) -> bool:
+        return self.torsion.is_torsion_free
+
+    @property
+    def quasi_reductive_over_mixed_char_dvr(self) -> dict[int, bool]:
+        return dict.fromkeys(self.residual_primes, self.torsion_free)
 
     def as_dict(self) -> dict:
         return {
@@ -85,11 +92,10 @@ class CriteriaReport(Record):
 
 def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaReport:
     group = coinvariants(datum.rank, act.generators)
-    tf = group.is_torsion_free
     order = group.torsion_order()
     active = bool(active_even_a_components(datum, act))
 
-    if tf:
+    if group.is_torsion_free:
         connected = True
         connected_reason = "character coinvariants are torsion-free"
     elif base.kind == "explicit" and len(base.primes) == 1 and group.is_p_group(base.primes[0]):
@@ -139,7 +145,6 @@ def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaRepor
             else ""
         )
 
-    qr = {p: tf for p in base.primes} if base.kind == "explicit" else {}
     return CriteriaReport(
         flat=True,
         flat_reason="fixed points of a pinned action on a reductive group scheme are always flat",
@@ -149,8 +154,7 @@ def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaRepor
         smooth_reason=smooth_reason,
         torsion=group,
         has_active_even_a=active,
-        quasi_reductive_over_mixed_char_dvr=qr,
-        torsion_free=tf,
+        residual_primes=base.primes,
     )
 
 

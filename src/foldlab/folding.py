@@ -200,10 +200,6 @@ class FoldedDatum(Record):
     def __init__(self, datum, variant, classes, lattice, doubled=None):
         super().__init__(datum, variant, classes, lattice, {} if doubled is None else doubled)
 
-    @property
-    def rank(self) -> int:
-        return self.datum.rank
-
 
 def _fold_pass(datum: RootDatum, act: PinnedAction):
     """The classes, the coinvariant lattice and each class's image in its
@@ -427,51 +423,3 @@ def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:
         return True
     phi = IntMatrix.from_columns(cols, lattice.free_rank)
     return phi.rank() == lattice.free_rank
-
-
-class ParabolicReport(Record):
-    """Folded base data attached to an action-stable subset of the base."""
-
-    base_classes: tuple[int, ...]  # class positions forming the folded base
-    gamma_classes: tuple[int, ...]  # subset corresponding to gamma
-    monoid_generators: tuple[tuple[str, tuple, tuple], ...]  # (label, torsion, free)
-
-
-def parabolic_correspondence(datum: RootDatum, act: PinnedAction, gamma) -> ParabolicReport:
-    """Map an action-stable subset of the base to its folded counterpart,
-    with the generator list of the associated submonoid of M_A."""
-    gamma = tuple(sorted(set(gamma)))
-    k = len(datum.basis_indices)
-    for p in gamma:
-        if not 0 <= p < k:
-            raise DomainError(f"base position {p} out of range")
-    base = datum.basis_indices
-    pos_of = {r: p for p, r in enumerate(base)}
-    gset = set(gamma)
-    for perm in act.generator_perms:
-        if {pos_of[perm[base[p]]] for p in gamma} != gset:
-            raise DomainError("subset of the base is not action-stable")
-
-    classes, lattice, _ = _fold_pass(datum, act)
-
-    base_set = set(base)
-    base_classes = tuple(
-        ci for ci, cls in enumerate(classes) if set(cls.members) & base_set
-    )
-    gamma_roots = {base[p] for p in gamma}
-    gamma_classes = tuple(
-        ci for ci in base_classes if set(classes[ci].members) & gamma_roots
-    )
-    gens = []
-    for p in range(k):
-        tors, free = lattice.full_image(datum.roots[base[p]])
-        gens.append((f"simple[{p}]", tors, free))
-    for p in gamma:
-        vec = tuple(-x for x in datum.roots[base[p]])
-        tors, free = lattice.full_image(vec)
-        gens.append((f"-simple[{p}]", tors, free))
-    return ParabolicReport(
-        base_classes=base_classes,
-        gamma_classes=gamma_classes,
-        monoid_generators=tuple(gens),
-    )

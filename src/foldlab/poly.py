@@ -61,8 +61,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -86,8 +84,6 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:
@@ -109,51 +105,3 @@ def poly_matrix_mul(a, b):
         [sum((a[i][t] * b[t][j] for t in range(k)), start=a[0][0] * 0) for j in range(m)]
         for i in range(n)
     ]
-
-
-def poly_det(mat) -> Poly:
-    """Determinant by expansion along the sparsest column."""
-    n = len(mat)
-    zero = mat[0][0] * 0
-    if n == 1:
-        return mat[0][0]
-
-    def go(rows, cols):
-        if len(cols) == 1:
-            return mat[rows[0]][cols[0]]
-        best = min(
-            range(len(cols)),
-            key=lambda cj: sum(1 for r in rows if not mat[r][cols[cj]].is_zero()),
-        )
-        col = cols[best]
-        rest_cols = cols[:best] + cols[best + 1:]
-        total = zero
-        for pos, r in enumerate(rows):
-            entry = mat[r][col]
-            if entry.is_zero():
-                continue
-            sub = go(rows[:pos] + rows[pos + 1:], rest_cols)
-            term = entry * sub
-            if (pos + best) % 2:
-                term = -term
-            total = total + term
-        return total
-
-    return go(tuple(range(n)), tuple(range(n)))
-
-
-def poly_adjugate(mat):
-    """Adjugate: adj[j][i] = (-1)^(i+j) * minor(i, j)."""
-    n = len(mat)
-    if n == 1:
-        return [[Poly.const(mat[0][0].nvars, 1)]]
-    all_idx = tuple(range(n))
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows = all_idx[:i] + all_idx[i + 1:]
-        for j in range(n):
-            cols = all_idx[:j] + all_idx[j + 1:]
-            minor = [[mat[r][c] for c in cols] for r in rows]
-            d = poly_det(minor)
-            out[j][i] = d if (i + j) % 2 == 0 else -d
-    return out

@@ -13,7 +13,7 @@ def test_trivial_action():
     datum = build_preset("A2", "sc")
     act = trivial_action(datum)
     assert act.order == 1
-    assert act.root_permutation(act.elements[0]) == tuple(range(datum.nroots))
+    assert act.element_permutations() == (tuple(range(datum.nroots)),)
 
 
 def test_flip_order_and_orbits():
@@ -124,9 +124,8 @@ def test_stabilizer_moves_component_triality():
 
 def test_dual_matrices_act_on_coroots():
     datum, act = type_a_flip(2)
-    for g in act.elements:
+    for g, perm in zip(act.elements, act.element_permutations()):
         dual = g.inverse_unimodular().transpose()
-        perm = act.root_permutation(g)
         for i in range(datum.nroots):
             assert dual.apply(datum.coroots[i]) == datum.coroots[perm[i]]
 

@@ -17,7 +17,6 @@ from foldlab.folding import (
     fixed_weyl,
     folded_root_datum,
     isogeny_injectivity_check,
-    parabolic_correspondence,
 )
 from foldlab.intlat import FinAbGroup
 from foldlab.presets import load_preset, preset_names, type_a_flip
@@ -404,55 +403,6 @@ def test_center_structure_foreign_action():
 def test_isogeny_injectivity_all_presets():
     for pre in CATALOG:
         assert isogeny_injectivity_check(pre.datum, pre.action)
-
-
-def test_parabolic_full_base():
-    datum, act = type_a_flip(4)
-    rep = parabolic_correspondence(datum, act, (0, 1, 2, 3))
-    assert rep.gamma_classes == rep.base_classes
-    assert len(rep.base_classes) == 2
-    labels = [g[0] for g in rep.monoid_generators]
-    assert labels == [
-        "simple[0]",
-        "simple[1]",
-        "simple[2]",
-        "simple[3]",
-        "-simple[0]",
-        "-simple[1]",
-        "-simple[2]",
-        "-simple[3]",
-    ]
-
-
-def test_parabolic_borel_case():
-    datum, act = type_a_flip(4)
-    rep = parabolic_correspondence(datum, act, ())
-    assert rep.gamma_classes == ()
-    assert [g[0] for g in rep.monoid_generators] == [
-        "simple[0]",
-        "simple[1]",
-        "simple[2]",
-        "simple[3]",
-    ]
-
-
-def test_parabolic_orbit_pair():
-    datum, act = type_a_flip(4)
-    rep = parabolic_correspondence(datum, act, (0, 3))
-    assert len(rep.gamma_classes) == 1
-    # negated generators pair off with the positive ones in the quotient
-    by_label = {g[0]: g for g in rep.monoid_generators}
-    _, tors, free = by_label["-simple[0]"]
-    _, tors0, free0 = by_label["simple[0]"]
-    assert free == tuple(-x for x in free0)
-
-
-def test_parabolic_unstable_subset():
-    datum, act = type_a_flip(4)
-    with pytest.raises(DomainError):
-        parabolic_correspondence(datum, act, (0,))
-    with pytest.raises(DomainError):
-        parabolic_correspondence(datum, act, (7,))
 
 
 def test_orbit_sums_fixed_by_action():
