@@ -11,8 +11,6 @@ inconsistent configuration, 3 invalid action, 4 resource limit exceeded,
 
 from __future__ import annotations
 
-import configparser
-import json
 import sys
 from types import SimpleNamespace
 
@@ -53,35 +51,131 @@ def _parse_int(section, key, raw):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
 
 
-def _load_config(path: str):
-    parser = configparser.ConfigParser()
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    """The sections of an INI text as {section: {key: value}}.
+
+    A ``[section]`` line opens a section, named by the text between the
+    brackets. A ``key = value`` or ``key: value`` line is split at its first
+    delimiter and its key lower-cased. A line indented deeper than its key
+    line continues that key's value. Blank lines and lines whose first
+    character is ``#`` or ``;`` are skipped. Values are kept as written:
+    no interpolation and no inline comments.
+    """
+    sections = {}
+    section = None
+    value = None  # the lines of the last key's value, None after a header
+    indent = 0  # of the last header or key line
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            if not stripped and value is not None:
+                value.append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if value is not None and depth > indent:
+            value.append(stripped)
+            continue
+        indent = depth
+        if stripped[0] == "[" and "]" in stripped[2:]:
+            name = stripped[1 : stripped.rindex("]")]
+            if name in sections:
+                raise ConfigError(f"line {lineno}: duplicate section [{name}]")
+            section = sections[name] = {}
+            value = None
+            continue
+        if section is None:
+            raise ConfigError(f"line {lineno}: {stripped!r} comes before any [section]")
+        # the first delimiter; with none, cut = 0 leaves no key
+        cut = min((i for i in (stripped.find("="), stripped.find(":")) if i >= 0), default=0)
+        key = stripped[:cut].rstrip().lower()
+        if not key:
+            raise ConfigError(f"line {lineno}: {stripped!r} is not a key = value line")
+        if key in section:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{name}]")
+        value = section[key] = [stripped[cut + 1 :].lstrip()]
+    return {
+        name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
+        for name, keys in sections.items()
+    }
+
+
+def _load_config(path: str) -> dict[str, dict[str, str]]:
     try:
-        with open(path) as handle:
-            parser.read_file(handle)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except configparser.Error as exc:
+    try:
+        config = _read_ini(text)
+    except ConfigError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
-    if parser.defaults():
-        # configparser would copy these keys into every section
-        raise ConfigError(
-            f"unknown section [DEFAULT] (with {', '.join(parser.defaults())});"
-            f" put each key in its own section"
-        )
-    for section in parser.sections():
+    for section, keys in config.items():
         if section not in CONFIG_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+            listed = f" (with {', '.join(keys)})" if keys else ""
+            raise ConfigError(
+                f"unknown section [{section}]{listed};"
+                f" expected one of {', '.join(f'[{s}]' for s in CONFIG_KEYS)}"
+            )
+        for key in keys:
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}];"
                     f" expected one of {', '.join(CONFIG_KEYS[section])}"
                 )
-    return parser
+    return config
+
+
+def _read_int_lists(text: str):
+    """Decode JSON made only of integers and lists: ``[``, ``]``, ``,``,
+    integers ``-?(0|[1-9][0-9]*)`` and the JSON whitespace characters.
+    Floats, ``true``, strings and the rest of JSON raise ValueError, which
+    names the character where reading stopped."""
+    top = []  # holds the value once it is read
+    stack = [top]  # top, then the lists still open, innermost last
+    state = "value"  # value: an item must come; open: an item or "]"; next: "," or "]"
+    i, n = 0, len(text)
+    while True:
+        while i < n and text[i] in " \t\n\r":
+            i += 1
+        if top and len(stack) == 1:
+            if i < n:
+                raise ValueError(f"extra data at char {i}")
+            return top[0]
+        c = text[i] if i < n else ""
+        if state != "next" and c == "[":
+            stack.append([])
+            stack[-2].append(stack[-1])
+            state = "open"
+            i += 1
+        elif state != "value" and c == "]":
+            stack.pop()
+            state = "next"
+            i += 1
+        elif state == "next" and c == ",":
+            state = "value"
+            i += 1
+        elif state != "next" and c and c in "-0123456789":
+            end = i + 1
+            while end < n and text[end] in "0123456789":
+                end += 1
+            digits = text[i:end].removeprefix("-")
+            if not digits or (digits[0] == "0" and len(digits) > 1):
+                raise ValueError(f"{text[i:end]!r} at char {i} is not a JSON integer")
+            stack[-1].append(int(text[i:end]))
+            state = "next"
+            i = end
+        else:
+            expected = {
+                "value": "an integer or '['",
+                "open": "an integer, '[' or ']'",
+                "next": "',' or ']'",
+            }[state]
+            found = repr(c) if c else "the end"
+            raise ValueError(f"expected {expected} at char {i}, found {found}")
 
 
 def _is_int_matrix(obj) -> bool:
-    """Whether decoded JSON is a list of lists of integers (not booleans)."""
+    """Whether decoded integer lists are a list of lists of integers."""
     return isinstance(obj, list) and all(
         isinstance(row, list) and all(type(x) is int for x in row) for row in obj
     )
@@ -100,13 +194,13 @@ def _check_datum_size(rank: int, nroots: int | None, limit: int):
         )
 
 
-def _build_datum_and_action(parser, enum_limit):
-    datum_cfg = parser["datum"] if parser.has_section("datum") else {}
-    action_cfg = parser["action"] if parser.has_section("action") else {}
+def _build_datum_and_action(config, enum_limit):
+    datum_cfg = config.get("datum", {})
+    action_cfg = config.get("action", {})
 
     preset_name = datum_cfg.get("preset")
     if preset_name is not None:
-        if parser.has_section("action") and list(parser["action"].keys()):
+        if action_cfg:
             raise ConfigError("a preset already defines the action; drop [action]")
         extra = [k for k in datum_cfg if k != "preset"]
         if extra:
@@ -155,8 +249,8 @@ def _build_datum_and_action(parser, enum_limit):
             generators.append(permutation_matrix(dict(enumerate(images)), datum.rank))
     elif mats_raw is not None:
         try:
-            data = json.loads(mats_raw)
-        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+            data = _read_int_lists(mats_raw)
+        except ValueError as exc:  # not integer lists, or an integer past Python's digit limit
             raise ConfigError(f"matrices is not valid JSON: {exc}") from None
         if data and _is_int_matrix(data):
             data = [data]  # a single matrix was given bare
@@ -176,10 +270,8 @@ def _build_datum_and_action(parser, enum_limit):
     return datum, action, None
 
 
-def _build_base(parser) -> BaseSpec:
-    if not parser.has_section("base"):
-        return BaseSpec.all_primes()
-    raw = parser["base"].get("primes", "all").strip()
+def _build_base(config) -> BaseSpec:
+    raw = config.get("base", {}).get("primes", "all").strip()
     if raw.lower() == "all":
         return BaseSpec.all_primes()
     if not raw:
@@ -194,8 +286,8 @@ def _build_base(parser) -> BaseSpec:
         raise ConfigError(str(exc)) from None
 
 
-def _run_settings(parser, args):
-    run_cfg = parser["run"] if parser.has_section("run") else {}
+def _run_settings(config, args):
+    run_cfg = config.get("run", {})
     if args.analysis:
         analyses = list(args.analysis)
     else:
@@ -321,21 +413,81 @@ def _analysis_tangent(datum, act, p):
     return {"n": n, "p": p, "dim": tangent_dim(n, p)}
 
 
+_JSON_ESCAPES = {
+    '"': '\\"',
+    "\\": "\\\\",
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+    "\b": "\\b",
+    "\f": "\\f",
+}
+
+
+def _json_str(s: str) -> str:
+    """A JSON string literal with only printable ASCII, as json.dumps writes it."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    out = []
+    for ch in s:
+        code = ord(ch)
+        if ch in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code > 0xFFFF:  # a UTF-16 surrogate pair
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+        else:
+            out.append(f"\\u{code:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json(obj, pretty: bool = False, depth: int = 0) -> str:
+    """``json.dumps(obj)``, or with pretty ``json.dumps(obj, indent=2,
+    sort_keys=True)``, for dicts with str keys, lists, str, int, bool and None."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, dict):
+        keys = sorted(obj) if pretty else obj
+        items = [f"{_json_str(k)}: {_json(obj[k], pretty, depth + 1)}" for k in keys]
+        opening, closing = "{", "}"
+    elif isinstance(obj, list):
+        items = [_json(x, pretty, depth + 1) for x in obj]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"{type(obj).__name__} is not written as JSON")
+    if not items:
+        return opening + closing
+    if not pretty:
+        return opening + ", ".join(items) + closing
+    pad = "\n" + "  " * (depth + 1)
+    return f"{opening}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{closing}"
+
+
 def _flatten(prefix, obj, lines):
     if isinstance(obj, dict):
         for key in obj:
             _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], lines)
     else:
-        lines.append(f"{prefix} = {json.dumps(obj)}")
+        lines.append(f"{prefix} = {_json(obj)}")
     return lines
 
 
 def run_command(args) -> int:
     try:
-        parser = _load_config(args.config)
-        analyses, q, p, weyl_limit, enum_limit = _run_settings(parser, args)
-        datum, act, preset_name = _build_datum_and_action(parser, enum_limit)
-        base = _build_base(parser)
+        config = _load_config(args.config)
+        analyses, q, p, weyl_limit, enum_limit = _run_settings(config, args)
+        datum, act, preset_name = _build_datum_and_action(config, enum_limit)
+        base = _build_base(config)
         results = {
             "input": {
                 "preset": preset_name,
@@ -376,7 +528,7 @@ def run_command(args) -> int:
     sys.stdout.write(text)
 
     if args.json:
-        payload = json.dumps(results, indent=2, sort_keys=True) + "\n"
+        payload = _json(results, pretty=True) + "\n"
         try:
             with open(args.json, "w") as handle:
                 handle.write(payload)

@@ -14,7 +14,7 @@ import itertools
 import math
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .intlat import hom_to_units_count, prime_power
+from .intlat import hom_to_units_count, is_prime, prime_power
 from .poly import Poly, poly_matrix_mul
 from .rootdata import cartan_type_of
 from .folding import folded_root_data
@@ -423,7 +423,8 @@ class UnipotentFixedPresentation(FrozenRecord):
     def is_smooth_mod(self, p: int) -> bool:
         """The relation eliminates y exactly when its y-coefficient is a
         unit; otherwise the fiber has a singular (in fact nonreduced) origin."""
-        prime_power(p)
+        if not is_prime(p):
+            raise DomainError(f"characteristic must be a prime, got {p}")
         return self._y_coefficient() % p != 0
 
 

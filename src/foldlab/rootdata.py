@@ -10,7 +10,6 @@ product of their coordinate tuples.
 from __future__ import annotations
 
 import math
-import re
 from operator import itemgetter, mul
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
@@ -46,14 +45,16 @@ class CartanType(FrozenRecord):
     def parse(cls, text: str) -> "CartanType":
         parts = []
         for chunk in text.split("+"):
-            m = re.fullmatch(r"\s*([A-G])\s*(\d+)\s*", chunk)
-            if not m:
+            chunk = chunk.strip()
+            fam, digits = chunk[:1], chunk[1:].lstrip()
+            # isdecimal accepts the Unicode decimal digits, each of which int() reads
+            if fam not in cls._RANK_RULES or not digits.isdecimal():
                 raise DomainError(f"cannot parse Cartan type {text!r}")
             try:
-                parts.append((m.group(1), int(m.group(2))))
+                parts.append((fam, int(digits)))
             except ValueError:  # past Python's limit on the digits of an int
                 raise DomainError(
-                    f"rank of {m.group(1)} in a Cartan type has {len(m.group(2))} digits"
+                    f"rank of {fam} in a Cartan type has {len(digits)} digits"
                 ) from None
         return cls(tuple(parts))
 

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import foldlab
 import foldlab.cli as cli
@@ -425,6 +426,140 @@ def test_default_section_exit_2(tmp_path, capsys, ini, key):
     assert f"unknown section [DEFAULT] (with {key})" in capsys.readouterr().err
 
 
+def test_percent_in_a_value_is_kept(tmp_path, capsys):
+    # no interpolation: "%" used to raise outside the error handling (exit 1),
+    # and "%(isogeny)s" used to be replaced by the value of isogeny
+    cfg = write(tmp_path, "[datum]\npreset = A2%x\n")
+    assert cli.main(["run", cfg]) == 2
+    assert "configuration error: unknown preset 'A2%x'" in capsys.readouterr().err
+    cfg = write(tmp_path, "[datum]\ntype = torus\nrank = %(isogeny)s\nisogeny = 2\n")
+    assert cli.main(["run", cfg]) == 2
+    assert "[datum] rank = '%(isogeny)s' is not an integer" in capsys.readouterr().err
+
+
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "job.ini"
+    path.write_bytes("[datum]\npreset = A2-sc-flip\n# café\n".encode("latin-1"))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read {path}: 'utf-8' codec can't decode" in err
+
+
+def test_ini_reader_grammar():
+    text = (
+        "; a comment\n"
+        "  [datum]\n"
+        "Type : torus\n"
+        "rank = 2 = two ; kept\n"
+        "[action]\n"
+        "matrices = [[[0, 1],\n"
+        "    # a comment line inside a value\n"
+        "\n"
+        "    [1, 0]]]\n"
+        "# a blank line above belongs to the value\n"
+        "[ base ]\n"
+        "  primes =\n"
+        "\n"
+        "[run]\n"
+        "analyses=fold %(q)s\n"
+        "q = 2\n"
+    )
+    assert cli._read_ini(text) == {
+        "datum": {"type": "torus", "rank": "2 = two ; kept"},
+        "action": {"matrices": "[[[0, 1],\n\n[1, 0]]]"},
+        " base ": {"primes": ""},
+        "run": {"analyses": "fold %(q)s", "q": "2"},
+    }
+
+
+@pytest.mark.parametrize(
+    "ini,message",
+    [
+        ("[datum]\npreset = A2-sc-flip\n[datum]\n", "line 3: duplicate section [datum]"),
+        (
+            "[datum]\npreset = A2-sc-flip\n\nPreset: A2-sc-flip\n",
+            "line 4: duplicate key 'preset' in [datum]",
+        ),
+        ("# a job\npreset = A2-sc-flip\n", "line 2: 'preset = A2-sc-flip' comes before any [section]"),
+        ("[datum]\n\npreset A2-sc-flip\n", "line 3: 'preset A2-sc-flip' is not a key = value line"),
+        ("[datum]\n= A2\n", "line 2: '= A2' is not a key = value line"),
+    ],
+    ids=["section", "key", "no-section", "no-delimiter", "no-key"],
+)
+def test_ini_syntax_error_names_the_line(tmp_path, capsys, ini, message):
+    cfg = write(tmp_path, ini)
+    assert cli.main(["run", cfg]) == 2
+    assert f"configuration error: cannot parse {cfg}: {message}\n" in capsys.readouterr().err
+
+
+def test_readme_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert readme.count("```ini\n") == 1
+    block = readme.split("```ini\n")[1].split("```")[0]
+    assert cli.main(["run", write(tmp_path, block)]) == 0
+    assert not capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(st.characters(exclude_categories=())),  # surrogates included
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(exclude_categories=())), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj)
+    assert cli._json(obj, pretty=True) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@st.composite
+def _int_lists_with_space(draw):
+    def space():
+        return draw(st.text(" \t\n\r", max_size=3))
+
+    def written(obj):
+        if isinstance(obj, int):
+            return space() + str(obj) + space()
+        return space() + "[" + (",".join(map(written, obj)) or space()) + "]" + space()
+
+    return written(draw(st.recursive(st.integers(), lambda inner: st.lists(inner, max_size=4))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_int_lists_with_space())
+def test_matrix_reader_matches_json_loads(text):
+    assert repr(cli._read_int_lists(text)) == repr(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[1.5]]", "[[1e3]]", "[[1.0]]", "[[true]]", "[[false]]", "[[null]]", '[["1"]]',
+        "[[01]]", "[[-01]]", "[[+1]]", "[[-]]", "[[1],]", "[[1,]]", "[,]", "[[1]", "[[1],",
+        "[[1]]]", "[[1]] [[1]]", "[[1 2]]", "[[1 ]]", "[[١]]", "", " ", "[", "{}",
+        "NaN", "Infinity",
+    ],
+)
+def test_matrix_reader_refuses(text):
+    with pytest.raises(ValueError):
+        cli._read_int_lists(text)
+
+
+def test_matrix_float_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path, "[datum]\ntype = torus\nrank = 1\n\n[action]\nmatrices = [[-1.0]]\n")
+    assert cli.main(["run", cfg]) == 2
+    assert (
+        "configuration error: matrices is not valid JSON: expected ',' or ']' at char 4,"
+        " found '.'\n" in capsys.readouterr().err
+    )
+
+
 def test_unknown_analysis(tmp_path):
     cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n\n[run]\nanalyses = dance\n")
     assert cli.main(["run", cfg]) == 2
@@ -559,8 +694,9 @@ LAYERS = (
 def _modules_after(statement):
     code = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": SRC}
+    # -S: site would import re itself, through .pth files, and hide it
     run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
     return set(run.stdout.split())
@@ -568,5 +704,6 @@ def _modules_after(statement):
 
 def test_import_loads_every_layer_and_no_record_machinery():
     added = _modules_after("import foldlab.cli") - _modules_after("pass")
-    assert not added & {"dataclasses", "inspect", "fractions", "argparse", "gettext"}
+    forbidden = {"dataclasses", "inspect", "fractions", "argparse", "gettext"}
+    assert not added & (forbidden | {"configparser", "json", "re"})
     assert {f"foldlab.{layer}" for layer in LAYERS} <= added

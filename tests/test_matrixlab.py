@@ -493,6 +493,13 @@ def test_u3_smoothness_flags():
         assert pres.is_smooth_mod(p)
 
 
+@pytest.mark.parametrize("p", [4, 8, 9, 1, 0, -3])
+def test_u3_smoothness_refuses_non_primes(p):
+    # a prime power is a field size, not a characteristic
+    with pytest.raises(DomainError, match=f"characteristic must be a prime, got {p}"):
+        u3_fixed_presentation().is_smooth_mod(p)
+
+
 def test_u_fixed_factors():
     datum, act = type_a_flip(4)
     kinds = [f.kind for f in u_fixed_factors(datum, act)]

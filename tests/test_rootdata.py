@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,32 @@ def test_cartan_type_parse():
     for bad in ("D2", "E9", "H3", "A0", "B1", "F5", ""):
         with pytest.raises(DomainError):
             CartanType.parse(bad)
+
+
+_PARSE_PIECES = (
+    ["A", "B", "D", "E", "G", "a", "H", "2", "4", "6", "10", "0", "\u0663", "\u00b2"]
+    + ["+", " ", "\t", "\u3000", "-", "x"]
+)
+
+
+# the regular expression CartanType.parse used to match each summand
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PARSE_PIECES), max_size=8).map("".join))
+def test_cartan_type_parse_matches_the_old_pattern(text):
+    chunks = [re.fullmatch(r"\s*([A-G])\s*(\d+)\s*", c) for c in text.split("+")]
+    try:
+        expected = tuple((m.group(1), int(m.group(2))) for m in chunks)
+    except AttributeError:  # a summand the pattern refuses
+        expected = None
+    try:
+        got = CartanType.parse(text).components
+    except DomainError:
+        got = None
+    if got is not None or expected is None:
+        assert got == expected
+    else:  # the pattern matched, but the type does not exist (A0, E4, ...)
+        with pytest.raises(DomainError, match="no simple type"):
+            CartanType(expected)
 
 
 def test_cartan_matrices_frozen():
