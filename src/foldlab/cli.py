@@ -55,7 +55,8 @@ def _read_ini(text: str) -> dict[str, dict[str, str]]:
     """The sections of an INI text as {section: {key: value}}.
 
     A ``[section]`` line opens a section, named by the text between the
-    brackets. A ``key = value`` or ``key: value`` line is split at its first
+    ``[`` and the first ``]``; only a ``#`` or ``;`` comment may follow the
+    ``]``. A ``key = value`` or ``key: value`` line is split at its first
     delimiter and its key lower-cased. A line indented deeper than its key
     line continues that key's value. Blank lines and lines whose first
     character is ``#`` or ``;`` are skipped. Values are kept as written:
@@ -77,7 +78,10 @@ def _read_ini(text: str) -> dict[str, dict[str, str]]:
             continue
         indent = depth
         if stripped[0] == "[" and "]" in stripped[2:]:
-            name = stripped[1 : stripped.rindex("]")]
+            close = stripped.index("]", 2)
+            name, rest = stripped[1:close], stripped[close + 1 :].lstrip()
+            if rest and rest[0] not in "#;":
+                raise ConfigError(f"line {lineno}: {rest!r} follows the header [{name}]")
             if name in sections:
                 raise ConfigError(f"line {lineno}: duplicate section [{name}]")
             section = sections[name] = {}

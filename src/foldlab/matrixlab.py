@@ -151,55 +151,8 @@ class GF:
                     prod[top - e + k] = (prod[top - e + k] - c * mcoef) % p
         return _undigits(prod[:e], p)
 
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise DomainError("zero has no inverse")
-        return self._inv[a]
-
     def from_int(self, n: int) -> int:
         return n % self.p
-
-
-# -- matrices over a field ----------------------------------------------
-
-
-def _dot(F: GF, u, v):
-    acc = F.zero
-    for x, y in zip(u, v):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
-
-
-def mat_det(F: GF, a) -> int:
-    m = len(a)
-    rows = [list(r) for r in a]
-    det = 1
-    for col in range(m):
-        piv = next((r for r in range(col, m) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = F.neg(det)
-        det = F.mul(det, rows[col][col])
-        inv = F.inv(rows[col][col])
-        for r in range(col + 1, m):
-            f = F.mul(rows[r][col], inv)
-            if f:
-                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[col])]
-    return det
 
 
 # -- the involuted special linear group ----------------------------------
@@ -229,16 +182,51 @@ def sl_order(m: int, q: int) -> int:
     return order
 
 
+def _reduce_column(F: GF, pivots: list, rows_used: int, det: int, c):
+    """One column of a determinant carried column by column.
+
+    ``pivots`` holds a (pivot row, reduced column, -1 / pivot) entry for
+    each column before c; each reduced column is zero in the pivot rows of
+    the columns before it.  ``rows_used`` has the pivot rows as bits, and
+    ``det`` is the product of the pivots times the sign of the permutation
+    their rows form.  Reduce c against the entries and return ``det`` with
+    c added and c's entry, or None when c reduces to zero, i.e. depends on
+    the columns before it.
+    """
+    add, mul = F._add, F._mul
+    u = c
+    for r, e, scale in pivots:
+        f = u[r]
+        if f:
+            times = mul[mul[f][scale]]
+            u = [add[x][times[y]] for x, y in zip(u, e)]
+    for r, pivot in enumerate(u):
+        if pivot:
+            break
+    else:
+        return None
+    det = mul[det][pivot]
+    if (rows_used >> r).bit_count() % 2:  # earlier pivot rows past r are inversions
+        det = F._neg[det]
+    return det, (r, u, F._neg[F._inv[pivot]])
+
+
 def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
     """Number of matrices in SL_{2n+1}(F_q) fixed by the involution.
 
     A fixed matrix g satisfies g^T J g = J, so its columns c_0..c_{m-1}
-    satisfy c_k . (J c_d) = J[k][d].  The search keeps one candidate list
-    per depth, starting from the vectors v with v . (J v) = J[d][d]; once
-    column c is chosen at depth k, every later list keeps only the vectors
-    v with v . (J c) = J[k][d], and the filtered lists are passed down.
-    Each full choice of columns is kept when its determinant is one.  The
-    ambient group order is capped to keep the search finite in practice.
+    satisfy c_k . (J c_d) = J[k][d].  Each vector's norm v . (J v) is
+    computed once, and the search keeps one candidate list per depth,
+    starting from the vectors whose norm is J[d][d]; once column c is
+    chosen at depth k, every later list keeps only the vectors v with
+    v . (J c) = J[k][d], and a choice that empties a later list is dropped.
+    Each chosen column is reduced against the columns above it by
+    ``_reduce_column``; one that reduces to zero depends on them and is
+    dropped, since no matrix below it is invertible.  A full choice of
+    columns is kept when its determinant, the product of its pivots times
+    the sign of the permutation its pivot rows form, is one.  The field
+    arithmetic reads the tables of ``GF``.  The ambient group order is
+    capped to keep the search finite in practice.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -249,32 +237,48 @@ def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
             f"{order_limit} (raise --limit-enum)"
         )
     F = GF(q)
-    jf = form_over(F, involution_form(n))
-    vectors = list(itertools.product(range(q), repeat=m))
-    jv = {v: tuple(_dot(F, row, v) for row in jf) for v in vectors}
-    count = 0
-    cols: list = []
+    add, mul = F._add, F._mul
 
-    def descend(depth: int, lists: list):
+    def dot(u, v):
+        acc = 0
+        for x, y in zip(u, v):
+            acc = add[acc][mul[x][y]]
+        return acc
+
+    jf = form_over(F, involution_form(n))
+    jv = {}
+    by_norm: dict = {}
+    for v in itertools.product(range(q), repeat=m):
+        jv[v] = tuple(dot(row, v) for row in jf)
+        by_norm.setdefault(dot(v, jv[v]), []).append(v)
+    count = 0
+    pivots: list = []
+
+    def descend(depth: int, lists: list, det: int, rows_used: int):
         # lists[i] holds the candidates left for depth + i
         nonlocal count
-        if depth == m:
-            if mat_det(F, tuple(zip(*cols))) == 1:
-                count += 1
-            return
         for c in lists[0]:
+            step = _reduce_column(F, pivots, rows_used, det, c)
+            if step is None:
+                continue
+            d, entry = step
+            if depth == m - 1:
+                if d == 1:
+                    count += 1
+                continue
             jc = jv[c]
-            cols.append(c)
-            descend(
-                depth + 1,
-                [
-                    [v for v in later if _dot(F, v, jc) == jf[depth][d]]
-                    for d, later in enumerate(lists[1:], depth + 1)
-                ],
-            )
-            cols.pop()
+            below = []
+            for target, later in zip(jf[depth][depth + 1 :], lists[1:]):
+                kept = [v for v in later if dot(v, jc) == target]
+                if not kept:
+                    break
+                below.append(kept)
+            else:
+                pivots.append(entry)
+                descend(depth + 1, below, d, rows_used | 1 << entry[0])
+                pivots.pop()
 
-    descend(0, [[v for v in vectors if _dot(F, v, jv[v]) == jf[d][d]] for d in range(m)])
+    descend(0, [by_norm.get(jf[d][d], []) for d in range(m)], 1, 0)
     return count
 
 

@@ -17,9 +17,9 @@ the check for a U^A derived from the equivariant Chevalley system.
 import itertools
 
 from foldlab.folding import equivalence_classes
-from foldlab.matrixlab import GF, u3_fixed_presentation
+from foldlab.matrixlab import u3_fixed_presentation
 from foldlab.record import FrozenRecord
-from sl_oracle import is_theta_fixed
+from sl_oracle import GF, is_theta_fixed
 
 
 def count_fixed_by_scan(n, q):

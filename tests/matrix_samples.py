@@ -5,7 +5,7 @@
 draws determinant-one matrices for the embedding and section checks.
 """
 
-from foldlab.matrixlab import GF, mat_det
+from sl_oracle import GF, mat_det
 
 
 def mat_identity(m: int):

@@ -5,6 +5,10 @@ g |-> J (g^T)^{-1} J column by column and reads the tangent dimension off
 one linear system.  The routines here check the facts those two rest on by
 other routes:
 
+- ``GF`` is the package's field with its arithmetic as methods, which the
+  routines here use, and ``mat_det`` is plain Gaussian elimination with row
+  swaps: the reference for the determinant ``count_fixed`` carries down its
+  column search (``matrixlab._reduce_column``).
 - ``theta`` applies the involution literally, through ``mat_inv``, and
   ``is_theta_fixed`` tests g^T J g = J with det g = 1, which is what the
   full scan of ``count_oracle`` keeps; the tests check that theta is an
@@ -24,15 +28,68 @@ other routes:
 
 import itertools
 
+from foldlab import matrixlab
 from foldlab.errors import DomainError, ResourceLimitError
 from foldlab.intlat import prime_power
-from foldlab.matrixlab import GF, _dot, form_over, involution_form, mat_det
+from foldlab.matrixlab import form_over, involution_form
 from foldlab.poly import Poly, poly_matrix_mul
 
 FULL_SCAN_LIMIT = 300_000
 
 
 # -- matrices over a field ----------------------------------------------
+
+
+class GF(matrixlab.GF):
+    """``foldlab.matrixlab.GF`` with its arithmetic as methods.
+
+    ``count_fixed`` reads the field's tables directly; the oracles and the
+    tests here go through these methods.
+    """
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def inv(self, a):
+        if a == 0:
+            raise DomainError("zero has no inverse")
+        return self._inv[a]
+
+
+def _dot(F: GF, u, v):
+    acc = F.zero
+    for x, y in zip(u, v):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def mat_det(F: GF, a) -> int:
+    m = len(a)
+    rows = [list(r) for r in a]
+    det = 1
+    for col in range(m):
+        piv = next((r for r in range(col, m) if rows[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = F.neg(det)
+        det = F.mul(det, rows[col][col])
+        inv = F.inv(rows[col][col])
+        for r in range(col + 1, m):
+            f = F.mul(rows[r][col], inv)
+            if f:
+                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[col])]
+    return det
 
 
 def mat_transpose(a):

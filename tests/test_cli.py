@@ -483,13 +483,24 @@ def test_ini_reader_grammar():
         ("# a job\npreset = A2-sc-flip\n", "line 2: 'preset = A2-sc-flip' comes before any [section]"),
         ("[datum]\n\npreset A2-sc-flip\n", "line 3: 'preset A2-sc-flip' is not a key = value line"),
         ("[datum]\n= A2\n", "line 2: '= A2' is not a key = value line"),
+        (
+            # the key after the header used to be dropped, and fold ran
+            "[datum]\npreset = A2-sc-flip\n[run] analyses = criteria\n",
+            "line 3: 'analyses = criteria' follows the header [run]",
+        ),
     ],
-    ids=["section", "key", "no-section", "no-delimiter", "no-key"],
+    ids=["section", "key", "no-section", "no-delimiter", "no-key", "after-header"],
 )
 def test_ini_syntax_error_names_the_line(tmp_path, capsys, ini, message):
     cfg = write(tmp_path, ini)
     assert cli.main(["run", cfg]) == 2
     assert f"configuration error: cannot parse {cfg}: {message}\n" in capsys.readouterr().err
+
+
+def test_comment_after_a_header(tmp_path, capsys):
+    text = "[datum] ; note [x]\npreset = A2-sc-flip\n[run]  # what\nanalyses = criteria\n"
+    assert cli.main(["run", write(tmp_path, text)]) == 0
+    assert "\n[criteria]\n" in capsys.readouterr().out
 
 
 def test_readme_config_runs(tmp_path, capsys):

@@ -5,19 +5,19 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from foldlab import folding, matrixlab
 from foldlab.action import PinnedAction, permutation_matrix, trivial_action
 from foldlab.errors import DomainError, ResourceLimitError
 from foldlab.intlat import is_prime
 from foldlab.matrixlab import (
-    GF,
     CountReport,
+    _reduce_column,
     bruhat_predicted_count,
     count_fixed,
     form_over,
     involution_form,
-    mat_det,
     sl_order,
     tangent_dim,
     u3_fixed_presentation,
@@ -32,11 +32,14 @@ from count_oracle import (
     u_fixed_point_count,
 )
 from sl_oracle import (
+    GF,
+    _dot,
     dual_fixed_count,
     embed_matrix_over,
     embed_positions,
     embedding_identity_holds,
     is_theta_fixed,
+    mat_det,
     mat_inv,
     mat_mul,
     theta,
@@ -209,12 +212,58 @@ def test_fixed_count_sp4_f2():
 
 
 @pytest.mark.parametrize(
-    "n,q", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9), (2, 2)]
+    "n,q",
+    [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9), (2, 2)]
+    # past the default guard: a prime above 9, degree 4 over 2, degree 2 over 5
+    + [(1, 11), (1, 16), (1, 25)],
 )
 def test_fixed_count_matches_classical_order(n, q):
     datum, act = type_a_flip(2 * n)
-    brute = count_fixed(n, q)
+    brute = count_fixed(n, q, order_limit=sl_order(2 * n + 1, q))
     assert brute == classical_fixed_order(n, q) == bruhat_predicted_count(datum, act, q)
+
+
+def carried_det(F, a):
+    """Determinant of a, one column at a time through ``_reduce_column``,
+    as ``count_fixed`` carries it down its search."""
+    pivots, rows_used, det = [], 0, 1
+    for c in zip(*a):
+        step = _reduce_column(F, pivots, rows_used, det, c)
+        if step is None:
+            return 0
+        det, entry = step
+        pivots.append(entry)
+        rows_used |= 1 << entry[0]
+    return det
+
+
+@st.composite
+def square_matrices_over_fields(draw):
+    """An m x m matrix over GF(q), m in {3, 5} and q <= 9.  Sometimes one
+    column is made a combination of the others, so the matrix is singular;
+    the rows are then shuffled, so pivots are often found out of order."""
+    F = GF(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    m = draw(st.sampled_from([3, 5]))
+    entry = st.integers(0, F.q - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, m - 1))
+        coeffs = draw(st.lists(entry, min_size=m, max_size=m))
+        coeffs[k] = 0
+        for row in rows:
+            row[k] = _dot(F, coeffs, row)
+    order = draw(st.permutations(range(m)))
+    return F, tuple(tuple(rows[i]) for i in order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices_over_fields())
+@example((GF(3), form_over(GF(3), involution_form(2))))  # anti-diagonal
+@example((GF(5), ((0, 1, 0), (1, 0, 0), (0, 0, 1))))  # one swap: det -1
+@example((GF(5), ((1, 2, 3), (2, 4, 1), (3, 1, 4))))  # column 1 = 2 column 0
+def test_carried_det_matches_elimination(case):
+    F, a = case
+    assert carried_det(F, a) == mat_det(F, a)
 
 
 def test_scan_and_backtrack_agree():
