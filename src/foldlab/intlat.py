@@ -21,7 +21,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries", "_inverse")
 
     def __init__(self, entries, cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -136,102 +136,101 @@ class IntMatrix:
         return len(_smith_invariants(self)[1])
 
 
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b and g >= 0.  When a divides
+    b, y = 0: a pivot that divides the entries it clears keeps its row."""
+    g, x, y, h, u, w = b, 0, 1, a, 1, 0  # g = x a + y b and h = u a + w b
+    while h:
+        k, r = divmod(g, h)
+        g, x, y, h, u, w = h, u, w, r, x - k * u, y - k * w
+    return (g, x, y) if g >= 0 else (-g, -x, -y)
+
+
+def _step(a, inv, i, j, p, q, r, s):
+    """(a_i, a_j) <- (p a_i + q a_j, r a_i + s a_j) on rows i, j of a, where
+    ps - qr = 1; with i == j and p = s = -1, q = r = 0 it negates row i.  The
+    rows of inv, the columns of the inverse, take the inverse transpose."""
+    x, y = a[i], a[j]
+    a[i] = [p * e + q * f for e, f in zip(x, y)]
+    a[j] = [r * e + s * f for e, f in zip(x, y)]
+    if inv is not None:
+        _step(inv, None, i, j, s, -r, -q, p)
+
+
+def _hermite(a, width, inv):
+    """Bring the first `width` columns of the rows a to row echelon form with
+    positive pivots, in place, each entry above a pivot in [0, pivot).
+
+    Rows join one at a time (Kannan and Bachem): Bezout steps against the
+    pivot rows clear a new row up to its first entry off the pivot columns,
+    where it becomes a pivot row, and the entries above the pivots are then
+    reduced again.  A row only ever meets reduced rows, so entries stay small.
+    """
+    cols = []  # the pivot column of each row a[0], a[1], ... in echelon form
+    for i in range(len(a)):
+        lo = len(cols)  # the first pivot row that changes
+        for c in range(width):
+            if not (b := a[i][c]):
+                continue
+            if c in cols:
+                k = cols.index(c)
+                g, x, y = _bezout(a[k][c], b)
+                _step(a, inv, k, i, x, y, -b // g, a[k][c] // g)
+                lo = min(lo, k)
+                continue
+            k = sum(1 for p in cols if p < c)
+            for j in range(i, k, -1):  # lift row i one row, negated
+                _step(a, inv, j - 1, j, 0, -1, 1, 0)
+            if a[k][c] < 0:
+                _step(a, inv, k, k, -1, 0, 0, -1)
+            cols.insert(k, c)
+            lo = min(lo, k)
+            break
+        for k in range(lo, len(cols)):
+            c = cols[k]
+            for j in range(k):
+                if q := a[j][c] // a[k][c]:
+                    _step(a, inv, j, k, 1, -q, 0, 1)
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U @ m @ V = D, U and V unimodular, D diagonal
-    with nonnegative entries d1 | d2 | ... .  U keeps its inverse, built
-    alongside U by undoing each row operation on the columns of the identity.
+    with nonnegative entries d1 | d2 | ... ; U keeps its inverse, built
+    alongside U by the inverse of each row step.
+
+    Echelon forms of the rows, carrying U, and of the columns, carrying V^T,
+    alternate until the matrix is diagonal (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979); then one step on U and one on V^T turn each diagonal
+    pair x, y with x not dividing y into gcd(x, y), lcm(x, y).
     """
-    a = [list(r) for r in m.entries]
     rows, cols = m.rows, m.cols
-    u = [list(r) for r in IntMatrix.identity(rows).entries]
-    v = [list(r) for r in IntMatrix.identity(cols).entries]
-    wt = [list(r) for r in IntMatrix.identity(rows).entries]  # columns of U^-1
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        wt[i], wt[j] = wt[j], wt[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-        wt[src] = [x - c * y for x, y in zip(wt[src], wt[dst])]
-
-    def add_col(src, dst, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        wt[i] = [-x for x in wt[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # the first nonzero entry of least magnitude in the trailing block,
-        # in row-major order; nothing is less than 1, so a unit ends the scan
-        pi = None
-        best = 0
-        for i in range(t, rows):
-            least = min(map(abs, filter(None, a[i][t:])), default=0)
-            if least and (not best or least < best):
-                best, pi = least, i
-                if least == 1:
-                    break
-        if pi is None:
+    u = [[0] * i + [1] + [0] * (rows - 1 - i) for i in range(rows)]
+    wt = [r[:] for r in u]  # columns of U^-1
+    vt = [[0] * j + [1] + [0] * (cols - 1 - j) for j in range(cols)]
+    a = m.entries
+    while True:
+        au = [list(r) + e for r, e in zip(a, u)]
+        _hermite(au, cols, wt)
+        u = [r[cols:] for r in au]
+        bv = [[r[j] for r in au] + e for j, e in enumerate(vt)]
+        _hermite(bv, rows, None)
+        vt = [r[rows:] for r in bv]
+        a = [[r[i] for r in bv] for i in range(rows)]
+        if not any(x for i, r in enumerate(a) for j, x in enumerate(r) if i != j):
             break
-        pj = next(j for j in range(t, cols) if abs(a[pi][j]) == best)
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            # clear row t
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if not done:
-                continue
-            if abs(a[t][t]) == 1:
-                break  # a unit divides the remaining block
-            # enforce divisibility of the remaining block by the pivot
-            rest = a[t][t].__rmod__  # rest(x) == x % a[t][t]
-            offender = next(
-                (i for i in range(t + 1, rows) if any(map(rest, a[i][t + 1 :]))), None
-            )
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
+    for i in range(min(rows, cols)):
+        for j in range(i + 1, min(rows, cols)):
+            x, y = a[i][i], a[j][j]
+            if x and y % x:
+                # [[p, q], [-y/g, x/g]] diag(x, y) [[1, -qy/g], [1, px/g]]
+                # = diag(g, xy/g) for g = px + qy = gcd(x, y)
+                g, p, q = _bezout(x, y)
+                _step(u, wt, i, j, p, q, -y // g, x // g)
+                _step(vt, None, i, j, 1, 1, -q * y // g, p * x // g)
+                a[i][i], a[j][j] = g, x // g * y
     u = IntMatrix(u, cols=rows)
     object.__setattr__(u, "_inverse", IntMatrix.from_columns(wt, rows))
-    return u, IntMatrix(a, cols=cols), IntMatrix(v, cols=cols)
+    return u, IntMatrix(a, cols=cols), IntMatrix(zip(*vt), cols=cols)
 
 
 def _smith_invariants(m: IntMatrix) -> tuple[IntMatrix, list[int], IntMatrix]:

@@ -85,6 +85,24 @@ def test_matrices_action(tmp_path, capsys):
     assert "smooth = true" in out
 
 
+def test_order_8_torus_fold(tmp_path):
+    # the 8-cycle conjugated by a unimodular matrix; its inverse and Smith
+    # forms once grew without bound, so fold ran with no end
+    cfg = write(
+        tmp_path,
+        "[datum]\ntype = torus\nrank = 8\n\n[action]\nmatrices = [[[-1,13,-22,10,9,-19,4,-3],"
+        "[1,6,-8,4,4,-9,2,2],[1,-13,22,-10,-9,19,-4,4],[-6,-3,7,-5,-5,9,-1,1],"
+        "[21,-33,58,-21,-17,37,-9,13],[7,1,2,1,2,-5,1,4],[4,3,-3,2,3,-7,1,1],"
+        "[-2,3,-4,1,1,-3,1,-1]]]\n",
+    )
+    out_path = tmp_path / "fold.json"
+    assert cli.main(["run", cfg, "--analysis", "fold", "--json", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["input"]["action_order"] == 8
+    assert doc["fold"]["coinvariants"] == "Z"
+    assert doc["fold"]["center"] == "Z"
+
+
 def test_analysis_flag_overrides_config(tmp_path, capsys):
     cfg = write(tmp_path, "[datum]\npreset = A3-sc-flip\n\n[run]\nanalyses = fold\n")
     # the flag replaces the config list; tangent needs an even-rank type A flip
