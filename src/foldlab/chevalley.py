@@ -27,9 +27,9 @@ def chain_length(datum: RootDatum, i: int, j: int) -> int:
     """Least r >= 1 with roots[j] - r*roots[i] not a root."""
     sums = datum.root_sums()
     neg_i = datum.negative_of(i)
-    r, k = 1, sums[j][neg_i]
+    r, k = 1, sums[j].get(neg_i)
     while k is not None and k >= 0:
-        r, k = r + 1, sums[k][neg_i]
+        r, k = r + 1, sums[k].get(neg_i)
     return r
 
 
@@ -96,7 +96,7 @@ def _special_pairs(datum: RootDatum, pos, order_key) -> dict[int, list[tuple[int
         for a in pos:
             if order_key[a] >= order_key[c]:
                 break
-            b = row[neg[a]]
+            b = row.get(neg[a])
             if b in pos_set and order_key[a] < order_key[b]:
                 pairs.append((a, b))
         out[c] = pairs
@@ -161,10 +161,10 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         for a, b in pairs[1:]:
             # Jacobi on (X_{-e}, X_a, X_b); only N(a, b) is unknown.
             t = 0
-            k = sums[a][neg[e]]
+            k = sums[a].get(neg[e])
             if k is not None and k >= 0:
                 t += resolve(neg[e], a) * resolve(k, b)
-            k = sums[b][neg[e]]
+            k = sums[b].get(neg[e])
             if k is not None and k >= 0:
                 t += resolve(b, neg[e]) * resolve(k, a)
             n_c_nege = resolve(c, neg[e])
@@ -180,8 +180,8 @@ def base_constants(datum: RootDatum) -> StructureConstants:
 
     # complete the table over every valid ordered pair and check magnitudes
     for i, row in enumerate(sums):
-        for j, s in enumerate(row):
-            if s is not None and s >= 0:
+        for j, s in row.items():
+            if s >= 0:
                 resolve(i, j)
     final: dict[tuple[int, int], int] = {}
     for (i, j), iv in table.items():
@@ -205,7 +205,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
 def _bracket_table(sc: StructureConstants):
     """Basis keys (the roots, then the Cartan keys) and the table br[a][b]
     of (index, coefficient) pairs with nonzero coefficient of each basis
-    bracket, read off the root-sum table: [h_k, X_b] = b_k X_b,
+    bracket, read off the root sums: [h_k, X_b] = b_k X_b,
     [X_a, X_-a] = the coroot of a in the Cartan keys, and
     [X_a, X_b] = N(a, b) X_(a+b) when a + b is a root."""
     d = sc.datum
@@ -214,16 +214,12 @@ def _bracket_table(sc: StructureConstants):
     br = []
     for a, row in enumerate(d.root_sums()):
         coroot = tuple((n + k, x) for k, x in enumerate(d.coroots[a]) if x)
-        entries = []
-        for b, s in enumerate(row):
-            if s is None:
-                entries.append(())
-            elif s < 0:
-                entries.append(coroot)
-            else:
-                x = sc.table[(a, b)]
-                entries.append(((s, x),) if x else ())
-        entries.extend(((a, -x),) if x else () for x in d.roots[a])
+        entries = [()] * n + [((a, -x),) if x else () for x in d.roots[a]]
+        for b, s in row.items():
+            if s < 0:
+                entries[b] = coroot
+            elif x := sc.table[(a, b)]:
+                entries[b] = ((s, x),)
         br.append(entries)
     for k in range(rank):
         br.append([((b, r[k]),) if r[k] else () for b, r in enumerate(d.roots)] + [()] * rank)
@@ -416,7 +412,7 @@ def _d4_seed(sc: StructureConstants, comp: tuple[int, ...]) -> dict[int, int]:
     for first, *rest in words:
         i, coeff = first, 1
         for j in rest:
-            k = sums[i][j]
+            k = sums[i].get(j)
             if k is None or k < 0:
                 raise InternalInconsistencyError("bracket word did not land on a root vector")
             i, coeff = k, coeff * sc.table[(i, j)]

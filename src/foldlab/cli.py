@@ -186,9 +186,10 @@ def _is_int_matrix(obj) -> bool:
 
 
 def _check_datum_size(rank: int, nroots: int | None, limit: int):
-    """Refuse a datum before it is built when checking it and its action,
-    nroots^2 root pairs or a rank^3 elimination, exceeds the limit; with
-    nroots None only rank^3 is compared."""
+    """Refuse a datum before it is built when its work, nroots^2 root pairs
+    (chevalley's scans over all pairs; fold and criteria do no nroots^2
+    work) or a rank^3 elimination, exceeds the limit; with nroots None only
+    rank^3 is compared."""
     work = max((nroots or 0) ** 2, rank**3)
     if work > limit:
         roots = "" if nroots is None else f" with {nroots} roots"

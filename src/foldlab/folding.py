@@ -92,9 +92,9 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
         for a in members:
             for b in members:
                 if a < b:
-                    # the table is built the first time a class has two members
-                    idx = datum.root_sums()[a][b]
-                    if idx is not None and idx >= 0:
+                    total = _vector_sum((datum.roots[a], datum.roots[b]))
+                    if datum.is_root(total):
+                        idx = datum.root_index(total)
                         if idx not in member_set:
                             raise InternalInconsistencyError(
                                 "sum of two class members is a root outside the class"
@@ -177,7 +177,7 @@ def _check_type_two_shape(datum, act, classes):
                 raise InternalInconsistencyError(
                     "type II class does not restrict to a triple on a component"
                 )
-            if datum.root_sums()[nonspec[0]][nonspec[1]] != spec[0]:
+            if _vector_sum([datum.roots[i] for i in nonspec]) != datum.roots[spec[0]]:
                 raise InternalInconsistencyError(
                     "component triple of a type II class is not x, y, x+y"
                 )

@@ -148,11 +148,14 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
 
 def _step(a, inv, i, j, p, q, r, s):
     """(a_i, a_j) <- (p a_i + q a_j, r a_i + s a_j) on rows i, j of a, where
-    ps - qr = 1; with i == j and p = s = -1, q = r = 0 it negates row i.  The
-    rows of inv, the columns of the inverse, take the inverse transpose."""
+    ps - qr = 1; with i == j and p = s = -1, q = r = 0 it negates row i.  A
+    row kept as it is, (p, q) = (1, 0) or (r, s) = (0, 1), is not rewritten.
+    The rows of inv, the columns of the inverse, take the inverse transpose."""
     x, y = a[i], a[j]
-    a[i] = [p * e + q * f for e, f in zip(x, y)]
-    a[j] = [r * e + s * f for e, f in zip(x, y)]
+    if q or p != 1:
+        a[i] = [p * e + q * f for e, f in zip(x, y)]
+    if r or s != 1:
+        a[j] = [r * e + s * f for e, f in zip(x, y)]
     if inv is not None:
         _step(inv, None, i, j, s, -r, -q, p)
 

@@ -396,15 +396,17 @@ class RootDatum:
             raise DomainError(f"{tuple(-x for x in self.roots[root_index])} is not a root")
         return self._negatives[root_index]
 
-    def root_sums(self) -> tuple[tuple[int | None, ...], ...]:
-        """Table sums[i][j]: the index of roots[i] + roots[j], -1 if that
-        sum is zero and None if it is not a root; each sum is one addition
-        of root codes and one dict lookup."""
-        if self._root_sums is not None:
-            return self._root_sums
-        codes = self.root_codes()
-        where = {0: -1} | {code: i for i, code in enumerate(codes)}
-        self._root_sums = tuple(tuple(where.get(a + b) for b in codes) for a in codes)
+    def root_sums(self) -> tuple[dict[int, int], ...]:
+        """Per root i, the map j -> k for each j with roots[i] + roots[j] =
+        roots[k] (k = -1 for a zero sum); a missing j means no root.  Each
+        sum is one addition of root codes and one dict lookup."""
+        if self._root_sums is None:
+            codes = self.root_codes()
+            where = {0: -1} | {code: i for i, code in enumerate(codes)}
+            self._root_sums = tuple(
+                {j: k for j, b in enumerate(codes) if (k := where.get(a + b)) is not None}
+                for a in codes
+            )
         return self._root_sums
 
     def components(self) -> tuple[tuple[int, ...], ...]:

@@ -5,8 +5,9 @@ These are ``chain_length``, ``base_constants``, ``rescale`` and
 each root sum or difference is built as a coordinate tuple and looked up
 among the roots.  Production reads ``RootDatum.root_sums`` instead, so
 these are an independent cross-check of the table path, with the same
-checks, messages and order.  ``root_sums_by_tuples`` builds the table
-itself the same way.  The constants are ``Fraction`` throughout, and
+checks, messages and order.  ``root_sums_by_tuples`` builds every root
+sum the same way, as a dense table for the sparse rows of ``root_sums`` to
+be compared with.  The constants are ``Fraction`` throughout, and
 ``squared_lengths_by_fractions`` sums the length form term by term in
 ``Fraction``, as production did before it moved to integers.
 """

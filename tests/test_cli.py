@@ -713,6 +713,23 @@ def test_one_run_computes_classes_once(tmp_path, monkeypatch, preset):
     assert calls["classes"] == 1, calls
 
 
+@pytest.mark.parametrize("preset", preset_names())
+def test_fold_and_criteria_build_no_root_sums(tmp_path, monkeypatch, preset):
+    # sums inside a class are added as vectors; only chevalley reads the
+    # per-root map of root sums
+    built = []
+    build = cli._build_datum_and_action
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_datum_and_action", keep)
+    cfg = write(tmp_path, f"[datum]\npreset = {preset}\n")
+    assert cli.main(["run", cfg, "--analysis", "fold", "--analysis", "criteria"]) == 0
+    assert built[0][0]._root_sums is None
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # The layer modules whose entry points perfbench/trace_child.py wraps.
 LAYERS = (

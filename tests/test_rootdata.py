@@ -464,6 +464,17 @@ def test_simple_reflection_permutation():
                     assert datum.roots[perm[j]] == image, (ctype, isogeny, p, j)
 
 
+def assert_sparse_root_sums(datum, where=None):
+    """Row i of root_sums() maps j to the index of roots[i] + roots[j] (-1
+    for zero) for every pair the tuple oracle finds a root, and holds no
+    other key."""
+    sums, expected = datum.root_sums(), root_sums_by_tuples(datum)
+    assert len(sums) == len(expected) == datum.nroots, where
+    for i, (row, want) in enumerate(zip(sums, expected)):
+        assert all(row.get(j) == k for j, k in enumerate(want)), (where, i)
+        assert all(0 <= j < len(want) and want[j] is not None for j in row), (where, i)
+
+
 @pytest.mark.parametrize(
     "ctype",
     [
@@ -474,22 +485,21 @@ def test_simple_reflection_permutation():
 def test_root_sums_match_tuple_arithmetic(ctype):
     for isogeny in ("sc", "adjoint"):
         datum = build_preset(ctype, isogeny)
-        assert datum.root_sums() == root_sums_by_tuples(datum)
+        assert_sparse_root_sums(datum, isogeny)
         assert datum.root_sums() is datum.root_sums()  # built once
 
 
 def test_root_sums_on_e8_folded_variants_and_torus():
-    e8 = build_preset("E8", "sc")
-    assert e8.root_sums() == root_sums_by_tuples(e8)
+    assert_sparse_root_sums(build_preset("E8", "sc"), "E8")
     for name in preset_names():
         pre = load_preset(name)
         for v in VARIANTS:
             datum = folded_root_datum(pre.datum, pre.action, v).datum
-            assert datum.root_sums() == root_sums_by_tuples(datum), (name, v)
+            assert_sparse_root_sums(datum, (name, v))
     # the nonreduced A_{2n} folding has doubled roots: some a + a is a root
     pre = load_preset("A2-sc-flip")
     nonreduced = folded_root_datum(pre.datum, pre.action, "nonreduced").datum
-    assert any(row[i] is not None for i, row in enumerate(nonreduced.root_sums()))
+    assert any(i in row for i, row in enumerate(nonreduced.root_sums()))
     assert build_torus(40).root_sums() == ()
 
 
