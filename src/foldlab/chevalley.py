@@ -516,12 +516,11 @@ class EquivarianceReport(Record):
         return tuple(sorted(vals))
 
 
-def check_equivariance(sc: StructureConstants, act: PinnedAction) -> EquivarianceReport:
+def check_equivariance(sc: StructureConstants, act: PinnedAction, classes) -> EquivarianceReport:
     """Per-orbit equivariance of a system: which positive-root orbits have
     a . X_beta = X_{a.beta} for every element, and the sign discrepancies
-    where they do not (always +/-1)."""
-    d = sc.datum
-    classes = equivalence_classes(d, act)
+    where they do not (always +/-1).  ``classes`` are the fold classes of
+    the datum under ``act``, as ``equivariant_signs`` returns them."""
     special = {i for cls in classes for i in cls.special}
     c_tables = automorphism_constants(sc, act)
     orbit_of = {i: orb for orb in act.orbits("roots") for i in orb}

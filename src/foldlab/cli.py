@@ -382,7 +382,7 @@ def _analysis_chevalley(datum, act):
     sc = base_constants(datum)
     verify_jacobi(sc)
     adjusted, classes = equivariant_signs(sc, act)
-    report = check_equivariance(adjusted, act)
+    report = check_equivariance(adjusted, act, classes)
     max_const = max((abs(v) for v in sc.table.values()), default=0)
     return {
         "jacobi": True,
@@ -559,7 +559,9 @@ RUN_OPTIONS = {
     "--q": ("q", "N", "field size for count"),
     "--p": ("p", "N", "characteristic for criteria fibers and tangent"),
     "--json": ("json", "PATH", "also write the report as JSON to this path"),
-    "--limit-weyl": ("limit_weyl", "N", f"largest W^A fold closes; default {WEYL_LIMIT_DEFAULT}"),
+    "--limit-weyl": (
+        "limit_weyl", "N", f"refuse a fold whose |W^A| exceeds N; default {WEYL_LIMIT_DEFAULT}"
+    ),
     "--limit-enum": ("limit_enum", "N", f"largest count or check; default {GROUP_ORDER_LIMIT}"),
 }
 

@@ -15,13 +15,7 @@ from math import gcd
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, _relation_matrix, cokernel
-from .rootdata import (
-    RootDatum,
-    WeylGroup,
-    WEYL_LIMIT_DEFAULT,
-    _component_type,
-    cartan_type_of,
-)
+from .rootdata import RootDatum, WEYL_LIMIT_DEFAULT, _component_type, cartan_type_of
 from .action import PinnedAction, permutation_matrix
 from .record import FrozenRecord, Record
 
@@ -306,11 +300,11 @@ def folded_root_datum(datum: RootDatum, act: PinnedAction, variant: str) -> Fold
 
 
 class FixedWeyl(Record):
-    """Centralizer of the action inside the Weyl group, with the folded
-    variants it was checked against."""
+    """Centralizer of the action inside the Weyl group: its order, its
+    Coxeter generators as root permutations, and the folded variants whose
+    R1 type gives that order."""
 
     order: int
-    elements: tuple[tuple[int, ...], ...]
     coxeter_generators: tuple[tuple[int, ...], ...]
     variants: dict[str, FoldedDatum]
 
@@ -331,16 +325,16 @@ def _orbit_longest_element(datum: RootDatum, orbit) -> tuple[int, ...]:
 
 
 def fixed_weyl(datum: RootDatum, act: PinnedAction, limit: int = WEYL_LIMIT_DEFAULT) -> FixedWeyl:
-    """Elements of the Weyl group commuting with every action generator.
+    """The fixed group W^A of Weyl group elements commuting with every
+    action generator, given by its order and Coxeter generators.
 
-    The fixed group W^A is a Coxeter group generated by the longest
+    W^A is the Weyl group of the folded R1 datum, generated by the longest
     elements of the parabolic subgroups spanned by the orbits of the action
     on the base (Steinberg, Endomorphisms of linear algebraic groups, Mem.
-    AMS 80, 1968), so it is the closure of those elements; W itself is never
-    enumerated.  ``limit`` bounds |W^A|.  Each generator is checked to be
-    action-fixed, and |W^A| is checked against the product of the degrees
-    of the folded R1 type.  That product is the exact closure size, so a
-    W^A past ``limit`` is refused before any closure runs.
+    AMS 80, 1968).  Its order is the product of the degrees of the folded
+    R1 type, and neither W nor W^A is enumerated.  ``limit`` bounds |W^A|:
+    a larger group is refused.  Each generator is found by descent and
+    checked to be action-fixed.
     """
     variants = folded_root_data(datum, act)
     folded_type = cartan_type_of(variants["R1"].datum)
@@ -358,18 +352,8 @@ def fixed_weyl(datum: RootDatum, act: PinnedAction, limit: int = WEYL_LIMIT_DEFA
                 "longest element of an orbit subsystem is not action-fixed"
             )
         coxeter.append(w0)
-
-    closure = WeylGroup.generate(
-        datum.nroots, coxeter, limit=limit, name="the fixed Weyl group W^A"
-    )
-    if closure.order != folded_type.weyl_order:
-        raise InternalInconsistencyError(
-            f"orbit longest elements generate {closure.order} elements, but the "
-            f"folded type {folded_type} has Weyl group order {folded_type.weyl_order}"
-        )
     return FixedWeyl(
-        order=closure.order,
-        elements=closure.elements,
+        order=folded_type.weyl_order,
         coxeter_generators=tuple(coxeter),
         variants=variants,
     )

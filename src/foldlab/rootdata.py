@@ -487,10 +487,7 @@ class WeylGroup:
                     wg = g(w)
                     if wg not in seen:
                         if len(seen) >= limit:
-                            raise ResourceLimitError(
-                                f"closing {name} exceeded {limit} elements"
-                                " (raise --limit-weyl)"
-                            )
+                            raise ResourceLimitError(f"closing {name} exceeded {limit} elements")
                         seen.add(wg)
                         new.append(wg)
             frontier = new

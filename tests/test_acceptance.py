@@ -102,11 +102,11 @@ def test_criterion_6_chevalley_suite():
     for name in names:
         pre = load_preset(name)
         sc = base_constants(pre.datum)
-        adjusted, _ = equivariant_signs(sc, pre.action)
+        adjusted, classes = equivariant_signs(sc, pre.action)
         for (i, j), v in adjusted.table.items():
             assert abs(v) == chain_length(pre.datum, i, j)
         assert verify_jacobi(adjusted)
-        report = check_equivariance(adjusted, pre.action)
+        report = check_equivariance(adjusted, pre.action, classes)
         assert report.nonspecial_all_satisfied
         assert set(report.special_values) <= {1, -1}
     assert time.monotonic() - start < 30.0

@@ -113,6 +113,49 @@ def test_component_permutations():
     assert not act.stabilizer_moves_component(1)
 
 
+def _factor_action(factors, *images):
+    """A2^factors with generators permuting its A2 factors as ``images``."""
+    datum = build_preset("+".join(["A2"] * factors))
+    rank = 2 * factors
+    gens = [
+        permutation_matrix({i: 2 * img[i // 2] + i % 2 for i in range(rank)}, rank)
+        for img in images
+    ]
+    return datum, PinnedAction(datum, gens)
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "A2+A2+A2-S3"])
+def test_component_permutation_is_multiplicative(name):
+    # sigma(ab) = sigma(a) o sigma(b) over all pairs, which holds by
+    # construction of the element permutations
+    if name in preset_names():
+        act = load_preset(name).action
+    else:
+        _, act = _factor_action(3, (1, 0, 2), (1, 2, 0))
+        assert act.order == 6
+    sigma = act.component_permutations()
+    for a in act.elements:
+        for b in act.elements:
+            assert sigma[a @ b] == tuple(sigma[a][j] for j in sigma[b])
+
+
+def test_component_permutations_multiply_no_elements(monkeypatch):
+    # checking multiplicativity here would take 120^2 = 14,400 products
+    _, act = _factor_action(5, (1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
+    assert act.order == 120
+    products = []
+    matmul = IntMatrix.__matmul__
+
+    def counting(self, other):
+        products.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    sigma = act.component_permutations()
+    assert len(set(sigma.values())) == 120
+    assert not products
+
+
 def test_stabilizer_moves_component_triality():
     pre = load_preset("D4-sc-triality")
     datum, act = pre.datum, pre.action

@@ -294,7 +294,7 @@ def test_automorphism_constants_are_signs():
 def test_a2_flip_special_discrepancy():
     datum, act = type_a_flip(2)
     adjusted, classes = equivariant_signs(base_constants(datum), act)
-    report = check_equivariance(adjusted, act)
+    report = check_equivariance(adjusted, act, classes)
     assert report.nonspecial_all_satisfied
     # the flip sends [X_1, X_2] to [X_2, X_1]: sign flips on the special root
     assert report.special_values == (-1, 1)
@@ -306,8 +306,8 @@ def test_equivariant_signs_across_catalog():
         if pre.datum.nroots == 0:
             continue
         sc = base_constants(pre.datum)
-        adjusted, _ = equivariant_signs(sc, pre.action)
-        report = check_equivariance(adjusted, pre.action)
+        adjusted, classes = equivariant_signs(sc, pre.action)
+        report = check_equivariance(adjusted, pre.action, classes)
         assert report.nonspecial_all_satisfied
         assert set(report.special_values) <= {1, -1}
         for key, v in sc.table.items():
@@ -336,8 +336,8 @@ def test_sign_flip_counts_frozen(name, flips):
 def test_d4_full_s3_equivariance():
     # order-6 action: the bracket-word seed and orbit propagation must agree
     pre = load_preset("D4-sc-triality")
-    adjusted, _ = equivariant_signs(base_constants(pre.datum), pre.action)
-    report = check_equivariance(adjusted, pre.action)
+    adjusted, classes = equivariant_signs(base_constants(pre.datum), pre.action)
+    report = check_equivariance(adjusted, pre.action, classes)
     assert report.nonspecial_all_satisfied
     assert report.special_values == ()  # no type II classes on D4
     assert verify_jacobi(adjusted)
@@ -347,10 +347,10 @@ def test_trivial_action_needs_no_adjustment():
     datum = build_preset("A3", "sc")
     act = trivial_action(datum)
     sc = base_constants(datum)
-    adjusted, _ = equivariant_signs(sc, act)
+    adjusted, classes = equivariant_signs(sc, act)
     assert adjusted.table == sc.table
     assert all(v == 1 for v in adjusted.eps.values())
-    report = check_equivariance(sc, act)
+    report = check_equivariance(sc, act, classes)
     assert report.nonspecial_all_satisfied
     assert report.special_values == ()
 

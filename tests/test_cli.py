@@ -198,6 +198,16 @@ def test_fixed_weyl_refused_before_its_closure(tmp_path, capsys, monkeypatch, ki
     err = capsys.readouterr().err
     assert "fixed Weyl group W^A exceeded 1000000 elements" in err
     assert f"folded type {kind} has {order}" in err and "--limit-weyl" in err
+    # past the limit, fold reports |W^A| without closing it, as on every preset
+    report = tmp_path / "fold.json"
+    argv = ["run", cfg, "--analysis", "fold", "--limit-weyl", "1000000000", "--json", str(report)]
+    assert cli.main(argv) == 0
+    fold = json.loads(report.read_text())["fold"]
+    assert fold["fixed_weyl_order"] == order
+    assert fold["folded"]["R1"]["type"] == kind
+    for name in preset_names():
+        cfg = write(tmp_path, f"[datum]\npreset = {name}\n")
+        assert cli.main(["run", cfg, "--analysis", "fold"]) == 0, name
 
 
 def test_enum_limit_exit_4(tmp_path):

@@ -22,7 +22,7 @@ from foldlab.intlat import FinAbGroup
 from foldlab.presets import load_preset, preset_names, type_a_flip
 from foldlab.rootdata import build_preset, cartan_type_of
 from folding_oracle import buckets_by_proportional, proportional
-from weyl_oracle import brute_fixed_weyl
+from weyl_oracle import brute_fixed_weyl, closed_fixed_weyl
 
 CATALOG = [load_preset(name) for name in preset_names()]
 
@@ -238,10 +238,11 @@ def test_folded_types_catalog(name, expected):
 def test_fixed_weyl_orders(name, order):
     pre = load_preset(name)
     fw = fixed_weyl(pre.datum, pre.action)
-    assert fw.order == order
-    assert len(set(fw.elements)) == fw.order
+    elements = closed_fixed_weyl(pre.datum, fw)
+    assert fw.order == order == len(elements)
+    assert len(set(elements)) == fw.order
     for g in fw.coxeter_generators:
-        assert g in fw.elements
+        assert g in elements
         assert tuple(g[i] for i in g) == tuple(range(len(g)))  # involutions
 
 
@@ -281,15 +282,23 @@ def test_fixed_weyl_coxeter_generator_count():
 
 
 def test_fixed_weyl_matches_brute_force_oracle(weyl_elements):
-    # the full-W filter and the orbit-parabolic closures, on every preset
-    for pre in CATALOG:
-        fw = fixed_weyl(pre.datum, pre.action)
-        elements, coxeter = brute_fixed_weyl(
-            pre.datum, pre.action, weyl_elements(pre.datum)
-        )
-        assert fw.elements == elements, pre.name
-        assert fw.coxeter_generators == coxeter, pre.name
-        assert fw.order == len(elements)
+    # the closure of fixed_weyl's generators has the product of the folded
+    # degrees as its order and equals the full-W filter, with the generators
+    # found by closing each orbit parabolic; on every preset, on all of
+    # W(E6) under the trivial action and on the A7 and A9 flips, whose
+    # W(A9) has 3,628,800 elements and is matched by its order only
+    e6 = build_preset("E6")
+    cases = [(pre.datum, pre.action, True) for pre in CATALOG]
+    cases += [(e6, trivial_action(e6), True), (*type_a_flip(7), True), (*type_a_flip(9), False)]
+    for datum, act, filter_w in cases:
+        fw = fixed_weyl(datum, act)
+        closed = closed_fixed_weyl(datum, fw)
+        assert len(closed) == fw.order == cartan_type_of(fw.variants["R1"].datum).weyl_order
+        if filter_w:
+            elements, coxeter = brute_fixed_weyl(datum, act, weyl_elements(datum))
+            assert closed == elements
+            assert fw.coxeter_generators == coxeter
+    assert [fixed_weyl(d, a).order for d, a, _ in cases[-3:]] == [51840, 384, 3840]
 
 
 def test_fixed_weyl_limit():

@@ -55,7 +55,7 @@ IDENTITY = [
     (cls, {name: f"<{name}>" for name in names})
     for cls, names in [
         (FoldedDatum, ("datum", "variant", "classes", "lattice", "doubled")),
-        (FixedWeyl, ("order", "elements", "coxeter_generators", "variants")),
+        (FixedWeyl, ("order", "coxeter_generators", "variants")),
         (
             CriteriaReport,
             (

@@ -1,11 +1,14 @@
 """Brute-force oracle for the fixed Weyl group.
 
-Enumerates all of W, keeps the elements commuting with every action
-generator, and finds each orbit's longest element by closing the orbit
-parabolic subgroup and picking the element that sends all its positive
-roots to negatives.  ``fixed_weyl`` never enumerates W and finds the
-longest elements by descent, so this is an independent cross-check.  The
-caller passes the elements of W, so one enumeration can serve many tests.
+``fixed_weyl`` enumerates neither W nor W^A: it finds each orbit's longest
+element by descent and reads |W^A| off the degrees of the folded type.
+``closed_fixed_weyl`` closes those longest elements into the elements of
+W^A, so the tests can match the closure with that order and with
+``fixed_by_filter``, which enumerates all of W and keeps the elements
+commuting with every action generator.  ``longest_by_closure`` finds each
+orbit's longest element by closing the orbit parabolic subgroup and picking
+the element that sends all its positive roots to negatives.  The caller
+passes the elements of W, so one enumeration can serve many tests.
 
 ``bruhat_count_by_elements`` sums q^(length) over the closed elements of
 W^A, the lengths counting root classes sent to negatives;
@@ -16,6 +19,13 @@ the degrees of the folded type, so this checks the closed form.
 from foldlab.folding import fixed_weyl
 from foldlab.intlat import hom_to_units_count, prime_power
 from foldlab.rootdata import WeylGroup
+
+
+def closed_fixed_weyl(datum, fw):
+    """The elements of W^A, sorted: the closure of ``fw``'s Coxeter generators."""
+    return WeylGroup.generate(
+        datum.nroots, fw.coxeter_generators, name="the fixed Weyl group W^A"
+    ).elements
 
 
 def fixed_by_filter(datum, act, weyl_elements):
@@ -64,7 +74,7 @@ def bruhat_count_by_elements(datum, act, q):
     classes = r1.classes
     positives = set(datum.positive_root_indices())
     total = 0
-    for w in fw.elements:
+    for w in closed_fixed_weyl(datum, fw):
         drop = sum(
             1
             for cls in classes
