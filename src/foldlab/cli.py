@@ -219,9 +219,13 @@ def _build_datum_and_action(config, enum_limit):
     kind = datum_cfg.get("type")
     if kind is None:
         raise ConfigError("[datum] needs either preset or type")
+    torus = kind.strip().lower() == "torus"
+    rank = _parse_int("datum", "rank", datum_cfg.get("rank", "1")) if torus else None
+    unread = "isogeny" if torus else "rank"
+    if unread in datum_cfg:
+        raise ConfigError(f"type = {kind} does not read key {unread!r} in [datum]")
     try:
-        if kind.strip().lower() == "torus":
-            rank = _parse_int("datum", "rank", datum_cfg.get("rank", "1"))
+        if torus:
             _check_datum_size(rank, 0, enum_limit)
             datum = build_torus(rank)
         else:

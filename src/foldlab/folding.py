@@ -16,7 +16,7 @@ from math import gcd
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, _relation_matrix, cokernel
 from .rootdata import RootDatum, WEYL_LIMIT_DEFAULT, _component_type, cartan_type_of
-from .action import PinnedAction, permutation_matrix
+from .action import PinnedAction
 from .record import FrozenRecord, Record
 
 VARIANTS = ("R1", "R2", "nonreduced")
@@ -372,38 +372,21 @@ def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:
     """Whether root-lattice coinvariants inject into weight-lattice
     coinvariants under the map induced by inclusion.
 
-    Both coinvariant groups are free (the action permutes the respective
-    bases); that freeness is asserted, and injectivity reduces to a rank
-    computation for the induced map.
+    The action permutes the base, so both coinvariant groups are free on
+    the orbits of the base.  The inclusion sends alpha_j to sum_i C[i][j]
+    omega_i, C the Cartan matrix, so the induced map has entry
+    sum_{i in O'} C[i][j] at (O', O) for any j in O, and it is injective
+    exactly when its rank is the number of orbits.
     """
     base = datum.basis_indices
-    k = len(base)
-    if k == 0:
-        return True
     pos_of = {r: p for p, r in enumerate(base)}
-    perm_mats = [
-        permutation_matrix({p: pos_of[perm[base[p]]] for p in range(k)}, k)
-        for perm in act.generator_perms
-    ]
-    cartan = IntMatrix(
-        [[datum.pairing(base[j], base[i]) for j in range(k)] for i in range(k)]
-    )
-    for p in perm_mats:
-        if p @ cartan != cartan @ p:
+    cartan = [[datum.pairing(j, i) for j in base] for i in base]
+    for perm in act.generator_perms:
+        s = [pos_of[perm[r]] for r in base]
+        if [[cartan[a][b] for b in s] for a in s] != cartan:
             raise InternalInconsistencyError(
                 "Cartan matrix does not commute with the base permutation"
             )
-    # source and target are both the coinvariants of the base permutation
-    lattice = CoinvariantLattice(k, perm_mats)
-    if lattice.torsion_moduli:
-        raise InternalInconsistencyError(
-            "permutation coinvariants unexpectedly have torsion"
-        )
-    cols = [
-        lattice.free_image(cartan.apply(lattice.section(j)))
-        for j in range(lattice.free_rank)
-    ]
-    if not cols:
-        return True
-    phi = IntMatrix.from_columns(cols, lattice.free_rank)
-    return phi.rank() == lattice.free_rank
+    orbits = act.orbits("simple")
+    phi = IntMatrix([[sum(cartan[i][o[0]] for i in target) for o in orbits] for target in orbits])
+    return phi.rank() == len(orbits)

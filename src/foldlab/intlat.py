@@ -9,7 +9,6 @@ identities that are cheap to assert in tests.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
 
 from .errors import DomainError, InvalidActionError, ResourceLimitError
 from .record import FrozenRecord
@@ -18,7 +17,7 @@ from .record import FrozenRecord
 class IntMatrix:
     """Immutable integer matrix of plain Python ints; keeps its inverse once found."""
 
-    __slots__ = ("rows", "cols", "entries", "_inverse")
+    __slots__ = ("rows", "cols", "entries", "_inverse", "_sparse")
 
     def __init__(self, entries, cols: int | None = None):
         rows = tuple(tuple(map(int, row)) for row in entries)
@@ -32,6 +31,7 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_sparse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -74,28 +74,22 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
+    def _sparse_rows(self) -> tuple:
+        """Each row's (column, entry) pairs with a nonzero entry, built once."""
+        if self._sparse is None:
+            object.__setattr__(self, "_sparse", tuple(map(_nonzero, self.entries)))
+        return self._sparse
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DomainError("matrix shape mismatch in product")
-        ot = other.transpose().entries
-        return IntMatrix(
-            [[sum(map(mul, row, col)) for col in ot] for row in self.entries],
-            cols=other.cols,
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DomainError("matrix shape mismatch in sum")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in r] for r in self.entries], cols=self.cols)
+        right = other._sparse_rows()
+        out = [[0] * other.cols for _ in range(self.rows)]
+        for acc, row in zip(out, self._sparse_rows()):
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] += a * b
+        return IntMatrix(out, cols=other.cols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
@@ -107,7 +101,13 @@ class IntMatrix:
         """Matrix times column vector, returned as a tuple."""
         if len(vector) != self.cols:
             raise DomainError("vector length mismatch")
-        return tuple(sum(map(mul, row, vector)) for row in self.entries)
+        out = []
+        for row in self._sparse_rows():
+            total = 0
+            for j, x in row:
+                total += x * vector[j]
+            out.append(total)
+        return tuple(out)
 
     def is_unimodular(self) -> bool:
         try:
@@ -134,6 +134,11 @@ class IntMatrix:
     def rank(self) -> int:
         """Rank over the rationals: the number of nonzero Smith invariants."""
         return len(_smith_invariants(self)[1])
+
+
+def _nonzero(vector) -> tuple:
+    """The (index, entry) pairs of the nonzero entries of a vector."""
+    return tuple((j, x) for j, x in enumerate(vector) if x)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -325,12 +330,11 @@ def _check_action_generators(rank: int, generators) -> list[IntMatrix]:
 
 
 def _relation_matrix(rank: int, mats: list[IntMatrix]) -> IntMatrix:
-    columns = []
-    ident = IntMatrix.identity(rank)
-    for m in mats:
-        delta = m - ident
-        columns.extend(delta.column(j) for j in range(rank))
-    return IntMatrix.from_columns(columns, rank)
+    """The columns (g - 1) e_j of each generator g in turn."""
+    return IntMatrix(
+        [[x - (i == j) for m in mats for j, x in enumerate(m.entries[i])] for i in range(rank)],
+        cols=rank * len(mats),
+    )
 
 
 def coinvariants(rank: int, generators) -> FinAbGroup:

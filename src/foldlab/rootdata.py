@@ -13,7 +13,7 @@ import math
 from operator import itemgetter, mul
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .intlat import IntMatrix, _smith_invariants
+from .intlat import IntMatrix, _nonzero, _smith_invariants
 from .record import FrozenRecord
 
 WEYL_LIMIT_DEFAULT = 10**6
@@ -244,7 +244,7 @@ class RootDatum:
             raise DomainError("duplicate coroots")
         codes = self._reflection_codes()
         try:
-            self._check_reflections(codes)
+            reached = self._check_reflections(codes)
         except DomainError:
             # name the first failing pair in index order, as a scan of all
             # pairs would
@@ -258,7 +258,7 @@ class RootDatum:
         for i in self.basis_indices:
             if not 0 <= i < self.nroots:
                 raise DomainError("basis index out of range")
-        self._compute_simple_coords()
+        self._compute_simple_coords(reached)
 
     def _reflection_codes(self):
         """Integer codes code(v) = sum_k v_k B^k of the roots and coroots,
@@ -282,24 +282,24 @@ class RootDatum:
 
     def _reflection_images(self, i: int, codes) -> tuple[list, list]:
         """Indices of s_i(alpha_j) and s_i^vee(alpha_j^vee) for every j,
-        each one integer expression and one dict lookup.  Raises for the
-        first j, root side before coroot side, whose image leaves its set."""
+        each one sparse integer expression and one dict lookup.  Raises for
+        the first j, root side before coroot side, whose image leaves its set."""
         root_codes, coroot_codes, root_at, coroot_at = codes
-        root, coroot = self.roots[i], self.coroots[i]
+        root, coroot = _nonzero(self.roots[i]), _nonzero(self.coroots[i])
         root_i, coroot_i = root_codes[i], coroot_codes[i]
         images = [
-            root_at.get(x - sum(map(mul, r, coroot)) * root_i)
+            root_at.get(x - sum(r[k] * y for k, y in coroot) * root_i)
             for x, r in zip(root_codes, self.roots)
         ]
         coimages = [
-            coroot_at.get(y - sum(map(mul, root, c)) * coroot_i)
+            coroot_at.get(y - sum(c[k] * x for k, x in root) * coroot_i)
             for y, c in zip(coroot_codes, self.coroots)
         ]
         if None in images or None in coimages:
             for j in range(self.nroots):
                 if images[j] is None:
                     raise DomainError(
-                        f"reflection of {self.roots[j]} along {root} leaves the root set"
+                        f"reflection of {self.roots[j]} along {self.roots[i]} leaves the root set"
                     )
                 if coimages[j] is None:
                     raise DomainError(
@@ -307,37 +307,44 @@ class RootDatum:
                     )
         return images, coimages
 
-    def _check_reflections(self, codes):
+    def _check_reflections(self, codes) -> dict[int, tuple]:
         """Reflection stability of the roots and coroots: checked directly
         for the base roots, carried along the roots they reach, and checked
-        directly for every root left over.
+        directly for every root left over.  Returns the simple coordinates
+        of the roots reached.
 
         If s_g is stable for a base root g, s_j is stable, s_g(alpha_j) =
         alpha_k and s_g^vee(alpha_j^vee) = alpha_k^vee, then s_k = s_g s_j s_g
-        on X and on X^vee, so s_k is stable too.  Roots the base does not
-        reach this way (the doubled roots of a nonreduced datum, or every
-        root under a bad base) are checked directly.
+        on X and on X^vee, so s_k is stable too, and c(alpha_k) = c(alpha_j)
+        - <alpha_j, alpha_g^vee> e_p for g at base position p.  Roots the
+        base does not reach this way (the doubled roots of a nonreduced
+        datum, or every root under a bad base) are checked directly.
         """
-        base = [i for i in dict.fromkeys(self.basis_indices) if 0 <= i < self.nroots]
-        gens = [self._reflection_images(g, codes) for g in base]
-        reached = set(base)
-        frontier = base
-        while frontier:
-            new = []
-            for j in frontier:
-                for images, coimages in gens:
-                    k = images[j]
-                    if k == coimages[j] and k not in reached:
-                        reached.add(k)
-                        new.append(k)
-            frontier = new
-        for k in range(self.nroots):
-            if k not in reached:
-                self._reflection_images(k, codes)
+        # a repeated base root makes the base dependent, refused later
+        base = {g: p for p, g in enumerate(self.basis_indices) if 0 <= g < self.nroots}
+        gens = [
+            (p, _nonzero(self.coroots[g]), *self._reflection_images(g, codes))
+            for g, p in base.items()
+        ]
+        units = IntMatrix.identity(len(self.basis_indices)).entries
+        reached = {g: units[p] for g, p in base.items()}
+        queue = list(base)
+        for j in queue:  # the queue grows as roots are reached
+            for p, coroot, images, coimages in gens:
+                i = images[j]
+                if i == coimages[j] and i not in reached:
+                    c, n = reached[j], sum(self.roots[j][q] * x for q, x in coroot)
+                    reached[i] = c[:p] + (c[p] - n,) + c[p + 1 :]
+                    queue.append(i)
+        for i in range(self.nroots):
+            if i not in reached:
+                self._reflection_images(i, codes)
+        return reached
 
-    def _compute_simple_coords(self):
-        """Solve each root as an integer combination of the base, and check
-        the combination is uniformly signed.
+    def _compute_simple_coords(self, reached: dict[int, tuple]):
+        """Take the coordinates of the roots that ``reached`` maps, solve
+        every other root as an integer combination of the base, and check
+        each combination is uniformly signed.
 
         With the Smith form U B V = D of the base matrix B, the base is
         independent when its k invariants d_i are nonzero; a root r lies in
@@ -350,16 +357,16 @@ class RootDatum:
         if len(diag) != k:
             raise DomainError("base of simple roots is linearly dependent")
         coords = []
-        for r in self.roots:
-            y = u.apply(r)
-            if any(y[k:]) or any(yi % di for yi, di in zip(y, diag)):
-                raise DomainError(
-                    f"root {r} is not an integer combination of the base"
-                )
-            sol = v.apply(tuple(yi // di for yi, di in zip(y, diag)))
-            nonneg = all(x >= 0 for x in sol)
-            nonpos = all(x <= 0 for x in sol)
-            if not (nonneg or nonpos) or all(x == 0 for x in sol):
+        for i, r in enumerate(self.roots):
+            sol = reached.get(i)
+            if sol is None:
+                y = u.apply(r)
+                if any(y[k:]) or any(yi % di for yi, di in zip(y, diag)):
+                    raise DomainError(
+                        f"root {r} is not an integer combination of the base"
+                    )
+                sol = v.apply(tuple(yi // di for yi, di in zip(y, diag)))
+            if len({x > 0 for x in sol if x}) != 1:  # zero, or of mixed sign
                 raise DomainError(f"root {r} is not uniformly signed over the base")
             coords.append(sol)
         self._simple_coords = tuple(coords)

@@ -439,6 +439,24 @@ def test_unknown_key_exit_2(tmp_path, capsys, ini, section, key):
 
 
 @pytest.mark.parametrize(
+    "ini,message",
+    [
+        ("[datum]\ntype = A2\nrank = 7\n", "type = A2 does not read key 'rank' in [datum]"),
+        (
+            "[datum]\ntype = torus\nrank = 2\nisogeny = banana\n",
+            "type = torus does not read key 'isogeny' in [datum]",
+        ),
+    ],
+    ids=["type-rank", "torus-isogeny"],
+)
+def test_datum_key_the_type_does_not_read_exit_2(tmp_path, capsys, ini, message):
+    # both used to be ignored: the first reported rank 2, the second a torus
+    cfg = write(tmp_path, ini)
+    assert cli.main(["run", cfg]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "ini,key",
     [
         ("[DEFAULT]\nisogeny = adjoint\n\n[datum]\ntype = A2\n", "isogeny"),
@@ -697,8 +715,8 @@ def test_torus_with_torsion_coinvariants_golden_digest(tmp_path, capsys, analysi
 
 @pytest.mark.parametrize("preset", preset_names())
 def test_one_run_computes_classes_once(tmp_path, monkeypatch, preset):
-    # one class computation per run, and at most the oriented lattice and
-    # isogeny_injectivity_check's own per fold
+    # one class computation per run, and one lattice per fold: the oriented
+    # one, since isogeny_injectivity_check reads the base orbits
     calls = {"classes": 0, "lattices": 0}
 
     def counted_classes(*args, **kwargs):
@@ -717,7 +735,7 @@ def test_one_run_computes_classes_once(tmp_path, monkeypatch, preset):
     monkeypatch.setattr(CoinvariantLattice, "__init__", counted_lattice)
     cfg = write(tmp_path, f"[datum]\npreset = {preset}\n")
     assert cli.main(["run", cfg, "--analysis", "fold"]) == 0
-    assert calls["classes"] == 1 and calls["lattices"] <= 2, calls
+    assert calls["classes"] == 1 and calls["lattices"] == 1, calls
     calls.update(classes=0, lattices=0)
     assert cli.main(["run", cfg, "--analysis", "criteria"]) == 0
     assert calls["classes"] == 1, calls

@@ -1,12 +1,13 @@
 """Folding positive roots into equivalence classes and folded root data."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldlab import criteria, folding
-from foldlab.action import trivial_action
+from foldlab.action import PinnedAction, permutation_matrix, trivial_action
 from foldlab.errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from foldlab.folding import (
     VARIANTS,
@@ -18,10 +19,10 @@ from foldlab.folding import (
     folded_root_datum,
     isogeny_injectivity_check,
 )
-from foldlab.intlat import FinAbGroup
+from foldlab.intlat import FinAbGroup, IntMatrix
 from foldlab.presets import load_preset, preset_names, type_a_flip
-from foldlab.rootdata import build_preset, cartan_type_of
-from folding_oracle import buckets_by_proportional, proportional
+from foldlab.rootdata import build_preset, build_torus, cartan_type_of
+from folding_oracle import buckets_by_proportional, isogeny_injective_by_lattice, proportional
 from weyl_oracle import brute_fixed_weyl, closed_fixed_weyl
 
 CATALOG = [load_preset(name) for name in preset_names()]
@@ -412,6 +413,52 @@ def test_center_structure_foreign_action():
 def test_isogeny_injectivity_all_presets():
     for pre in CATALOG:
         assert isogeny_injectivity_check(pre.datum, pre.action)
+
+
+def _permuted(ctype, isogeny, *images):
+    """A datum with the action generated by permutations of its base."""
+    datum = build_preset(ctype, isogeny)
+    gens = [permutation_matrix(dict(enumerate(img)), datum.rank) for img in images]
+    return datum, PinnedAction(datum, gens)
+
+
+_ISOGENY_CASES = [(f"A{n}", tuple(range(n - 1, -1, -1))) for n in range(1, 9)] + [
+    ("A2+A2", (2, 3, 0, 1)),
+    ("A2+A2", (1, 0, 3, 2)),
+    ("A2+A2", (3, 2, 1, 0)),
+    ("A2+A2+A2", (2, 3, 4, 5, 0, 1)),
+    ("D5", (0, 1, 2, 4, 3)),
+    ("D6", (0, 1, 2, 3, 5, 4)),
+    ("B2+B2", (2, 3, 0, 1)),
+    ("G2+G2+G2", (2, 3, 0, 1, 4, 5)),
+    ("G2+G2+G2", (2, 3, 4, 5, 0, 1)),
+    ("A1+A1+A1+A1", (1, 0, 2, 3), (1, 2, 3, 0)),
+]
+
+
+@pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+def test_isogeny_orbit_map_matches_lattice_oracle(isogeny):
+    pairs = [(pre.datum, pre.action) for pre in CATALOG]
+    pairs += [_permuted(ctype, isogeny, *images) for ctype, *images in _ISOGENY_CASES]
+    for rank, m in ((0, []), (3, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]), (2, [[0, 1], [1, 0]])):
+        torus = build_torus(rank)
+        pairs.append((torus, PinnedAction(torus, [IntMatrix(m, cols=rank)])))
+    for datum, act in pairs:
+        assert isogeny_injectivity_check(datum, act) == isogeny_injective_by_lattice(datum, act)
+
+
+def test_isogeny_check_refuses_a_base_permutation_off_the_diagram():
+    # swapping the two ends of the A3 diagram's first edge moves the Cartan matrix
+    datum = build_preset("A3", "sc")
+    perm = list(range(datum.nroots))
+    a, b = datum.basis_indices[:2]
+    perm[a], perm[b] = b, a
+    fake = SimpleNamespace(generator_perms=[tuple(perm)])
+    with pytest.raises(
+        InternalInconsistencyError,
+        match="^Cartan matrix does not commute with the base permutation$",
+    ):
+        isogeny_injectivity_check(datum, fake)
 
 
 def test_orbit_sums_fixed_by_action():

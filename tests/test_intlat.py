@@ -494,6 +494,36 @@ def test_permutation_matrix_knows_its_inverse(monkeypatch):
         IntMatrix.permutation([0, 0, 1], 3)
 
 
+@st.composite
+def sparse_product_operands(draw):
+    """(shape, A, B, v) with shape (n, k, m), A n x k, B k x m and v of
+    length k, any of n, k, m possibly 0, and each entry zero with a drawn
+    chance of 0 to 90%."""
+    n, k, m = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    zeros = draw(st.integers(0, 90))
+
+    def entry():
+        return 0 if draw(st.integers(0, 99)) < zeros else draw(st.integers(-9, 9))
+
+    a = [[entry() for _ in range(k)] for _ in range(n)]
+    b = [[entry() for _ in range(m)] for _ in range(k)]
+    return (n, k, m), a, b, [entry() for _ in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_product_operands())
+@example(((0, 1, 2), [], [[1, 2]], [3]))
+@example(((2, 0, 3), [[], []], [], []))
+def test_sparse_products_match_dense_reference(operands):
+    (n, k, m), a, b, v = operands
+    left, right = IntMatrix(a, cols=k), IntMatrix(b, cols=m)
+    dense = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+    product = left @ right
+    assert (product.rows, product.cols) == (n, m)
+    assert product.entries == tuple(map(tuple, dense))
+    assert left.apply(tuple(v)) == tuple(sum(a[i][t] * v[t] for t in range(k)) for i in range(n))
+
+
 def test_raw_generators_keep_the_unimodularity_check():
     with pytest.raises(InvalidActionError, match="^action generator is not unimodular$"):
         coinvariants(2, [[[2, 1], [1, 2]]])

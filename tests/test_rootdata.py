@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from foldlab import rootdata
 from foldlab.errors import DomainError, ResourceLimitError
 from foldlab.folding import VARIANTS, folded_root_datum
+from foldlab.intlat import IntMatrix
 from foldlab.presets import load_preset, preset_names
 from foldlab.rootdata import (
     CartanType,
@@ -351,8 +352,12 @@ def _catalog_data():
         data = [pre.datum] + [
             folded_root_datum(pre.datum, pre.action, v).datum for v in VARIANTS
         ]
-        out += [(d.rank, d.roots, d.coroots, d.basis_indices, d.reduced) for d in data]
+        out += map(_catalog_row, data)
     return tuple(out)
+
+
+def _catalog_row(d):
+    return d.rank, d.roots, d.coroots, d.basis_indices, d.reduced
 
 
 def test_validate_matches_tuple_oracle_on_catalog():
@@ -421,6 +426,58 @@ _CATALOG_TYPES = [
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B2", "B3", "B4", "B5", "C3", "C4",
     "C5", "D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2",
 ]
+
+
+def _solved_coords(d):
+    """Simple coordinates of every root of d by the Smith solve alone."""
+    datum = RootDatum(*_catalog_row(d), validate=False)
+    datum._compute_simple_coords({})
+    return datum._simple_coords
+
+
+@pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+def test_carried_coordinates_match_the_smith_solve(isogeny):
+    # the presets, their folded variants (the nonreduced one with its doubled
+    # roots), E8 and tori
+    data = [RootDatum(*d) for d in _catalog_data()]
+    data += [build_preset("E8", isogeny), build_torus(0), build_torus(3)]
+    for d in data:
+        assert d._simple_coords == _solved_coords(d)
+
+
+def _solves_per_build(monkeypatch, build):
+    """The IntMatrix.apply calls made inside _compute_simple_coords while
+    ``build`` runs."""
+    calls = []
+    compute, apply = RootDatum._compute_simple_coords, IntMatrix.apply
+
+    def spied(self, reached):
+        with monkeypatch.context() as m:
+            m.setattr(IntMatrix, "apply", lambda mat, v: calls.append(v) or apply(mat, v))
+            compute(self, reached)
+
+    with monkeypatch.context() as m:
+        m.setattr(RootDatum, "_compute_simple_coords", spied)
+        build()
+    return calls
+
+
+def test_walk_leaves_no_reduced_root_to_solve(monkeypatch):
+    # every root of a reduced datum is W-conjugate to a simple root, so the
+    # reflection walk carries its coordinates and no root is solved
+    for name in preset_names():
+        assert _solves_per_build(monkeypatch, lambda: load_preset(name)) == []
+    for isogeny in ("sc", "adjoint"):
+        assert _solves_per_build(monkeypatch, lambda: build_preset("E8", isogeny)) == []
+    # the doubled roots of a nonreduced datum are solved, two products each
+    pre = load_preset("A2-sc-flip")
+    folded = folded_root_datum(pre.datum, pre.action, "nonreduced").datum
+    rebuild = lambda: RootDatum(*_catalog_row(folded))
+    doubled = [
+        r for r in folded.roots if not any(x % 2 for x in r) and folded.is_root([x // 2 for x in r])
+    ]
+    assert len(doubled) == 2
+    assert len(_solves_per_build(monkeypatch, rebuild)) == 2 * len(doubled)
 
 
 @pytest.mark.parametrize("ctype", _CATALOG_TYPES)

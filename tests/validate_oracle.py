@@ -6,8 +6,9 @@ tuple of every (root, root) pair and looking it up among the roots and the
 coroots.  ``RootDatum._validate`` instead encodes every vector as one
 integer and checks each image by one integer expression, so this is an
 independent cross-check of the encoding, with the same checks, messages and
-order; it checks every reflection directly, where the datum checks the base
-reflections and carries stability along the orbits they reach.
+order; it checks every reflection directly and solves every root for its
+simple coordinates, where the datum checks the base reflections and carries
+stability and coordinates along the orbits they reach.
 ``generate_pairs_by_tuples`` closes the simple (root, coroot) pairs under
 every simple reflection by rebuilding both tuples, where
 ``rootdata._generate_root_coroot_pairs`` skips reflections that fix a root
@@ -22,7 +23,8 @@ from foldlab.intlat import IntMatrix
 
 def validate_by_tuples(datum):
     """Every check of ``RootDatum._validate`` on a datum built with
-    ``validate=False``; the final base check is the datum's own."""
+    ``validate=False``; the final base check is the datum's own, given no
+    carried coordinates, so it solves every root by the Smith form."""
     if len(datum.roots) != len(datum.coroots):
         raise DomainError("roots and coroots must correspond one to one")
     for r in datum.roots:
@@ -65,7 +67,7 @@ def validate_by_tuples(datum):
     for i in datum.basis_indices:
         if not 0 <= i < datum.nroots:
             raise DomainError("basis index out of range")
-    datum._compute_simple_coords()
+    datum._compute_simple_coords({})
 
 
 def generate_pairs_by_tuples(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
