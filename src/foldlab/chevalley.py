@@ -17,7 +17,8 @@ assumed.
 from __future__ import annotations
 
 from .errors import DomainError, InternalInconsistencyError
-from .rootdata import RootDatum, _component_type
+from .intlat import _nonzero
+from .rootdata import RootDatum
 from .action import PinnedAction
 from .folding import equivalence_classes
 from .record import Record
@@ -25,8 +26,11 @@ from .record import Record
 
 def chain_length(datum: RootDatum, i: int, j: int) -> int:
     """Least r >= 1 with roots[j] - r*roots[i] not a root."""
-    sums = datum.root_sums()
-    neg_i = datum.negative_of(i)
+    return _chain_length(datum.root_sums(), datum.negative_of(i), j)
+
+
+def _chain_length(sums, neg_i: int, j: int) -> int:
+    """``chain_length`` on the root sums, given the index of -roots[i]."""
     r, k = 1, sums[j].get(neg_i)
     while k is not None and k >= 0:
         r, k = r + 1, sums[k].get(neg_i)
@@ -55,12 +59,11 @@ def _squared_lengths(datum: RootDatum) -> tuple[int, ...]:
                 if a != b and cartan[a][b] and d[b] is None:
                     d[b] = d[a] * cartan[a][b] // cartan[b][a]
                     stack.append(b)
-    form = [[x * a for a in row] for x, row in zip(d, cartan)]
+    form = [_nonzero([x * a for a in row]) for x, row in zip(d, cartan)]
     out = []
     for idx in range(datum.nroots):
         c = datum.simple_coordinates(idx)
-        support = [i for i in range(k) if c[i]]
-        out.append(sum(c[i] * c[j] * form[i][j] for i in support for j in support))
+        out.append(sum(c[i] * sum(c[j] * f for j, f in form[i]) for i in range(k) if c[i]))
     return tuple(out)
 
 
@@ -71,54 +74,34 @@ class StructureConstants(Record):
     table: dict[tuple[int, int], int]
     eps: dict[int, int]  # positive root index -> sign relative to the base system
     xs_pair: dict[int, tuple[int, int]]  # positive nonsimple root -> extraspecial pair
-    order_key: dict[int, tuple]
-
-
-def _positive_order(datum: RootDatum):
-    pos = sorted(
-        datum.positive_root_indices(),
-        key=lambda i: (datum.height(i), datum.simple_coordinates(i)),
-    )
-    key = {i: (datum.height(i), datum.simple_coordinates(i)) for i in pos}
-    return pos, key
-
-
-def _special_pairs(datum: RootDatum, pos, order_key) -> dict[int, list[tuple[int, int]]]:
-    """For each positive root c, the pairs (a, b) of positive roots with
-    a + b = c and a before b in the order, listed by a."""
-    sums = datum.root_sums()
-    pos_set = set(pos)
-    neg = {a: datum.negative_of(a) for a in pos}
-    out = {}
-    for c in pos:
-        row = sums[c]
-        pairs = []
-        for a in pos:
-            if order_key[a] >= order_key[c]:
-                break
-            b = row.get(neg[a])
-            if b in pos_set and order_key[a] < order_key[b]:
-                pairs.append((a, b))
-        out[c] = pairs
-    return out
+    order_key: dict[int, tuple]  # positive root index -> (height, coordinates), in order
+    special: dict[int, list[tuple[int, int]]]  # positive root -> its special pairs
 
 
 def base_constants(datum: RootDatum) -> StructureConstants:
     """Deterministic base Chevalley system for a reduced datum."""
     if not datum.reduced:
         raise DomainError("structure constants require a reduced datum")
-    pos, order_key = _positive_order(datum)
-    pos_set = set(pos)
+    key = {i: (datum.height(i), datum.simple_coordinates(i)) for i in datum.positive_root_indices()}
+    pos = sorted(key, key=key.get)
+    place = {a: p for p, a in enumerate(pos)}
     len2 = _squared_lengths(datum)
     sums = datum.root_sums()
     neg = [datum.negative_of(i) for i in range(datum.nroots)]
+    # the special pairs of each positive c: a + b = c with a before b, listed
+    # by a, from the rows of the positive a in order
+    special = {c: [] for c in pos}
+    for a in pos:
+        for b, c in sums[a].items():
+            if place.get(b, -1) > place[a]:
+                special[c].append((a, b))
     table: dict[tuple[int, int], int] = {}
 
     def resolve(i, j) -> int:
         """Constant for an arbitrary valid pair, reducing to the positive table."""
-        if (i, j) in table:
-            return table[(i, j)]
-        ip, jp = i in pos_set, j in pos_set
+        if (val := table.get((i, j))) is not None:
+            return val
+        ip, jp = i in place, j in place
         if ip and jp:
             raise InternalInconsistencyError(
                 "positive pair requested before its height was processed"
@@ -130,7 +113,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         else:
             # i positive, j negative
             si = sums[i][j]
-            if si in pos_set:
+            if si in place:
                 val, rem = divmod(-resolve(neg[j], si) * len2[si], len2[i])
             else:
                 val, rem = divmod(resolve(neg[si], i) * len2[si], len2[j])
@@ -139,7 +122,6 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         table[(i, j)] = val
         return val
 
-    special = _special_pairs(datum, pos, order_key)
     xs_pair: dict[int, tuple[int, int]] = {}
     for c in pos:
         if datum.height(c) == 1:
@@ -156,7 +138,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             )
         xs_pair[c] = eps_pair
         e, h = eps_pair
-        table[(e, h)] = chain_length(datum, e, h)
+        table[(e, h)] = _chain_length(sums, neg[e], h)
         table[(h, e)] = -table[(e, h)]
         for a, b in pairs[1:]:
             # Jacobi on (X_{-e}, X_a, X_b); only N(a, b) is unknown.
@@ -178,52 +160,69 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             table[(a, b)] = val
             table[(b, a)] = -val
 
-    # complete the table over every valid ordered pair and check magnitudes
+    # complete the table over every valid ordered pair, checking magnitudes
+    # and antisymmetry
     for i, row in enumerate(sums):
         for j, s in row.items():
             if s >= 0:
-                resolve(i, j)
-    final: dict[tuple[int, int], int] = {}
-    for (i, j), iv in table.items():
-        expected = chain_length(datum, i, j)
-        if abs(iv) != expected:
-            raise InternalInconsistencyError(
-                f"constant magnitude {abs(iv)} differs from root-string bound {expected}"
-            )
-        if final.get((j, i), -iv) != -iv:
-            raise InternalInconsistencyError("antisymmetry violated")
-        final[(i, j)] = iv
+                iv, expected = resolve(i, j), _chain_length(sums, neg[i], j)
+                if abs(iv) != expected:
+                    raise InternalInconsistencyError(
+                        f"constant magnitude {abs(iv)} differs from root-string bound {expected}"
+                    )
+                if resolve(j, i) != -iv:
+                    raise InternalInconsistencyError("antisymmetry violated")
     return StructureConstants(
         datum=datum,
-        table=final,
+        table=table,
         eps={i: 1 for i in pos},
         xs_pair=xs_pair,
-        order_key=order_key,
+        order_key={i: key[i] for i in pos},
+        special=special,
     )
 
 
 def _bracket_table(sc: StructureConstants):
-    """Basis keys (the roots, then the Cartan keys) and the table br[a][b]
-    of (index, coefficient) pairs with nonzero coefficient of each basis
-    bracket, read off the root sums: [h_k, X_b] = b_k X_b,
-    [X_a, X_-a] = the coroot of a in the Cartan keys, and
-    [X_a, X_b] = N(a, b) X_(a+b) when a + b is a root."""
+    """Basis keys (the roots, then the Cartan keys) and the rows br[a], each
+    a dict b -> the (index, coefficient) pairs with nonzero coefficient of
+    the bracket of a and b, over the b where it is nonzero; read off the
+    root sums: [h_k, X_b] = b_k X_b, [X_a, X_-a] = the coroot of a in the
+    Cartan keys, and [X_a, X_b] = N(a, b) X_(a+b) when a + b is a root."""
     d = sc.datum
     n, rank = d.nroots, d.rank
     keys = [("r", i) for i in range(n)] + [("h", k) for k in range(rank)]
     br = []
     for a, row in enumerate(d.root_sums()):
-        coroot = tuple((n + k, x) for k, x in enumerate(d.coroots[a]) if x)
-        entries = [()] * n + [((a, -x),) if x else () for x in d.roots[a]]
+        entries = {n + k: ((a, -x),) for k, x in enumerate(d.roots[a]) if x}
         for b, s in row.items():
             if s < 0:
-                entries[b] = coroot
+                entries[b] = tuple((n + k, x) for k, x in enumerate(d.coroots[a]) if x)
             elif x := sc.table[(a, b)]:
                 entries[b] = ((s, x),)
         br.append(entries)
     for k in range(rank):
-        br.append([((b, r[k]),) if r[k] else () for b, r in enumerate(d.roots)] + [()] * rank)
+        br.append({b: ((b, r[k]),) for b, r in enumerate(d.roots) if r[k]})
     return keys, br
+
+
+def _derivation_failure(s: int, br, code, preimage):
+    """Step 4 of ``verify_jacobi`` for the generator s: a pair (y, z) with
+    J(s, y, z) != 0, or None.  J(s, y, z) = T(y, z) - T(z, y) - sum x code[s][i]
+    over the terms (i, x) of [y, z], with T(y, z) = [[s, y], z] and
+    code[i][s] = -code[s][i] by step 2, summed over y < z keyed y m + z."""
+    m = len(code)
+    total = {}
+    for y, entry in br[s].items():
+        for i, x in entry:
+            for z, v in code[i].items():
+                if y < z:
+                    total[y * m + z] = total.get(y * m + z, 0) + x * v
+                elif z < y:
+                    total[z * m + y] = total.get(z * m + y, 0) - x * v
+    for i, w in code[s].items():
+        for key, x in preimage[i]:
+            total[key] = total.get(key, 0) - x * w
+    return next((divmod(key, m) for key, v in total.items() if v), None)
 
 
 def verify_jacobi(sc: StructureConstants) -> bool:
@@ -232,7 +231,7 @@ def verify_jacobi(sc: StructureConstants) -> bool:
     Once the bracket is alternating, the identity says that every ad x is
     a derivation, and those x form a subalgebra: ad [x, y] = [ad x, ad y]
     when ad x is a derivation, and a commutator of derivations is one (cf.
-    Carter, Simple Groups of Lie Type, 4.1).  On the table br of
+    Carter, Simple Groups of Lie Type, 4.1).  On the rows br of
     ``_bracket_table``, coded as code[a][b] = sum x P_i over the terms
     (i, x) of br[a][b], this checks in turn:
 
@@ -243,8 +242,14 @@ def verify_jacobi(sc: StructureConstants) -> bool:
        do not reach by one-term brackets generate the algebra;
     4. ad s is a derivation for each generator s: J(s, y, z) =
        [[s, y], z] + [[y, z], s] + [[z, s], y] vanishes on each pair where
-       a term can be nonzero: [s, y] has a term i with [i, z] != 0 (or y,
-       z swapped), or [y, z] has a term i with [i, s] != 0.
+       a term can be nonzero.  The Chevalley involution omega: X_a ->
+       -X_(-a), h -> -h is an automorphism of every Chevalley basis
+       (Humphreys, Introduction to Lie Algebras and Representation Theory,
+       14.3; Carter, 4.2), and then J(omega s, omega y, omega z) =
+       omega J(s, y, z).  So when step 2 finds code[-y][-z] = -code[y][z]
+       throughout (N(-a, -b) = -N(a, b) and coroot(-a) = -coroot(a)), only
+       the positive simple root vectors and one of +-r for each root r not
+       reached are checked, and otherwise every generator of step 3.
 
     By step 1 the terms of a bracket, and of J, lie on one root vector or
     in the Cartan span, so P_i = 1 on root vectors and B^k on Cartan key k
@@ -254,59 +259,60 @@ def verify_jacobi(sc: StructureConstants) -> bool:
     """
     keys, br = _bracket_table(sc)
     d = sc.datum
-    support = [[b for b, entry in enumerate(row) if entry] for row in br]
-    terms = [row[b] for row, sup in zip(br, support) for b in sup]
+    n, m = d.nroots, len(keys)
+    terms = [entry for row in br for entry in row.values()]
     largest = max([abs(x) for t in terms for _, x in t], default=0)
     largest_sum = max([sum(abs(x) for _, x in t) for t in terms if len(t) > 1], default=largest)
-    powers = [1] * d.nroots + [(6 * largest_sum * largest + 1) ** k for k in range(d.rank)]
+    powers = [1] * n + [(6 * largest_sum * largest + 1) ** k for k in range(d.rank)]
     wt = d.root_codes() + (0,) * d.rank
-    code = [[0] * len(keys) for _ in keys]
+    code = [{} for _ in keys]
     for a, row in enumerate(br):
-        for b in support[a]:
-            for i, x in row[b]:
+        code_a = code[a]
+        for b, entry in row.items():
+            total = 0
+            for i, x in entry:
                 if wt[i] != wt[a] + wt[b]:
                     raise InternalInconsistencyError(
                         f"bracket of {keys[a]} and {keys[b]} is not of their weight"
                     )
-                code[a][b] += x * powers[i]
+                total += x * powers[i]
+            code_a[b] = total
+    # step 2, and whether omega is an automorphism
+    neg = [d.negative_of(i) for i in range(n)] + list(range(n, m))
+    omega = True
     preimage = [[] for _ in keys]
-    for y, sup in enumerate(support):
-        for z in sup:
-            if code[z][y] != -code[y][z]:
+    for y, row in enumerate(code):
+        row_omega = code[neg[y]]
+        for z, v in row.items():
+            if code[z].get(y, 0) != -v:
                 raise InternalInconsistencyError(
                     f"bracket is not alternating on {keys[y]}, {keys[z]}"
                 )
+            if row_omega.get(neg[z]) != -v:
+                omega = False
             if y < z:
-                for i, _ in br[y][z]:
-                    preimage[i].append((y, z))
+                for i, x in br[y][z]:
+                    preimage[i].append((y * m + z, x))
     simple = list(d.basis_indices) + [d.negative_of(i) for i in d.basis_indices]
     reached, queue = set(simple), list(simple)
     for t in queue:  # the queue grows while it is read
-        new = {e[0][0] for e in (br[s][t] for s in simple) if len(e) == 1} - reached
+        new = {e[0][0] for e in (br[s].get(t, ()) for s in simple) if len(e) == 1} - reached
         reached |= new
         queue.extend(new)
-    for s in simple + [i for i in range(d.nroots) if i not in reached]:
-        row_s, code_s = br[s], [row[s] for row in code]
-        pairs = {pair for i in support[s] for pair in preimage[i]}
-        for y in support[s]:
-            for i, _ in row_s[y]:
-                pairs.update((y, z) if y < z else (z, y) for z in support[i])
-        for y, z in pairs:
-            total = 0
-            for i, x in row_s[y]:
-                total += x * code[i][z]
-            for i, x in row_s[z]:
-                total -= x * code[i][y]
-            for i, x in br[y][z]:
-                total += x * code_s[i]
-            if total:
-                a, b, c = (keys[k] for k in sorted((s, y, z)))
-                raise InternalInconsistencyError(f"Jacobi identity fails on {a}, {b}, {c}")
+    if omega:
+        gens = list(d.basis_indices) + [i for i in range(n) if i not in reached and i < neg[i]]
+    else:
+        gens = simple + [i for i in range(n) if i not in reached]
+    for s in gens:
+        if pair := _derivation_failure(s, br, code, preimage):
+            a, b, c = (keys[k] for k in sorted((s, *pair)))
+            raise InternalInconsistencyError(f"Jacobi identity fails on {a}, {b}, {c}")
     return True
 
 
 def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
-    """System obtained by X_beta -> eps(beta) X_beta (same sign on -beta)."""
+    """System obtained by X_beta -> eps(beta) X_beta (same sign on -beta).
+    An entry N(i, j) changes only when a root among i, j and i + j flips."""
     d = sc.datum
     full = {}
     for i in sc.eps:
@@ -316,9 +322,13 @@ def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
         full[i] = e
         full[d.negative_of(i)] = e
     sums = d.root_sums()
-    new_table = {
-        (i, j): full[i] * full[j] * full[sums[i][j]] * v for (i, j), v in sc.table.items()
-    }
+    new_table = dict(sc.table)
+    for f in (f for f, e in full.items() if e == -1):
+        # f + a = k gives the entries (f, a), (a, f), (k, -a), (-a, k)
+        for a, k in sums[f].items():
+            if k >= 0:
+                for i, j in ((f, a), (a, f), (k, d.negative_of(a)), (d.negative_of(a), k)):
+                    new_table[i, j] = full[i] * full[j] * full[sums[i][j]] * sc.table[i, j]
     new_eps = {i: sc.eps[i] * eps.get(i, 1) for i in sc.eps}
     return StructureConstants(
         datum=d,
@@ -326,6 +336,7 @@ def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
         eps=new_eps,
         xs_pair=sc.xs_pair,
         order_key=sc.order_key,
+        special=sc.special,
     )
 
 
@@ -336,18 +347,12 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
     Consistency across every special decomposition is asserted; failure
     would mean the element does not extend to a Lie algebra automorphism.
     """
-    d = sc.datum
-    pos, order_key = _positive_order(d)
-    special = _special_pairs(d, pos, order_key)
-    simple = {i for i in pos if d.height(i) == 1}
     out = []
     for perm in act.element_permutations():
-        c: dict[int, int] = {i: 1 for i in simple}
-        for gamma in pos:
-            if gamma in simple:
-                continue
+        c: dict[int, int] = dict.fromkeys(sc.datum.basis_indices, 1)
+        for gamma in sc.xs_pair:  # the nonsimple positive roots, in order
             values = set()
-            for a, b in special[gamma]:
+            for a, b in sc.special[gamma]:
                 num = sc.table[(perm[a], perm[b])]
                 den = sc.table[(a, b)]
                 if abs(num) != abs(den):
@@ -368,8 +373,8 @@ def _d4_components_with_s3(sc: StructureConstants, act: PinnedAction):
     """Components of type D4 whose stabilizer acts with full image S3."""
     d = sc.datum
     found = []
-    for ci, comp in enumerate(d.components()):
-        if _component_type(d, comp) != ("D", 4):
+    for ci, (comp, ctype) in enumerate(zip(d.components(), d.component_types())):
+        if ctype != ("D", 4):
             continue
         comp_sorted = tuple(sorted(comp))
         restricted = {
@@ -435,8 +440,7 @@ def equivariant_signs(sc: StructureConstants, act: PinnedAction):
     d = sc.datum
     classes = equivalence_classes(d, act)
     special = {i for cls in classes for i in cls.special}
-    pos, _ = _positive_order(d)
-    simple = {i for i in pos if d.height(i) == 1}
+    simple = set(d.basis_indices)
 
     eps: dict[int, int] = {}
     for ci in _d4_components_with_s3(sc, act):
@@ -448,7 +452,7 @@ def equivariant_signs(sc: StructureConstants, act: PinnedAction):
 
     orbit_of = {i: orb for orb in act.orbits("roots") for i in orb}
     done = set()
-    for rho in pos:
+    for rho in sc.order_key:
         if rho in done or rho in special:
             continue
         orb = set(orbit_of[rho])

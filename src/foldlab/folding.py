@@ -15,7 +15,7 @@ from math import gcd
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, _relation_matrix, cokernel
-from .rootdata import RootDatum, WEYL_LIMIT_DEFAULT, _component_type, cartan_type_of
+from .rootdata import RootDatum, WEYL_LIMIT_DEFAULT, cartan_type_of
 from .action import PinnedAction
 from .record import FrozenRecord, Record
 
@@ -142,12 +142,11 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
 
 def active_even_a_components(datum: RootDatum, act: PinnedAction) -> tuple[int, ...]:
     """Indices of even-rank type A components moved by their stabilizer."""
-    out = []
-    for ci, comp in enumerate(datum.components()):
-        fam, rank = _component_type(datum, comp)
-        if fam == "A" and rank % 2 == 0 and act.stabilizer_moves_component(ci):
-            out.append(ci)
-    return tuple(out)
+    return tuple(
+        ci
+        for ci, (fam, rank) in enumerate(datum.component_types())
+        if fam == "A" and rank % 2 == 0 and act.stabilizer_moves_component(ci)
+    )
 
 
 def _check_type_two_shape(datum, act, classes):
@@ -273,15 +272,18 @@ def folded_root_data(datum: RootDatum, act: PinnedAction) -> dict[str, FoldedDat
 
     out = {}
     for variant in VARIANTS:
-        roots = [s[0] for s in slots[variant]]
-        coroots = [s[1] for s in slots[variant]]
-        folded = RootDatum(
-            lattice.free_rank,
-            roots + [tuple(-x for x in v) for v in roots],
-            coroots + [tuple(-x for x in v) for v in coroots],
-            basis_indices=bases[variant],
-            reduced=(variant != "nonreduced"),
-        )
+        if variant == "R2" and all(cls.kind == "I" for cls in classes):
+            folded = out["R1"].datum  # no divisible class: R2 has R1's slots and base
+        else:
+            roots = [s[0] for s in slots[variant]]
+            coroots = [s[1] for s in slots[variant]]
+            folded = RootDatum(
+                lattice.free_rank,
+                roots + [tuple(-x for x in v) for v in roots],
+                coroots + [tuple(-x for x in v) for v in coroots],
+                basis_indices=bases[variant],
+                reduced=(variant != "nonreduced"),
+            )
         out[variant] = FoldedDatum(
             datum=folded,
             variant=variant,

@@ -151,16 +151,17 @@ def cartan_matrix_product(ct: CartanType) -> IntMatrix:
     return IntMatrix(a, cols=n)
 
 
-def _generate_root_coroot_pairs(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
+def _generate_root_coroot_pairs(cartan: IntMatrix) -> list[tuple[tuple, tuple, tuple]]:
     """Close the simple (root, coroot) pairs under simple reflections.
 
     Roots carry coordinates in the simple-root basis, coroots in the
     simple-coroot basis; the reflection s_i acts on both sides at once.
     s_i changes only coordinate i, and fixes v when <v, alpha_i^vee> = 0.
+    Returns the sorted triples (root v, coroot, C v), C the Cartan matrix.
     """
     n = cartan.rows
     ct = cartan.transpose()
-    pairs = {}
+    pairs, products = {}, {}
     frontier = []
     for i in range(n):
         e = tuple(1 if k == i else 0 for k in range(n))
@@ -171,7 +172,8 @@ def _generate_root_coroot_pairs(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
         for v in frontier:
             w = pairs[v]
             cw = ct.apply(w)
-            for i, c in enumerate(cartan.apply(v)):
+            products[v] = cartan.apply(v)
+            for i, c in enumerate(products[v]):
                 if not c:
                     continue
                 rv = v[:i] + (v[i] - c,) + v[i + 1 :]
@@ -179,7 +181,15 @@ def _generate_root_coroot_pairs(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
                     pairs[rv] = w[:i] + (w[i] - cw[i],) + w[i + 1 :]
                     new.append(rv)
         frontier = new
-    return sorted(pairs.items())
+    return sorted((v, w, products[v]) for v, w in pairs.items())
+
+
+def _images(vectors, codes, at, dual, code_i) -> list:
+    """For each vector v, given with its integer code, the index that ``at``
+    gives to the code of v - <v, dual> x_i, or None: one sparse integer
+    expression and one dict lookup.  ``dual`` holds the (index, entry) pairs
+    of a dual vector, and code_i is the code of x_i."""
+    return [at.get(x - sum(v[k] * y for k, y in dual) * code_i) for x, v in zip(codes, vectors)]
 
 
 class RootDatum:
@@ -195,7 +205,7 @@ class RootDatum:
         if len(self._index) != len(self.roots):
             raise DomainError("duplicate roots")
         self._simple_coords = None
-        self._components = None
+        self._components = self._component_types = None
         self._root_codes = self._negatives = None
         self._root_sums = None
         if validate:
@@ -286,15 +296,8 @@ class RootDatum:
         the first j, root side before coroot side, whose image leaves its set."""
         root_codes, coroot_codes, root_at, coroot_at = codes
         root, coroot = _nonzero(self.roots[i]), _nonzero(self.coroots[i])
-        root_i, coroot_i = root_codes[i], coroot_codes[i]
-        images = [
-            root_at.get(x - sum(r[k] * y for k, y in coroot) * root_i)
-            for x, r in zip(root_codes, self.roots)
-        ]
-        coimages = [
-            coroot_at.get(y - sum(c[k] * x for k, x in root) * coroot_i)
-            for y, c in zip(coroot_codes, self.coroots)
-        ]
+        images = _images(self.roots, root_codes, root_at, coroot, root_codes[i])
+        coimages = _images(self.coroots, coroot_codes, coroot_at, root, coroot_codes[i])
         if None in images or None in coimages:
             for j in range(self.nroots):
                 if images[j] is None:
@@ -405,15 +408,33 @@ class RootDatum:
 
     def root_sums(self) -> tuple[dict[int, int], ...]:
         """Per root i, the map j -> k for each j with roots[i] + roots[j] =
-        roots[k] (k = -1 for a zero sum); a missing j means no root.  Each
-        sum is one addition of root codes and one dict lookup."""
+        roots[k] (k = -1 for a zero sum); a missing j means no root.  The
+        order of the keys in a row is not part of the contract.
+
+        The first root of each orbit under the simple reflections gets its
+        row directly, each sum one addition of root codes and one dict
+        lookup.  A simple reflection s permutes the roots linearly, so row
+        s(j) is row j moved by s: {s(b): s(k)}, with -1 kept."""
         if self._root_sums is None:
             codes = self.root_codes()
             where = {0: -1} | {code: i for i, code in enumerate(codes)}
-            self._root_sums = tuple(
-                {j: k for j, b in enumerate(codes) if (k := where.get(a + b)) is not None}
-                for a in codes
-            )
+            # a trailing -1 makes s[-1] = -1
+            perms = [
+                [*self.simple_reflection_permutation(p), -1] for p in range(len(self.basis_indices))
+            ]
+            rows = {}
+            for start, a in enumerate(codes):
+                if start in rows:
+                    continue
+                row = ((j, where.get(a + b)) for j, b in enumerate(codes))
+                rows[start] = {j: k for j, k in row if k is not None}
+                queue = [start]
+                for j in queue:  # the queue grows as rows are moved
+                    for s in perms:
+                        if (i := s[j]) not in rows:
+                            rows[i] = {s[b]: s[k] for b, k in rows[j].items()}
+                            queue.append(i)
+            self._root_sums = tuple(rows[i] for i in range(self.nroots))
         return self._root_sums
 
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -453,11 +474,20 @@ class RootDatum:
         self._components = tuple(comps)
         return self._components
 
+    def component_types(self) -> tuple[tuple[str, int], ...]:
+        """The (family, rank) of each component, in the order of
+        ``components()``; recognized once per datum."""
+        if self._component_types is None:
+            self._component_types = tuple(_component_type(self, c) for c in self.components())
+        return self._component_types
+
     def simple_reflection_permutation(self, basis_position: int) -> tuple[int, ...]:
         """Permutation of root indices induced by reflecting along the
-        basis_position-th simple root."""
-        i = self.basis_indices[basis_position]
-        return tuple(self._reflection_images(i, self._reflection_codes())[0])
+        basis_position-th simple root of a valid datum, read off the root
+        codes: s(alpha_j) has the code of alpha_j - <alpha_j, alpha^vee> alpha."""
+        codes, g = self.root_codes(), self.basis_indices[basis_position]
+        where = {code: i for i, code in enumerate(codes)}
+        return tuple(_images(self.roots, codes, where, _nonzero(self.coroots[g]), codes[g]))
 
     def weyl_group(self, limit: int = WEYL_LIMIT_DEFAULT) -> "WeylGroup":
         gens = [self.simple_reflection_permutation(p) for p in range(len(self.basis_indices))]
@@ -519,12 +549,11 @@ def build_preset(cartan_type, isogeny: str = "sc") -> RootDatum:
         raise DomainError(f"unknown isogeny {isogeny!r}; expected 'sc' or 'adjoint'")
     c = cartan_matrix_product(ct)
     ctr = c.transpose()
-    pairs = _generate_root_coroot_pairs(c)
     n = ct.rank
     roots, coroots = [], []
-    for v, w in pairs:
+    for v, w, cv in _generate_root_coroot_pairs(c):
         if isogeny == "sc":
-            roots.append(c.apply(v))
+            roots.append(cv)
             coroots.append(w)
         else:
             roots.append(v)
@@ -613,5 +642,5 @@ def cartan_type_of(datum: RootDatum) -> CartanType:
 
     Rank-2 double-bond components normalize to C2 and rank-3 D to A3.
     """
-    comps = [_component_type(datum, comp) for comp in datum.components()]
+    comps = datum.component_types()
     return CartanType(tuple(sorted(("A", 3) if t == ("D", 3) else t for t in comps)))

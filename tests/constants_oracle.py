@@ -10,18 +10,32 @@ sum the same way, as a dense table for the sparse rows of ``root_sums`` to
 be compared with.  The constants are ``Fraction`` throughout, and
 ``squared_lengths_by_fractions`` sums the length form term by term in
 ``Fraction``, as production did before it moved to integers.
+``special_pairs_by_scan`` finds the special pairs of each positive root by
+scanning every positive root before it, as production did before it read
+them off the root-sum rows.
 """
 
 from fractions import Fraction
 
-from foldlab.chevalley import StructureConstants, _positive_order
+from foldlab.chevalley import StructureConstants
 from foldlab.errors import DomainError, InternalInconsistencyError
 
 
-def root_sums_by_tuples(datum):
-    """sums[i][j]: index of roots[i] + roots[j], -1 if zero, else None."""
+def positive_order(datum):
+    """The positive roots sorted by (height, simple coordinates), and that
+    key of each, in the same order."""
+    pos = sorted(
+        datum.positive_root_indices(),
+        key=lambda i: (datum.height(i), datum.simple_coordinates(i)),
+    )
+    return pos, {i: (datum.height(i), datum.simple_coordinates(i)) for i in pos}
+
+
+def root_sums_by_tuples(datum, rows=None):
+    """sums[i][j]: index of roots[i] + roots[j], -1 if zero, else None; only
+    the rows i in ``rows`` when it is given."""
     out = []
-    for r in datum.roots:
+    for r in (datum.roots if rows is None else [datum.roots[i] for i in rows]):
         row = []
         for s in datum.roots:
             v = tuple(a + b for a, b in zip(r, s))
@@ -31,6 +45,26 @@ def root_sums_by_tuples(datum):
                 row.append(datum.root_index(v) if datum.is_root(v) else None)
         out.append(tuple(row))
     return tuple(out)
+
+
+def special_pairs_by_scan(datum, pos, order_key):
+    """For each positive root c, the pairs (a, b) of positive roots with
+    a + b = c and a before b in the order, listed by a."""
+    sums = datum.root_sums()
+    pos_set = set(pos)
+    neg = {a: datum.negative_of(a) for a in pos}
+    out = {}
+    for c in pos:
+        row = sums[c]
+        pairs = []
+        for a in pos:
+            if order_key[a] >= order_key[c]:
+                break
+            b = row.get(neg[a])
+            if b in pos_set and order_key[a] < order_key[b]:
+                pairs.append((a, b))
+        out[c] = pairs
+    return out
 
 
 def squared_lengths_by_fractions(datum):
@@ -81,7 +115,7 @@ def base_constants_by_tuples(datum):
     """Deterministic base Chevalley system for a reduced datum."""
     if not datum.reduced:
         raise DomainError("structure constants require a reduced datum")
-    pos, order_key = _positive_order(datum)
+    pos, order_key = positive_order(datum)
     pos_set = set(pos)
     len2 = squared_lengths_by_fractions(datum)
     table: dict[tuple[int, int], Fraction | int] = {}
@@ -125,11 +159,12 @@ def base_constants_by_tuples(datum):
                     out.append((a, b))
         return out
 
+    special = {c: special_pairs(c) for c in pos}
     xs_pair: dict[int, tuple[int, int]] = {}
     for c in pos:
         if datum.height(c) == 1:
             continue
-        pairs = special_pairs(c)
+        pairs = special[c]
         if not pairs:
             raise InternalInconsistencyError(
                 "nonsimple positive root with no special pair"
@@ -195,6 +230,7 @@ def base_constants_by_tuples(datum):
         eps={i: 1 for i in pos},
         xs_pair=xs_pair,
         order_key=order_key,
+        special=special,
     )
 
 
@@ -220,6 +256,7 @@ def rescale_by_tuples(sc, eps):
         eps=new_eps,
         xs_pair=sc.xs_pair,
         order_key=sc.order_key,
+        special=sc.special,
     )
 
 
@@ -231,7 +268,7 @@ def automorphism_constants_by_tuples(sc, act):
     would mean the element does not extend to a Lie algebra automorphism.
     """
     d = sc.datum
-    pos, order_key = _positive_order(d)
+    pos, order_key = positive_order(d)
     pos_set = set(pos)
     simple = {i for i in pos if d.height(i) == 1}
     out = []

@@ -10,8 +10,9 @@ The oracles here check it on every triple a < b < c of basis elements:
 
 ``bracket`` brackets two basis elements by adding their coordinate tuples,
 and ``bracket_elements`` extends it bilinearly.  ``bracket_table_by_brackets``
-builds the basis bracket table of ``verify_jacobi`` through ``bracket``, as
-it was built before the root-sum table.  ``jacobi_sum`` and ``is_alternating_on``
+builds the sparse rows of ``verify_jacobi``'s bracket table through
+``bracket``, from all pairs of keys, as it was built before the root-sum
+table.  ``jacobi_sum`` and ``is_alternating_on``
 check the one triple or pair that a failure message names.
 """
 
@@ -49,15 +50,19 @@ def bracket_elements(sc, ea: dict, eb: dict) -> dict:
 
 
 def bracket_table_by_brackets(sc):
-    """Basis keys and br[a][b], the (index, coefficient) pairs with nonzero
-    coefficient of the bracket of basis elements a and b."""
+    """Basis keys and the rows br[a], each a dict b -> the (index,
+    coefficient) pairs with nonzero coefficient of the bracket of basis
+    elements a and b, over the b where that bracket is nonzero."""
     d = sc.datum
     keys = [("r", i) for i in range(d.nroots)] + [("h", k) for k in range(d.rank)]
     index = {key: a for a, key in enumerate(keys)}
-    br = [
-        [tuple((index[k], x) for k, x in bracket(sc, ka, kb).items() if x) for kb in keys]
-        for ka in keys
-    ]
+    br = []
+    for ka in keys:
+        row = {}
+        for b, kb in enumerate(keys):
+            if entry := tuple((index[k], x) for k, x in bracket(sc, ka, kb).items() if x):
+                row[b] = entry
+        br.append(row)
     return keys, br
 
 
@@ -95,10 +100,12 @@ def verify_jacobi_exhaustive(sc):
     terms (i, x) of each pair bracket.  With L the largest coefficient sum
     of a bracket and Y its largest coefficient, each coordinate of a Jacobi
     sum has size at most 3 L Y, so with B = 6 L Y + 1 the code of the sum
-    is zero exactly when the sum is.
+    is zero exactly when the sum is.  The sparse rows of ``_bracket_table``
+    are spread into a dense m x m table first.
     """
-    keys, br = _bracket_table(sc)
+    keys, rows = _bracket_table(sc)
     m = len(keys)
+    br = [[row.get(b, ()) for b in range(m)] for row in rows]
     terms = [entry for row in br for entry in row if entry]
     largest_sum = max((sum(abs(x) for _, x in t) for t in terms), default=0)
     largest = max((abs(x) for t in terms for _, x in t), default=0)

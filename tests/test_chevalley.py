@@ -26,6 +26,7 @@ from constants_oracle import (
     base_constants_by_tuples,
     chain_length_by_tuples,
     rescale_by_tuples,
+    special_pairs_by_scan,
 )
 from jacobi_oracle import (
     bracket,
@@ -121,20 +122,34 @@ def _assert_same_verdict(sc, oracle=verify_jacobi_exhaustive):
         assert not is_alternating_on(sc, *keys), outcome
 
 
-# one-entry changes to a table of constants, each keyed by what it does to
-# N(i, j): the pair changes keep antisymmetry (pair_zero can leave a root
-# vector out of reach of the simple ones, so that it joins the generators),
-# and x10^6 puts a coefficient far past any code base fixed without looking
-# at the table
+def _negated_pair(t, i, j):
+    return {(i, j): -t[i, j], (j, i): -t[j, i]}
+
+
+# changes to a table of constants, each keyed by what it does to N(i, j),
+# with neg the datum's negative_of: the pair changes keep antisymmetry
+# (pair_zero can leave a root vector out of reach of the simple ones, so
+# that it joins the generators), x10^6 puts a coefficient far past any code
+# base fixed without looking at the table, omega negates only N(-i, -j) and
+# N(-j, -i), so that the Chevalley involution is no automorphism, and
+# pair_omega negates both pairs, so that it still is one and verify_jacobi
+# checks only half of its generators
 MUTATIONS = {
-    "sign": lambda t, i, j: {(i, j): -t[i, j]},
-    "pair": lambda t, i, j: {(i, j): -t[i, j], (j, i): -t[j, i]},
-    "pair_x2": lambda t, i, j: {(i, j): 2 * t[i, j], (j, i): 2 * t[j, i]},
-    "pair_zero": lambda t, i, j: {(i, j): 0, (j, i): 0},
-    "x3": lambda t, i, j: {(i, j): 3 * t[i, j]},
-    "zero": lambda t, i, j: {(i, j): 0},
-    "x1e6": lambda t, i, j: {(i, j): 10**6 * t[i, j]},
+    "sign": lambda t, i, j, neg: {(i, j): -t[i, j]},
+    "pair": lambda t, i, j, neg: _negated_pair(t, i, j),
+    "pair_x2": lambda t, i, j, neg: {(i, j): 2 * t[i, j], (j, i): 2 * t[j, i]},
+    "pair_zero": lambda t, i, j, neg: {(i, j): 0, (j, i): 0},
+    "x3": lambda t, i, j, neg: {(i, j): 3 * t[i, j]},
+    "zero": lambda t, i, j, neg: {(i, j): 0},
+    "x1e6": lambda t, i, j, neg: {(i, j): 10**6 * t[i, j]},
+    "omega": lambda t, i, j, neg: _negated_pair(t, neg(i), neg(j)),
+    "pair_omega": lambda t, i, j, neg: _negated_pair(t, i, j) | _negated_pair(t, neg(i), neg(j)),
 }
+
+
+def _mutated(sc, name, i, j):
+    table = {**sc.table, **MUTATIONS[name](sc.table, i, j, sc.datum.negative_of)}
+    return StructureConstants(sc.datum, table, sc.eps, sc.xs_pair, sc.order_key, sc.special)
 
 
 @pytest.mark.parametrize("ctype", ["A2", "B2", "G2", "A3", "A4", "B3", "C3", "D4", "F4"])
@@ -146,14 +161,45 @@ def test_jacobi_matches_bracket_oracle(ctype):
     entries = list(sc.table)
     # six positions spread over the table, the first entry among them
     for i, j in entries[:: -(-len(entries) // 6)]:
-        for name, change in MUTATIONS.items():
-            table = {**sc.table, **change(sc.table, i, j)}
-            broken = StructureConstants(sc.datum, table, sc.eps, sc.xs_pair, sc.order_key)
+        for name in MUTATIONS:
+            broken = _mutated(sc, name, i, j)
             assert _bracket_table(broken) == bracket_table_by_brackets(broken), name
             assert _outcome(verify_jacobi, broken) is not True, name
             _assert_same_verdict(broken)
-            if (i, j) == entries[0]:
+            if (i, j) == entries[0] or name == "omega":
                 _assert_same_verdict(broken, oracle=verify_jacobi_by_brackets)
+
+
+def _generators_checked(sc, monkeypatch):
+    """The generators whose rows step 4 of verify_jacobi reads, with the
+    check of each one stubbed out."""
+    read = []
+    with monkeypatch.context() as m:
+        m.setattr(chevalley, "_derivation_failure", lambda s, *_: read.append(s))
+        assert verify_jacobi(sc) is True
+    return read
+
+
+def test_jacobi_checks_rank_generators_when_omega_holds(monkeypatch):
+    e7 = base_constants(build_preset("E7", "sc"))
+    systems = [
+        base_constants(build_preset(t, isogeny))
+        for t in ORACLE_TYPES + ["E8"]
+        for isogeny in ("sc", "adjoint")
+    ]
+    for name in preset_names():
+        pre = load_preset(name)
+        sc = base_constants(pre.datum)
+        systems += [sc, equivariant_signs(sc, pre.action)[0]]
+    for sc in systems:
+        assert _generators_checked(sc, monkeypatch) == list(sc.datum.basis_indices)
+    # with omega broken, the negative simple root vectors are checked too
+    base = list(e7.datum.basis_indices)
+    for i, j in list(e7.table)[::500]:
+        broken = _mutated(e7, "omega", i, j)
+        assert _generators_checked(broken, monkeypatch) == base + [
+            e7.datum.negative_of(g) for g in base
+        ]
 
 
 def test_jacobi_rejects_a_bracket_off_its_weight(monkeypatch):
@@ -201,7 +247,7 @@ ORACLE_TYPES = [
 
 
 def _fields(sc):
-    return sc.table, sc.eps, sc.xs_pair, sc.order_key
+    return sc.table, sc.eps, sc.xs_pair, sc.order_key, sc.special
 
 
 @pytest.mark.parametrize("ctype", ORACLE_TYPES)
@@ -214,12 +260,20 @@ def test_base_constants_match_tuple_oracle(ctype):
             assert chain_length(datum, i, j) == chain_length_by_tuples(datum, i, j)
 
 
+@pytest.mark.parametrize("ctype", ORACLE_TYPES + ["E8"])
+def test_special_pairs_match_the_scan(ctype):
+    for isogeny in ("sc", "adjoint"):
+        sc = base_constants(build_preset(ctype, isogeny))
+        assert sc.special == special_pairs_by_scan(sc.datum, list(sc.order_key), sc.order_key)
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_constants_and_signs_match_tuple_oracle_on_presets(name, monkeypatch):
     pre = load_preset(name)
     sc = base_constants(pre.datum)
     oracle = base_constants_by_tuples(pre.datum)
     assert _fields(sc) == _fields(oracle)
+    assert sc.special == special_pairs_by_scan(pre.datum, list(sc.order_key), sc.order_key)
     assert automorphism_constants(sc, pre.action) == automorphism_constants_by_tuples(
         oracle, pre.action
     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from foldlab import rootdata
 from foldlab.criteria import (
     BaseSpec,
     active_even_a_components,
@@ -121,6 +122,21 @@ def test_active_even_a_components():
     assert active_even_a_components(pre.datum, pre.action) == ()
     datum2, _ = type_a_flip(2)
     assert active_even_a_components(datum2, trivial_action(datum2)) == ()
+
+
+def test_component_types_are_recognized_once_per_datum(monkeypatch):
+    calls = []
+    recognize = rootdata._component_type
+    monkeypatch.setattr(
+        rootdata, "_component_type", lambda d, comp: calls.append(d) or recognize(d, comp)
+    )
+    pre = load_preset("A2+A2-sc-swap")
+    for datum, act in (type_a_flip(4), (pre.datum, pre.action)):
+        decide(datum, act, BaseSpec.all_primes())
+        fiber_reports(datum, act, (0, 2, 3))
+        assert active_even_a_components(datum, act) == active_even_a_components(datum, act)
+        assert datum.component_types() is datum.component_types()
+        assert sum(d is datum for d in calls) == len(datum.components())
 
 
 def test_fiber_report_a2_flip():

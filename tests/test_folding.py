@@ -16,6 +16,7 @@ from foldlab.folding import (
     center_structure,
     equivalence_classes,
     fixed_weyl,
+    folded_root_data,
     folded_root_datum,
     isogeny_injectivity_check,
 )
@@ -370,6 +371,22 @@ def test_nonreduced_root_counts():
     assert r1.datum.nroots == 8
     assert nr.datum.nroots == 12
     assert folded_root_datum(datum, act, "R2").datum.nroots == 8
+
+
+def test_r2_shares_the_r1_datum_without_a_type_two_class():
+    e7 = build_preset("E7", "sc")
+    cases = [(pre.datum, pre.action) for pre in CATALOG] + [(e7, trivial_action(e7))]
+    for datum, act in cases:
+        data = folded_root_data(datum, act)
+        if all(cls.kind == "I" for cls in data["R1"].classes):
+            assert data["R2"].datum is data["R1"].datum
+            assert data["nonreduced"].datum is not data["R1"].datum
+            assert not data["nonreduced"].datum.reduced
+    assert any(datum is e7 for datum, _ in cases)
+    # the A_{2n} flips have a type II class, so R2 is a datum of its own
+    for rank in (2, 4, 6):
+        data = folded_root_data(*type_a_flip(rank))
+        assert len({id(data[v].datum) for v in VARIANTS}) == 3, rank
 
 
 def test_reduced_variants_are_reduced():

@@ -70,7 +70,7 @@ IDENTITY = [
                 "residual_primes",
             ),
         ),
-        (StructureConstants, ("datum", "table", "eps", "xs_pair", "order_key")),
+        (StructureConstants, ("datum", "table", "eps", "xs_pair", "order_key", "special")),
         (OrbitReport, ("members", "special", "satisfied", "discrepancies")),
         (EquivarianceReport, ("orbits",)),
         (CountReport, ("n", "q", "brute", "predicted")),

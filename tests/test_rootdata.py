@@ -11,7 +11,7 @@ from foldlab import rootdata
 from foldlab.errors import DomainError, ResourceLimitError
 from foldlab.folding import VARIANTS, folded_root_datum
 from foldlab.intlat import IntMatrix
-from foldlab.presets import load_preset, preset_names
+from foldlab.presets import load_preset, preset_names, type_a_flip
 from foldlab.rootdata import (
     CartanType,
     RootDatum,
@@ -493,6 +493,18 @@ def test_build_preset_matches_tuple_generation(ctype, monkeypatch):
         assert new._simple_coords == old._simple_coords
 
 
+def test_build_preset_applies_the_cartan_matrix_once_per_root(monkeypatch):
+    # the generation's product C v is the sc root; the sc base takes one
+    # product per simple root
+    for ctype in ("A4", "E7", "B3+G2"):
+        calls = []
+        apply = IntMatrix.apply
+        with monkeypatch.context() as m:
+            m.setattr(IntMatrix, "apply", lambda mat, v: calls.append(v) or apply(mat, v))
+            datum = build_preset(ctype, "sc")
+        assert len(calls) == 2 * datum.nroots + datum.rank, ctype
+
+
 def test_weyl_closure_of_degree_at_most_one():
     # a single index would make itemgetter return a scalar, none would fail
     assert build_torus(3).weyl_group().elements == ((),)
@@ -521,22 +533,30 @@ def test_simple_reflection_permutation():
                     assert datum.roots[perm[j]] == image, (ctype, isogeny, p, j)
 
 
-def assert_sparse_root_sums(datum, where=None):
+def assert_sparse_root_sums(datum, where=None, stride=1):
     """Row i of root_sums() maps j to the index of roots[i] + roots[j] (-1
     for zero) for every pair the tuple oracle finds a root, and holds no
-    other key."""
-    sums, expected = datum.root_sums(), root_sums_by_tuples(datum)
-    assert len(sums) == len(expected) == datum.nroots, where
-    for i, (row, want) in enumerate(zip(sums, expected)):
+    other key.  With a stride, every stride-th row is compared with the
+    oracle, and every entry of every row is checked by one tuple sum."""
+    sums = datum.root_sums()
+    assert len(sums) == datum.nroots, where
+    picked = range(0, datum.nroots, stride)
+    for i, want in zip(picked, root_sums_by_tuples(datum, picked)):
+        row = sums[i]
         assert all(row.get(j) == k for j, k in enumerate(want)), (where, i)
         assert all(0 <= j < len(want) and want[j] is not None for j in row), (where, i)
+    zero = (0,) * datum.rank
+    for i, row in enumerate(sums):
+        for j, k in row.items():
+            total = tuple(a + b for a, b in zip(datum.roots[i], datum.roots[j]))
+            assert total == (zero if k == -1 else datum.roots[k]), (where, i, j)
 
 
 @pytest.mark.parametrize(
     "ctype",
     [
         "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "D4", "D5", "G2",
-        "F4", "E6", "E7",
+        "F4", "E6", "E7", "A2+A2",
     ],
 )
 def test_root_sums_match_tuple_arithmetic(ctype):
@@ -558,6 +578,12 @@ def test_root_sums_on_e8_folded_variants_and_torus():
     nonreduced = folded_root_datum(pre.datum, pre.action, "nonreduced").datum
     assert any(i in row for i, row in enumerate(nonreduced.root_sums()))
     assert build_torus(40).root_sums() == ()
+
+
+def test_root_sums_on_the_a40_flip():
+    # rows moved along the reflection walk through 40 base roots; the dense
+    # oracle takes about 9 s on all 1,640 rows, so it reads every 13th
+    assert_sparse_root_sums(type_a_flip(40)[0], "A40", stride=13)
 
 
 @pytest.mark.parametrize("ctype", ["A1", "B2", "G2", "D4", "E8"])

@@ -70,9 +70,10 @@ def validate_by_tuples(datum):
     datum._compute_simple_coords({})
 
 
-def generate_pairs_by_tuples(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
-    """Sorted (root, coroot) pairs in simple coordinates, from every
-    simple reflection of every pair found."""
+def generate_pairs_by_tuples(cartan: IntMatrix) -> list[tuple[tuple, tuple, tuple]]:
+    """Sorted (root, coroot, C root) triples, root and coroot in simple
+    coordinates, from every simple reflection of every pair found; C root is
+    a dense product with the Cartan matrix C."""
     n = cartan.rows
     ct = cartan.transpose()
     pairs = {}
@@ -94,7 +95,10 @@ def generate_pairs_by_tuples(cartan: IntMatrix) -> list[tuple[tuple, tuple]]:
                     pairs[rv] = rw
                     new.append(rv)
         frontier = new
-    return sorted(pairs.items())
+    return sorted(
+        (v, w, tuple(sum(a * b for a, b in zip(row, v)) for row in cartan.entries))
+        for v, w in pairs.items()
+    )
 
 
 def bareiss_det(m: IntMatrix) -> int:
