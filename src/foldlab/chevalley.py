@@ -68,10 +68,12 @@ def _squared_lengths(datum: RootDatum) -> tuple[int, ...]:
 
 
 class StructureConstants(Record):
-    """Full table N(i, j) over ordered root-index pairs with a root sum."""
+    """Every N(i, j) over ordered root-index pairs with a root sum, kept as
+    per-root rows like ``RootDatum.root_sums``: table[i] maps j -> N(i, j)
+    for exactly the j with roots[i] + roots[j] a root."""
 
     datum: RootDatum
-    table: dict[tuple[int, int], int]
+    table: list[dict[int, int]]
     eps: dict[int, int]  # positive root index -> sign relative to the base system
     xs_pair: dict[int, tuple[int, int]]  # positive nonsimple root -> extraspecial pair
     order_key: dict[int, tuple]  # positive root index -> (height, coordinates), in order
@@ -95,11 +97,11 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         for b, c in sums[a].items():
             if place.get(b, -1) > place[a]:
                 special[c].append((a, b))
-    table: dict[tuple[int, int], int] = {}
+    table: list[dict[int, int]] = [{} for _ in range(datum.nroots)]
 
     def resolve(i, j) -> int:
         """Constant for an arbitrary valid pair, reducing to the positive table."""
-        if (val := table.get((i, j))) is not None:
+        if (val := table[i].get(j)) is not None:
             return val
         ip, jp = i in place, j in place
         if ip and jp:
@@ -119,7 +121,7 @@ def base_constants(datum: RootDatum) -> StructureConstants:
                 val, rem = divmod(resolve(neg[si], i) * len2[si], len2[j])
             if rem:
                 raise InternalInconsistencyError("non-integral structure constant")
-        table[(i, j)] = val
+        table[i][j] = val
         return val
 
     xs_pair: dict[int, tuple[int, int]] = {}
@@ -138,8 +140,8 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             )
         xs_pair[c] = eps_pair
         e, h = eps_pair
-        table[(e, h)] = _chain_length(sums, neg[e], h)
-        table[(h, e)] = -table[(e, h)]
+        table[e][h] = _chain_length(sums, neg[e], h)
+        table[h][e] = -table[e][h]
         for a, b in pairs[1:]:
             # Jacobi on (X_{-e}, X_a, X_b); only N(a, b) is unknown.
             t = 0
@@ -157,8 +159,8 @@ def base_constants(datum: RootDatum) -> StructureConstants:
                 raise InternalInconsistencyError(
                     f"derived constant is not an integer: {-t}/{n_c_nege}"
                 )
-            table[(a, b)] = val
-            table[(b, a)] = -val
+            table[a][b] = val
+            table[b][a] = -val
 
     # complete the table over every valid ordered pair, checking magnitudes
     # and antisymmetry
@@ -182,38 +184,37 @@ def base_constants(datum: RootDatum) -> StructureConstants:
     )
 
 
-def _bracket_table(sc: StructureConstants):
-    """Basis keys (the roots, then the Cartan keys) and the rows br[a], each
-    a dict b -> the (index, coefficient) pairs with nonzero coefficient of
-    the bracket of a and b, over the b where it is nonzero; read off the
-    root sums: [h_k, X_b] = b_k X_b, [X_a, X_-a] = the coroot of a in the
+def _bracket(d: RootDatum, sums, table, a: int, b: int) -> tuple:
+    """The (index, coefficient) pairs with nonzero coefficient of the
+    bracket of basis keys a and b, the keys being the roots and then the
+    Cartan keys n + k; read off the root sums, the rows of constants and
+    the coroots: [h_k, X_b] = b_k X_b, [X_a, X_-a] = the coroot of a in the
     Cartan keys, and [X_a, X_b] = N(a, b) X_(a+b) when a + b is a root."""
-    d = sc.datum
-    n, rank = d.nroots, d.rank
-    keys = [("r", i) for i in range(n)] + [("h", k) for k in range(rank)]
-    br = []
-    for a, row in enumerate(d.root_sums()):
-        entries = {n + k: ((a, -x),) for k, x in enumerate(d.roots[a]) if x}
-        for b, s in row.items():
-            if s < 0:
-                entries[b] = tuple((n + k, x) for k, x in enumerate(d.coroots[a]) if x)
-            elif x := sc.table[(a, b)]:
-                entries[b] = ((s, x),)
-        br.append(entries)
-    for k in range(rank):
-        br.append({b: ((b, r[k]),) for b, r in enumerate(d.roots) if r[k]})
-    return keys, br
+    n = len(d.roots)
+    if a >= n:
+        x = d.roots[b][a - n] if b < n else 0
+        return ((b, x),) if x else ()
+    if b >= n:
+        x = d.roots[a][b - n]
+        return ((a, -x),) if x else ()
+    s = sums[a].get(b)
+    if s is None:
+        return ()
+    if s < 0:
+        return tuple((n + k, x) for k, x in enumerate(d.coroots[a]) if x)
+    x = table[a][b]
+    return ((s, x),) if x else ()
 
 
-def _derivation_failure(s: int, br, code, preimage):
+def _derivation_failure(s: int, code, preimage, d: RootDatum, sums, table):
     """Step 4 of ``verify_jacobi`` for the generator s: a pair (y, z) with
     J(s, y, z) != 0, or None.  J(s, y, z) = T(y, z) - T(z, y) - sum x code[s][i]
     over the terms (i, x) of [y, z], with T(y, z) = [[s, y], z] and
     code[i][s] = -code[s][i] by step 2, summed over y < z keyed y m + z."""
     m = len(code)
     total = {}
-    for y, entry in br[s].items():
-        for i, x in entry:
+    for y in code[s]:
+        for i, x in _bracket(d, sums, table, s, y):
             for z, v in code[i].items():
                 if y < z:
                     total[y * m + z] = total.get(y * m + z, 0) + x * v
@@ -231,11 +232,11 @@ def verify_jacobi(sc: StructureConstants) -> bool:
     Once the bracket is alternating, the identity says that every ad x is
     a derivation, and those x form a subalgebra: ad [x, y] = [ad x, ad y]
     when ad x is a derivation, and a commutator of derivations is one (cf.
-    Carter, Simple Groups of Lie Type, 4.1).  On the rows br of
-    ``_bracket_table``, coded as code[a][b] = sum x P_i over the terms
-    (i, x) of br[a][b], this checks in turn:
+    Carter, Simple Groups of Lie Type, 4.1).  Each bracket is read through
+    ``_bracket``; coded as code[a][b] = sum x P_i over the terms (i, x) of
+    [a, b], this checks in turn:
 
-    1. ad h is a derivation for each Cartan key h: each term of br[y][z]
+    1. ad h is a derivation for each Cartan key h: each term of [y, z]
        has weight wt(y) + wt(z), the root code of a root vector or 0;
     2. code[b][a] = -code[a][b] for all a, b: the bracket is alternating;
     3. the simple root vectors, their negatives and any root vector they
@@ -253,32 +254,38 @@ def verify_jacobi(sc: StructureConstants) -> bool:
 
     By step 1 the terms of a bracket, and of J, lie on one root vector or
     in the Cartan span, so P_i = 1 on root vectors and B^k on Cartan key k
-    code them exactly: with L the largest coefficient sum of a bracket and
-    Y its largest coefficient, J has coordinates of size at most 3 L Y,
-    and B = 6 L Y + 1.
+    code them exactly.  A coefficient is a constant, a root coordinate or
+    a coroot coordinate; with Y the largest of these in size and L the
+    largest coefficient sum of a bracket (Y, or that of a coroot), J has
+    coordinates of size at most 3 L Y, and B = 6 L Y + 1.
     """
-    keys, br = _bracket_table(sc)
     d = sc.datum
-    n, m = d.nroots, len(keys)
-    terms = [entry for row in br for entry in row.values()]
-    largest = max([abs(x) for t in terms for _, x in t], default=0)
-    largest_sum = max([sum(abs(x) for _, x in t) for t in terms if len(t) > 1], default=largest)
-    powers = [1] * n + [(6 * largest_sum * largest + 1) ** k for k in range(d.rank)]
-    wt = d.root_codes() + (0,) * d.rank
-    code = [{} for _ in keys]
-    for a, row in enumerate(br):
-        code_a = code[a]
-        for b, entry in row.items():
-            total = 0
-            for i, x in entry:
-                if wt[i] != wt[a] + wt[b]:
-                    raise InternalInconsistencyError(
-                        f"bracket of {keys[a]} and {keys[b]} is not of their weight"
-                    )
-                total += x * powers[i]
-            code_a[b] = total
+    n, rank = d.nroots, d.rank
+    m = n + rank
+    keys = [("r", i) for i in range(n)] + [("h", k) for k in range(rank)]
+    sums, table = d.root_sums(), sc.table
+    coefficients = (*d.roots, *d.coroots, *(row.values() for row in table))
+    largest = max((abs(x) for v in coefficients for x in v), default=0)
+    largest_sum = max([largest] + [sum(map(abs, c)) for c in d.coroots])
+    powers = [1] * n + [(6 * largest_sum * largest + 1) ** k for k in range(rank)]
+    wt = d.root_codes() + (0,) * rank
+    cartan = range(n, m)
+    code = []
+    for a in range(m):
+        code_a = {}
+        for b in (*cartan, *sums[a]) if a < n else range(n):
+            if terms := _bracket(d, sums, table, a, b):
+                total = 0
+                for i, x in terms:
+                    if wt[i] != wt[a] + wt[b]:
+                        raise InternalInconsistencyError(
+                            f"bracket of {keys[a]} and {keys[b]} is not of their weight"
+                        )
+                    total += x * powers[i]
+                code_a[b] = total
+        code.append(code_a)
     # step 2, and whether omega is an automorphism
-    neg = [d.negative_of(i) for i in range(n)] + list(range(n, m))
+    neg = [d.negative_of(i) for i in range(n)] + list(cartan)
     omega = True
     preimage = [[] for _ in keys]
     for y, row in enumerate(code):
@@ -291,12 +298,13 @@ def verify_jacobi(sc: StructureConstants) -> bool:
             if row_omega.get(neg[z]) != -v:
                 omega = False
             if y < z:
-                for i, x in br[y][z]:
+                for i, x in _bracket(d, sums, table, y, z):
                     preimage[i].append((y * m + z, x))
     simple = list(d.basis_indices) + [d.negative_of(i) for i in d.basis_indices]
     reached, queue = set(simple), list(simple)
     for t in queue:  # the queue grows while it is read
-        new = {e[0][0] for e in (br[s].get(t, ()) for s in simple) if len(e) == 1} - reached
+        new = {e[0][0] for e in (_bracket(d, sums, table, s, t) for s in simple) if len(e) == 1}
+        new -= reached
         reached |= new
         queue.extend(new)
     if omega:
@@ -304,7 +312,7 @@ def verify_jacobi(sc: StructureConstants) -> bool:
     else:
         gens = simple + [i for i in range(n) if i not in reached]
     for s in gens:
-        if pair := _derivation_failure(s, br, code, preimage):
+        if pair := _derivation_failure(s, code, preimage, d, sums, table):
             a, b, c = (keys[k] for k in sorted((s, *pair)))
             raise InternalInconsistencyError(f"Jacobi identity fails on {a}, {b}, {c}")
     return True
@@ -312,7 +320,9 @@ def verify_jacobi(sc: StructureConstants) -> bool:
 
 def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
     """System obtained by X_beta -> eps(beta) X_beta (same sign on -beta).
-    An entry N(i, j) changes only when a root among i, j and i + j flips."""
+    An entry N(i, j) changes only when a root among i, j and i + j flips,
+    and only the rows holding such an entry are copied; the others are
+    shared with ``sc``."""
     d = sc.datum
     full = {}
     for i in sc.eps:
@@ -322,13 +332,15 @@ def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
         full[i] = e
         full[d.negative_of(i)] = e
     sums = d.root_sums()
-    new_table = dict(sc.table)
+    new_table = list(sc.table)
     for f in (f for f, e in full.items() if e == -1):
         # f + a = k gives the entries (f, a), (a, f), (k, -a), (-a, k)
         for a, k in sums[f].items():
             if k >= 0:
                 for i, j in ((f, a), (a, f), (k, d.negative_of(a)), (d.negative_of(a), k)):
-                    new_table[i, j] = full[i] * full[j] * full[sums[i][j]] * sc.table[i, j]
+                    if new_table[i] is sc.table[i]:
+                        new_table[i] = dict(sc.table[i])
+                    new_table[i][j] = full[i] * full[j] * full[sums[i][j]] * sc.table[i][j]
     new_eps = {i: sc.eps[i] * eps.get(i, 1) for i in sc.eps}
     return StructureConstants(
         datum=d,
@@ -353,8 +365,8 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
         for gamma in sc.xs_pair:  # the nonsimple positive roots, in order
             values = set()
             for a, b in sc.special[gamma]:
-                num = sc.table[(perm[a], perm[b])]
-                den = sc.table[(a, b)]
+                num = sc.table[perm[a]][perm[b]]
+                den = sc.table[a][b]
                 if abs(num) != abs(den):
                     raise InternalInconsistencyError(
                         "constant magnitude not preserved by the action"
@@ -420,7 +432,7 @@ def _d4_seed(sc: StructureConstants, comp: tuple[int, ...]) -> dict[int, int]:
             k = sums[i].get(j)
             if k is None or k < 0:
                 raise InternalInconsistencyError("bracket word did not land on a root vector")
-            i, coeff = k, coeff * sc.table[(i, j)]
+            i, coeff = k, coeff * sc.table[i][j]
         if abs(coeff) != 1:
             raise InternalInconsistencyError("bracket word has non-unit coefficient")
         seed[i] = coeff

@@ -13,12 +13,32 @@ be compared with.  The constants are ``Fraction`` throughout, and
 ``special_pairs_by_scan`` finds the special pairs of each positive root by
 scanning every positive root before it, as production did before it read
 them off the root-sum rows.
+
+Production keeps a table of constants as per-root rows, table[i] = {j:
+N(i, j)}; ``flat_table`` gives the {(i, j): N(i, j)} view that the oracles
+work in and tests compare entry by entry, and ``table_rows`` turns that
+view back into rows, so that an oracle's system can stand in for
+production's.
 """
 
 from fractions import Fraction
 
 from foldlab.chevalley import StructureConstants
 from foldlab.errors import DomainError, InternalInconsistencyError
+
+
+def flat_table(table):
+    """The per-root rows of a table of constants as one {(i, j): N(i, j)}
+    dict, row by row."""
+    return {(i, j): v for i, row in enumerate(table) for j, v in row.items()}
+
+
+def table_rows(flat, nroots):
+    """A {(i, j): N(i, j)} table as per-root rows, one for each root."""
+    rows = [{} for _ in range(nroots)]
+    for (i, j), v in flat.items():
+        rows[i][j] = v
+    return rows
 
 
 def positive_order(datum):
@@ -226,7 +246,7 @@ def base_constants_by_tuples(datum):
         final[(i, j)] = iv
     return StructureConstants(
         datum=datum,
-        table=final,
+        table=table_rows(final, datum.nroots),
         eps={i: 1 for i in pos},
         xs_pair=xs_pair,
         order_key=order_key,
@@ -245,14 +265,14 @@ def rescale_by_tuples(sc, eps):
         full[i] = e
         full[d.negative_of(i)] = e
     new_table = {}
-    for (i, j), v in sc.table.items():
+    for (i, j), v in flat_table(sc.table).items():
         s = tuple(x + y for x, y in zip(d.roots[i], d.roots[j]))
         k = d.root_index(s)
         new_table[(i, j)] = full[i] * full[j] * full[k] * v
     new_eps = {i: sc.eps[i] * eps.get(i, 1) for i in sc.eps}
     return StructureConstants(
         datum=d,
-        table=new_table,
+        table=table_rows(new_table, d.nroots),
         eps=new_eps,
         xs_pair=sc.xs_pair,
         order_key=sc.order_key,
@@ -271,6 +291,7 @@ def automorphism_constants_by_tuples(sc, act):
     pos, order_key = positive_order(d)
     pos_set = set(pos)
     simple = {i for i in pos if d.height(i) == 1}
+    table = flat_table(sc.table)
     out = []
     for perm in act.element_permutations():
         c: dict[int, int] = {i: 1 for i in simple}
@@ -289,8 +310,8 @@ def automorphism_constants_by_tuples(sc, act):
                 b = d.root_index(rest)
                 if b not in pos_set or order_key[a] >= order_key[b]:
                     continue
-                num = sc.table[(perm[a], perm[b])]
-                den = sc.table[(a, b)]
+                num = table[(perm[a], perm[b])]
+                den = table[(a, b)]
                 if abs(num) != abs(den):
                     raise InternalInconsistencyError(
                         "constant magnitude not preserved by the action"

@@ -4,19 +4,18 @@
 The oracles here check it on every triple a < b < c of basis elements:
 
 - ``verify_jacobi_exhaustive`` sums integer codes of the brackets in the
-  table of ``chevalley._bracket_table``, one triple after another;
+  table of ``bracket_table_by_brackets``, one triple after another;
 - ``verify_jacobi_by_brackets`` rebuilds every bracket of every triple
   through ``bracket`` and ``bracket_elements``.
 
 ``bracket`` brackets two basis elements by adding their coordinate tuples,
 and ``bracket_elements`` extends it bilinearly.  ``bracket_table_by_brackets``
-builds the sparse rows of ``verify_jacobi``'s bracket table through
-``bracket``, from all pairs of keys, as it was built before the root-sum
-table.  ``jacobi_sum`` and ``is_alternating_on``
-check the one triple or pair that a failure message names.
+builds sparse rows of every nonzero bracket through ``bracket``, from all
+pairs of keys.  None of these reads how ``verify_jacobi`` brackets.
+``jacobi_sum`` and ``is_alternating_on`` check the one triple or pair that
+a failure message names.
 """
 
-from foldlab.chevalley import _bracket_table
 from foldlab.errors import InternalInconsistencyError
 
 
@@ -35,7 +34,7 @@ def bracket(sc, key_a, key_b) -> dict:
     if all(x == 0 for x in total):
         return {("h", k): c for k, c in enumerate(d.coroots[a]) if c}
     if d.is_root(total):
-        return {("r", d.root_index(total)): sc.table[(a, b)]}
+        return {("r", d.root_index(total)): sc.table[a][b]}
     return {}
 
 
@@ -100,10 +99,10 @@ def verify_jacobi_exhaustive(sc):
     terms (i, x) of each pair bracket.  With L the largest coefficient sum
     of a bracket and Y its largest coefficient, each coordinate of a Jacobi
     sum has size at most 3 L Y, so with B = 6 L Y + 1 the code of the sum
-    is zero exactly when the sum is.  The sparse rows of ``_bracket_table``
-    are spread into a dense m x m table first.
+    is zero exactly when the sum is.  The sparse rows of
+    ``bracket_table_by_brackets`` are spread into a dense m x m table first.
     """
-    keys, rows = _bracket_table(sc)
+    keys, rows = bracket_table_by_brackets(sc)
     m = len(keys)
     br = [[row.get(b, ()) for b in range(m)] for row in rows]
     terms = [entry for row in br for entry in row if entry]

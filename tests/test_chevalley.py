@@ -7,7 +7,6 @@ import pytest
 from foldlab import chevalley
 from foldlab.chevalley import (
     StructureConstants,
-    _bracket_table,
     automorphism_constants,
     base_constants,
     chain_length,
@@ -25,12 +24,13 @@ from constants_oracle import (
     automorphism_constants_by_tuples,
     base_constants_by_tuples,
     chain_length_by_tuples,
+    flat_table,
     rescale_by_tuples,
     special_pairs_by_scan,
+    table_rows,
 )
 from jacobi_oracle import (
     bracket,
-    bracket_table_by_brackets,
     is_alternating_on,
     jacobi_sum,
     verify_jacobi_by_brackets,
@@ -61,30 +61,30 @@ def test_chain_length_matches_oracle():
 
 def test_a2_constants_all_unit():
     datum = build_preset("A2", "sc")
-    sc = base_constants(datum)
-    assert sc.table
-    assert {abs(v) for v in sc.table.values()} == {1}
-    for (i, j), v in sc.table.items():
-        assert sc.table[(j, i)] == -v
+    table = flat_table(base_constants(datum).table)
+    assert table
+    assert {abs(v) for v in table.values()} == {1}
+    for (i, j), v in table.items():
+        assert table[(j, i)] == -v
 
 
 def test_b2_attains_two():
     datum = build_preset("B2", "sc")
-    sc = base_constants(datum)
-    assert {abs(v) for v in sc.table.values()} == {1, 2}
+    table = flat_table(base_constants(datum).table)
+    assert {abs(v) for v in table.values()} == {1, 2}
 
 
 def test_g2_attains_three():
     datum = build_preset("G2", "sc")
-    sc = base_constants(datum)
-    assert {abs(v) for v in sc.table.values()} == {1, 2, 3}
+    table = flat_table(base_constants(datum).table)
+    assert {abs(v) for v in table.values()} == {1, 2, 3}
 
 
 def test_magnitudes_equal_chain_lengths():
     for ctype in ("A3", "B2", "G2", "D4"):
         datum = build_preset(ctype, "sc")
         sc = base_constants(datum)
-        for (i, j), v in sc.table.items():
+        for (i, j), v in flat_table(sc.table).items():
             assert abs(v) == root_string_bound(datum, i, j)
 
 
@@ -126,8 +126,8 @@ def _negated_pair(t, i, j):
     return {(i, j): -t[i, j], (j, i): -t[j, i]}
 
 
-# changes to a table of constants, each keyed by what it does to N(i, j),
-# with neg the datum's negative_of: the pair changes keep antisymmetry
+# changes to a table of constants, seen as {(i, j): N(i, j)}, each keyed by
+# what it does to N(i, j), with neg the datum's negative_of: the pair changes keep antisymmetry
 # (pair_zero can leave a root vector out of reach of the simple ones, so
 # that it joins the generators), x10^6 puts a coefficient far past any code
 # base fixed without looking at the table, omega negates only N(-i, -j) and
@@ -148,22 +148,38 @@ MUTATIONS = {
 
 
 def _mutated(sc, name, i, j):
-    table = {**sc.table, **MUTATIONS[name](sc.table, i, j, sc.datum.negative_of)}
+    flat = flat_table(sc.table)
+    flat |= MUTATIONS[name](flat, i, j, sc.datum.negative_of)
+    table = table_rows(flat, sc.datum.nroots)
     return StructureConstants(sc.datum, table, sc.eps, sc.xs_pair, sc.order_key, sc.special)
+
+
+def _assert_bracket_matches_oracle(sc):
+    """``chevalley._bracket`` gives the terms of ``jacobi_oracle.bracket``,
+    each basis key once and with a nonzero coefficient, on every ordered
+    pair of basis keys."""
+    d = sc.datum
+    keys = [("r", i) for i in range(d.nroots)] + [("h", k) for k in range(d.rank)]
+    sums = d.root_sums()
+    for a, key_a in enumerate(keys):
+        for b, key_b in enumerate(keys):
+            terms = chevalley._bracket(d, sums, sc.table, a, b)
+            expected = {k: x for k, x in bracket(sc, key_a, key_b).items() if x}
+            assert len(terms) == len(expected), (key_a, key_b)
+            assert {keys[i]: x for i, x in terms} == expected, (key_a, key_b)
 
 
 @pytest.mark.parametrize("ctype", ["A2", "B2", "G2", "A3", "A4", "B3", "C3", "D4", "F4"])
 def test_jacobi_matches_bracket_oracle(ctype):
     sc = base_constants(build_preset(ctype, "sc"))
-    assert _bracket_table(sc) == bracket_table_by_brackets(sc)
     assert verify_jacobi(sc) is True
     assert verify_jacobi_by_brackets(sc) is True
-    entries = list(sc.table)
+    entries = list(flat_table(sc.table))
     # six positions spread over the table, the first entry among them
     for i, j in entries[:: -(-len(entries) // 6)]:
         for name in MUTATIONS:
             broken = _mutated(sc, name, i, j)
-            assert _bracket_table(broken) == bracket_table_by_brackets(broken), name
+            _assert_bracket_matches_oracle(broken)
             assert _outcome(verify_jacobi, broken) is not True, name
             _assert_same_verdict(broken)
             if (i, j) == entries[0] or name == "omega":
@@ -195,7 +211,7 @@ def test_jacobi_checks_rank_generators_when_omega_holds(monkeypatch):
         assert _generators_checked(sc, monkeypatch) == list(sc.datum.basis_indices)
     # with omega broken, the negative simple root vectors are checked too
     base = list(e7.datum.basis_indices)
-    for i, j in list(e7.table)[::500]:
+    for i, j in list(flat_table(e7.table))[::500]:
         broken = _mutated(e7, "omega", i, j)
         assert _generators_checked(broken, monkeypatch) == base + [
             e7.datum.negative_of(g) for g in base
@@ -204,12 +220,21 @@ def test_jacobi_checks_rank_generators_when_omega_holds(monkeypatch):
 
 def test_jacobi_rejects_a_bracket_off_its_weight(monkeypatch):
     sc = base_constants(build_preset("A2", "sc"))
-    keys, br = _bracket_table(sc)
-    i, j = next(iter(sc.table))
-    ((s, x),) = br[i][j]
+    i, j = next(iter(flat_table(sc.table)))
+    right = chevalley._bracket
+    ((s, x),) = right(sc.datum, sc.datum.root_sums(), sc.table, i, j)
     wrong = next(k for k in range(sc.datum.nroots) if k != s)
-    br[i][j], br[j][i] = ((wrong, x),), ((wrong, -x),)
-    monkeypatch.setattr(chevalley, "_bracket_table", lambda _: (keys, br))
+
+    def moved(d, sums, table, a, b):
+        """The bracket, with the term of [X_i, X_j] and [X_j, X_i] moved
+        from X_(i+j) to another root vector."""
+        if (a, b) == (i, j):
+            return ((wrong, x),)
+        if (a, b) == (j, i):
+            return ((wrong, -x),)
+        return right(d, sums, table, a, b)
+
+    monkeypatch.setattr(chevalley, "_bracket", moved)
     with pytest.raises(InternalInconsistencyError, match=r"is not of their weight$"):
         verify_jacobi(sc)
 
@@ -288,13 +313,71 @@ def test_constants_and_signs_match_tuple_oracle_on_presets(name, monkeypatch):
     assert classes == tuple_classes
 
 
+@pytest.mark.parametrize("ctype", ORACLE_TYPES + ["E8"])
+def test_bracket_matches_the_oracle(ctype):
+    _assert_bracket_matches_oracle(base_constants(build_preset(ctype, "sc")))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_bracket_matches_the_oracle_on_presets(name):
+    pre = load_preset(name)
+    sc = base_constants(pre.datum)
+    for system in (sc, equivariant_signs(sc, pre.action)[0]):
+        _assert_bracket_matches_oracle(system)
+
+
+def _assert_row_shape(sc):
+    """One row per root, and row i holds exactly the j of root_sums()[i]
+    whose sum is a root."""
+    assert len(sc.table) == sc.datum.nroots
+    for row, sums in zip(sc.table, sc.datum.root_sums()):
+        assert set(row) == {j for j, k in sums.items() if k >= 0}
+
+
+@pytest.mark.parametrize("name", [*ORACLE_TYPES, "E8", *preset_names()])
+def test_constants_keep_the_row_shape(name):
+    if name in preset_names():
+        pre = load_preset(name)
+        datum, act = pre.datum, pre.action
+    else:
+        datum = build_preset(name, "sc")
+        act = trivial_action(datum)
+    sc = base_constants(datum)
+    alternating = {i: (-1 if k % 2 else 1) for k, i in enumerate(datum.positive_root_indices())}
+    scaled = rescale(sc, alternating)
+    for system in (sc, scaled, equivariant_signs(sc, act)[0]):
+        _assert_row_shape(system)
+    # flipping the same signs twice restores the table
+    assert rescale(scaled, alternating).table == sc.table
+
+
+def test_rescale_copies_only_the_rows_it_changes():
+    sc = base_constants(build_preset("E7", "sc"))
+    d = sc.datum
+    assert all(r is s for r, s in zip(rescale(sc, {}).table, sc.table, strict=True))
+    adjusted, _ = equivariant_signs(sc, trivial_action(d))
+    assert all(r is s for r, s in zip(adjusted.table, sc.table, strict=True))
+    # one flipped pair +-f: in a reduced datum at most one of i, j, i + j is
+    # +-f, so an entry changes exactly when it touches +-f
+    before = [dict(row) for row in sc.table]
+    sums = d.root_sums()
+    f = d.positive_root_indices()[10]
+    flipped = {f, d.negative_of(f)}
+    one = rescale(sc, {f: -1})
+    for i, (row, new) in enumerate(zip(sc.table, one.table, strict=True)):
+        touched = i in flipped or any({j, sums[i][j]} & flipped for j in row)
+        assert (new is not row) == touched == (new != row), i
+    assert sc.table == before
+    assert rescale(one, {f: -1}).table == sc.table
+
+
 def test_extraspecial_pairs_start_simple():
     datum = build_preset("D4", "sc")
     sc = base_constants(datum)
     simple = set(datum.basis_indices)
     for gamma, (a, b) in sc.xs_pair.items():
         assert a in simple
-        assert sc.table[(a, b)] > 0  # normalization: extraspecial constants positive
+        assert sc.table[a][b] > 0  # normalization: extraspecial constants positive
         s = tuple(x + y for x, y in zip(datum.roots[a], datum.roots[b]))
         assert datum.root_index(s) == gamma
 
@@ -319,8 +402,9 @@ def test_rescale_preserves_magnitudes_and_jacobi():
     eps = {i: (-1 if k % 2 else 1) for k, i in enumerate(pos)}
     scaled = rescale(sc, eps)
     assert verify_jacobi(scaled)
-    for key, v in sc.table.items():
-        assert abs(scaled.table[key]) == abs(v)
+    flat = flat_table(scaled.table)
+    for key, v in flat_table(sc.table).items():
+        assert abs(flat[key]) == abs(v)
     # flipping the same signs twice restores the base table
     back = rescale(scaled, eps)
     assert back.table == sc.table
@@ -364,8 +448,9 @@ def test_equivariant_signs_across_catalog():
         report = check_equivariance(adjusted, pre.action, classes)
         assert report.nonspecial_all_satisfied
         assert set(report.special_values) <= {1, -1}
-        for key, v in sc.table.items():
-            assert abs(adjusted.table[key]) == abs(v)
+        flat = flat_table(adjusted.table)
+        for key, v in flat_table(sc.table).items():
+            assert abs(flat[key]) == abs(v)
 
 
 @pytest.mark.parametrize(
