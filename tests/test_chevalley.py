@@ -313,19 +313,6 @@ def test_constants_and_signs_match_tuple_oracle_on_presets(name, monkeypatch):
     assert classes == tuple_classes
 
 
-@pytest.mark.parametrize("ctype", ORACLE_TYPES + ["E8"])
-def test_bracket_matches_the_oracle(ctype):
-    _assert_bracket_matches_oracle(base_constants(build_preset(ctype, "sc")))
-
-
-@pytest.mark.parametrize("name", preset_names())
-def test_bracket_matches_the_oracle_on_presets(name):
-    pre = load_preset(name)
-    sc = base_constants(pre.datum)
-    for system in (sc, equivariant_signs(sc, pre.action)[0]):
-        _assert_bracket_matches_oracle(system)
-
-
 def _assert_row_shape(sc):
     """One row per root, and row i holds exactly the j of root_sums()[i]
     whose sum is a root."""
@@ -335,7 +322,9 @@ def _assert_row_shape(sc):
 
 
 @pytest.mark.parametrize("name", [*ORACLE_TYPES, "E8", *preset_names()])
-def test_constants_keep_the_row_shape(name):
+def test_rows_and_brackets_of_every_system(name):
+    """The base, rescaled and equivariant systems keep the row shape, and
+    ``_bracket`` agrees with the oracle bracket on each."""
     if name in preset_names():
         pre = load_preset(name)
         datum, act = pre.datum, pre.action
@@ -347,6 +336,7 @@ def test_constants_keep_the_row_shape(name):
     scaled = rescale(sc, alternating)
     for system in (sc, scaled, equivariant_signs(sc, act)[0]):
         _assert_row_shape(system)
+        _assert_bracket_matches_oracle(system)
     # flipping the same signs twice restores the table
     assert rescale(scaled, alternating).table == sc.table
 
