@@ -4,13 +4,15 @@
 file (or a named preset), runs the requested analyses, prints a
 deterministic text report, and optionally writes the same data as JSON.
 
-Exit codes: 0 success, 2 a malformed command line or an unreadable or
-inconsistent configuration, 3 invalid action, 4 resource limit exceeded,
-5 a brute-force count disagreed with its prediction.
+Exit codes: 0 success, 2 a malformed command line, an unreadable or
+inconsistent configuration or a failed write of a report, 3 invalid action,
+4 resource limit exceeded, 5 a brute-force count disagreed with its
+prediction.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from types import SimpleNamespace
 
@@ -627,9 +629,12 @@ def _parse_command_line(argv):
             attr, metavar, _ = RUN_OPTIONS[flag]
             if metavar == "N":
                 try:
-                    value = int(value)
+                    number = int(value)
                 except ValueError:
                     raise UsageError(f"{flag} needs an integer, not {value!r}") from None
+                if number < 0 and flag.startswith("--limit-"):
+                    raise UsageError(f"{flag} needs a nonnegative integer, not {value!r}")
+                value = number
             if flag == "--analysis":
                 value = (args.analysis or []) + [value]
             setattr(args, attr, value)
@@ -654,11 +659,35 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"{USAGE}foldlab: error: {exc}\n")
         return 2
-    if command is None:
-        sys.stdout.write(HELP)
-        return 0
-    return run_command(args) if command == "run" else presets_command(args)
+    # run_command catches the OSErrors of the config and --json files, so an
+    # OSError here comes from writing stdout (or stderr, which cannot report it)
+    try:
+        if command is None:
+            sys.stdout.write(HELP)
+            code = 0
+        else:
+            code = run_command(args) if command == "run" else presets_command(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout again as it exits; point that flush
+            # at a file that takes it (os is imported here, off the job path)
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+# Shutdown's collections skip a frozen heap, and the OS reclaims its pages.
+def process_main():
+    """Run main on sys.argv and end the process with its exit code: the
+    entry of ``python -m foldlab.cli`` and of the ``foldlab`` script."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

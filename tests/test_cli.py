@@ -1,5 +1,6 @@
 """Command line interface: configs, analyses, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -378,6 +379,8 @@ PARSED = dict(
         (["run", "job.ini", "--limit-weyl=10"], 0, {"limit_weyl": 10}),
         (["run", "job.ini", "--limit-enum", "36"], 0, {"limit_enum": 36}),
         (["run", "job.ini", "--limit-enum=36"], 0, {"limit_enum": 36}),
+        (["run", "job.ini", "--limit-weyl", "0"], 0, {"limit_weyl": 0}),
+        (["run", "job.ini", "--limit-enum=0"], 0, {"limit_enum": 0}),
         (["run", "--q", "3", "--json=out.json", "job.ini"], 0, {"q": 3, "json": "out.json"}),
         # help and presets: a substring of stdout
         (["-h"], 0, "usage: foldlab run CONFIG"),
@@ -393,6 +396,10 @@ PARSED = dict(
         (["run", "job.ini", "--json", "--q", "3"], 2, "--json needs a value"),
         (["run", "job.ini", "--q", "two"], 2, "--q needs an integer, not 'two'"),
         (["run", "job.ini", "--limit-enum=1e8"], 2, "--limit-enum needs an integer, not '1e8'"),
+        (["run", "job.ini", "--limit-enum", "-5"], 2,
+         "--limit-enum needs a nonnegative integer, not '-5'"),
+        (["run", "job.ini", "--limit-weyl=-1"], 2,
+         "--limit-weyl needs a nonnegative integer, not '-1'"),
         (["run"], 2, "run needs a CONFIG"),
         (["run", "--q", "3"], 2, "run needs a CONFIG"),
         (["run", "a.ini", "b.ini"], 2, "run takes one CONFIG, not also 'b.ini'"),
@@ -781,3 +788,102 @@ def test_import_loads_every_layer_and_no_record_machinery():
     forbidden = {"dataclasses", "inspect", "fractions", "argparse", "gettext"}
     assert not added & (forbidden | {"configparser", "json", "re"})
     assert {f"foldlab.{layer}" for layer in LAYERS} <= added
+
+
+class _FullStdout:
+    """A stdout whose write (or, with at="flush", only its flush) fails as
+    on a full disk."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def write(self, text):
+        if self.at == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+STDOUT_FULL = "cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["presets"], ["--help"], ["run", "{a2}"]])
+def test_failed_stdout_exit_2(tmp_path, capsys, monkeypatch, argv, at):
+    a2 = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
+    monkeypatch.setattr(sys, "stdout", _FullStdout(at))
+    assert cli.main([a.format(a2=a2) for a in argv]) == 2
+    assert capsys.readouterr().err == STDOUT_FULL
+
+
+def _child_env(**extra):
+    """The environment of a foldlab child: src on the path, stdout buffered
+    as it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": SRC, **extra}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}])
+@pytest.mark.parametrize("argv", [["presets"], ["--help"], ["run", "{a2}"]])
+def test_failed_stdout_exit_2_in_a_process(tmp_path, argv, unbuffered):
+    a2 = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "foldlab.cli", *(a.format(a2=a2) for a in argv)],
+            env=_child_env(**unbuffered),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    # buffered, the interpreter's last flush would fail again and exit 120
+    assert (child.returncode, child.stderr) == (2, STDOUT_FULL)
+
+
+# (argv, exit code): one command line per exit code, --help and presets;
+# {name} is the path of the config PARITY_CONFIGS[name], {json} an output path
+PARITY_CONFIGS = {
+    "a2": "[datum]\npreset = A2-sc-flip\n",
+    "b3": "[datum]\ntype = B3\n",
+    "bad-key": "[datum]\npreset = A2-sc-flip\nq = 2\n",
+}
+PARITY_RUNS = [
+    (["--help"], 0),
+    (["presets"], 0),
+    (["run", "{a2}", "--analysis", "fold", "--analysis", "criteria", "--json", "{json}"], 0),
+    (["run", "{bad-key}", "--json", "{json}"], 2),
+    (["run", "{b3}", "--analysis", "count", "--q", "2", "--json", "{json}"], 3),
+    (["run", "{b3}", "--analysis", "criteria", "--limit-enum", "35", "--json", "{json}"], 4),
+]
+
+
+@pytest.mark.parametrize("argv,code", PARITY_RUNS)
+def test_process_entry_matches_main(tmp_path, capsys, argv, code):
+    paths = {"json": str(tmp_path / "out.json")}
+    for name, text in PARITY_CONFIGS.items():
+        paths[name] = write(tmp_path, text, f"{name}.ini")
+    argv = [a.format(**paths) for a in argv]
+    json_path = Path(paths["json"])
+
+    frozen = gc.get_freeze_count()
+    assert cli.main(argv) == code
+    assert gc.get_freeze_count() == frozen
+    out, err = capsys.readouterr()
+    written = json_path.read_bytes() if json_path.exists() else None
+    json_path.unlink(missing_ok=True)
+
+    # stdout is a pipe, so the child's stdout is block-buffered
+    child = subprocess.run(
+        [sys.executable, "-m", "foldlab.cli", *argv],
+        env=_child_env(PYTHONIOENCODING="utf-8"),
+        capture_output=True,
+        timeout=60,
+    )
+    assert child.returncode == code
+    assert child.stdout == out.encode()
+    assert child.stderr == err.encode()
+    assert (json_path.read_bytes() if json_path.exists() else None) == written
+    assert (written is not None) == (code == 0 and "--json" in argv)

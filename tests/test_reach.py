@@ -2,9 +2,10 @@
 an acceptance criterion.
 
 A child interpreter sets ``sys.setprofile`` before it imports foldlab,
-calls ``cli.main`` on each row of ``RUNS`` (checking its exit code) and
-then every ``test_criterion_*`` of ``tests/test_acceptance.py``, and
-prints the functions it entered.  The test lists each ``def`` of
+calls ``cli.main`` on each row of ``RUNS`` (checking its exit code),
+then every ``test_criterion_*`` of ``tests/test_acceptance.py``, and last
+the process entry ``cli.process_main``, which freezes the child's heap and
+exits; it prints the functions it entered.  The test lists each ``def`` of
 ``src/foldlab/*.py`` with ``ast``, nested ones included, and names the
 ones never entered.  A fresh interpreter sees the calls made while the
 modules import, and no earlier test can have warmed a cache.  The only
@@ -120,6 +121,16 @@ def _entered():
         for name in sorted(vars(test_acceptance)):
             if name.startswith("test_criterion_"):
                 getattr(test_acceptance, name)()
+
+        argv, sys.argv = sys.argv, ["foldlab", "presets"]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                foldlab.cli.process_main()
+            raise AssertionError("process_main returned")
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        finally:
+            sys.argv = argv
     finally:
         sys.setprofile(None)
     return {
