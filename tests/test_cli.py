@@ -379,8 +379,6 @@ PARSED = dict(
         (["run", "job.ini", "--limit-weyl=10"], 0, {"limit_weyl": 10}),
         (["run", "job.ini", "--limit-enum", "36"], 0, {"limit_enum": 36}),
         (["run", "job.ini", "--limit-enum=36"], 0, {"limit_enum": 36}),
-        (["run", "job.ini", "--limit-weyl", "0"], 0, {"limit_weyl": 0}),
-        (["run", "job.ini", "--limit-enum=0"], 0, {"limit_enum": 0}),
         (["run", "--q", "3", "--json=out.json", "job.ini"], 0, {"q": 3, "json": "out.json"}),
         # help and presets: a substring of stdout
         (["-h"], 0, "usage: foldlab run CONFIG"),
@@ -396,14 +394,17 @@ PARSED = dict(
         (["run", "job.ini", "--json", "--q", "3"], 2, "--json needs a value"),
         (["run", "job.ini", "--q", "two"], 2, "--q needs an integer, not 'two'"),
         (["run", "job.ini", "--limit-enum=1e8"], 2, "--limit-enum needs an integer, not '1e8'"),
-        (["run", "job.ini", "--limit-enum", "-5"], 2,
-         "--limit-enum needs a nonnegative integer, not '-5'"),
-        (["run", "job.ini", "--limit-weyl=-1"], 2,
-         "--limit-weyl needs a nonnegative integer, not '-1'"),
         (["run"], 2, "run needs a CONFIG"),
         (["run", "--q", "3"], 2, "run needs a CONFIG"),
         (["run", "a.ini", "b.ini"], 2, "run takes one CONFIG, not also 'b.ini'"),
         (["presets", "extra"], 2, "presets takes no arguments, not 'extra'"),
+        # limits: zero is a setting, a negative limit a usage error
+        (["run", "job.ini", "--limit-weyl", "0"], 0, {"limit_weyl": 0}),
+        (["run", "job.ini", "--limit-enum=0"], 0, {"limit_enum": 0}),
+        (["run", "job.ini", "--limit-enum", "-5"], 2,
+         "--limit-enum needs a nonnegative integer, not '-5'"),
+        (["run", "job.ini", "--limit-weyl=-1"], 2,
+         "--limit-weyl needs a nonnegative integer, not '-1'"),
     ],
 )
 def test_command_line(argv, code, expected, capsys, monkeypatch):
