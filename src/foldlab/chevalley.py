@@ -43,10 +43,7 @@ def _squared_lengths(datum: RootDatum) -> tuple[int, ...]:
     6 clears every ratio 2^+-1 and 3^+-1 of a Dynkin bond, and only
     within-component ratios are ever used."""
     k = len(datum.basis_indices)
-    cartan = [
-        [datum.pairing(datum.basis_indices[j], datum.basis_indices[i]) for j in range(k)]
-        for i in range(k)
-    ]
+    cartan = datum.base_cartan()
     d = [None] * k
     for start in range(k):
         if d[start] is not None:
@@ -406,14 +403,8 @@ def _d4_seed(sc: StructureConstants, comp: tuple[int, ...]) -> dict[int, int]:
     comp_set = set(comp)
     base_pos = [p for p, r in enumerate(d.basis_indices) if r in comp_set]
     idx = {p: d.basis_indices[p] for p in base_pos}
-    neighbors = {
-        p: [
-            q
-            for q in base_pos
-            if q != p and d.pairing(idx[q], idx[p]) != 0
-        ]
-        for p in base_pos
-    }
+    cartan = d.base_cartan()
+    neighbors = {p: [q for q in base_pos if q != p and cartan[p][q]] for p in base_pos}
     hubs = [p for p in base_pos if len(neighbors[p]) == 3]
     if len(hubs) != 1:
         raise InternalInconsistencyError("D4 component without a unique branch node")

@@ -29,7 +29,7 @@ from .chevalley import (
     verify_jacobi,
 )
 from .matrixlab import GROUP_ORDER_LIMIT, tangent_dim, verify_fixed_count
-from .presets import load_preset, preset_names
+from .presets import load_preset, preset_notes
 
 ANALYSES = ("fold", "criteria", "chevalley", "count", "tangent")
 
@@ -493,6 +493,23 @@ def _flatten(prefix, obj, lines):
     return lines
 
 
+def _error(message: str, code: int, *failed) -> int:
+    """Write an error message to stderr and return its exit code, also when
+    the write fails; ``failed`` holds streams that failed a write before."""
+    try:
+        sys.stderr.write(f"{message}\n")
+        sys.stderr.flush()
+    except OSError:
+        failed += (sys.stderr,)
+    # the interpreter flushes its stdout and stderr again as it exits; point
+    # that flush at a file that takes it (os is imported here, off the job path)
+    for stream in {sys.__stdout__, sys.__stderr__}.intersection(failed):
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return code
+
+
 def run_command(args) -> int:
     try:
         config = _load_config(args.config)
@@ -521,14 +538,11 @@ def run_command(args) -> int:
             elif analysis == "tangent":
                 results["tangent"] = _analysis_tangent(datum, act, p)
     except (ConfigError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"configuration error: {exc}", 2)
     except InvalidActionError as exc:
-        print(f"invalid action: {exc}", file=sys.stderr)
-        return 3
+        return _error(f"invalid action: {exc}", 3)
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 4
+        return _error(f"resource limit: {exc}", 4)
 
     lines = []
     for section in results:
@@ -544,18 +558,15 @@ def run_command(args) -> int:
             with open(args.json, "w") as handle:
                 handle.write(payload)
         except OSError as exc:
-            print(f"cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
+            return _error(f"cannot write {args.json}: {exc}", 2)
 
     if "count" in results and not results["count"]["agree"]:
-        print("count mismatch: brute force disagrees with prediction", file=sys.stderr)
-        return 5
+        return _error("count mismatch: brute force disagrees with prediction", 5)
     return 0
 
 
 def presets_command(_args) -> int:
-    for name in preset_names():
-        print(f"{name}: {load_preset(name).note}")
+    sys.stdout.write("".join(f"{name}: {note}\n" for name, note in preset_notes()))
     return 0
 
 
@@ -657,10 +668,9 @@ def main(argv=None) -> int:
     try:
         command, args = _parse_command_line(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
-        sys.stderr.write(f"{USAGE}foldlab: error: {exc}\n")
-        return 2
-    # run_command catches the OSErrors of the config and --json files, so an
-    # OSError here comes from writing stdout (or stderr, which cannot report it)
+        return _error(f"{USAGE}foldlab: error: {exc}", 2)
+    # run_command catches the OSErrors of the config and --json files and
+    # _error those of stderr, so an OSError here comes from writing stdout
     try:
         if command is None:
             sys.stdout.write(HELP)
@@ -669,14 +679,7 @@ def main(argv=None) -> int:
             code = run_command(args) if command == "run" else presets_command(args)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"cannot write stdout: {exc}", file=sys.stderr)
-        if sys.stdout is sys.__stdout__:
-            # the interpreter flushes stdout again as it exits; point that flush
-            # at a file that takes it (os is imported here, off the job path)
-            import os
-
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
+        return _error(f"cannot write stdout: {exc}", 2, sys.stdout)
     return code
 
 

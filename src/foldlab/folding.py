@@ -382,10 +382,10 @@ def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:
     """
     base = datum.basis_indices
     pos_of = {r: p for p, r in enumerate(base)}
-    cartan = [[datum.pairing(j, i) for j in base] for i in base]
+    cartan = datum.base_cartan()
     for perm in act.generator_perms:
         s = [pos_of[perm[r]] for r in base]
-        if [[cartan[a][b] for b in s] for a in s] != cartan:
+        if tuple(tuple(cartan[a][b] for b in s) for a in s) != cartan:
             raise InternalInconsistencyError(
                 "Cartan matrix does not commute with the base permutation"
             )

@@ -27,22 +27,11 @@ def type_a_flip(rank: int, isogeny: str = "sc") -> tuple[RootDatum, PinnedAction
     return datum, PinnedAction(datum, [m])
 
 
-def _d4(generating_images: list[dict[int, int]]):
-    datum = build_preset("D4", "sc")
-    gens = [permutation_matrix(img, 4) for img in generating_images]
-    return datum, PinnedAction(datum, gens)
-
-
-def _build_a2a2_swap():
-    datum = build_preset("A2+A2", "sc")
-    m = permutation_matrix({0: 2, 1: 3, 2: 0, 3: 1}, 4)
-    return datum, PinnedAction(datum, [m])
-
-
-def _build_e6_flip():
-    datum = build_preset("E6", "sc")
-    m = permutation_matrix({0: 5, 5: 0, 2: 4, 4: 2, 1: 1, 3: 3}, 6)
-    return datum, PinnedAction(datum, [m])
+def _diagram_action(ctype: str, *images: dict[int, int]) -> tuple[RootDatum, PinnedAction]:
+    """The simply connected datum of ctype with the diagram automorphisms
+    that send simple root j to simple root images[j]."""
+    datum = build_preset(ctype, "sc")
+    return datum, PinnedAction(datum, [permutation_matrix(img, datum.rank) for img in images])
 
 
 def _build_torus_inversion():
@@ -51,37 +40,28 @@ def _build_torus_inversion():
 
 
 _BUILDERS = {
-    "A2-sc-flip": (
-        "simply connected A2 with the diagram flip",
-        lambda: type_a_flip(2),
-    ),
-    "A3-sc-flip": (
-        "simply connected A3 with the diagram flip",
-        lambda: type_a_flip(3),
-    ),
-    "A4-sc-flip": (
-        "simply connected A4 with the diagram flip",
-        lambda: type_a_flip(4),
-    ),
-    "A5-sc-flip": (
-        "simply connected A5 with the diagram flip",
-        lambda: type_a_flip(5),
-    ),
+    **{
+        f"A{n}-sc-flip": (
+            f"simply connected A{n} with the diagram flip",
+            lambda n=n: type_a_flip(n),
+        )
+        for n in (2, 3, 4, 5)
+    },
     "D4-sc-triality": (
         "simply connected D4 with the full symmetric group on outer nodes",
-        lambda: _d4([{0: 2, 2: 3, 3: 0, 1: 1}, {0: 0, 1: 1, 2: 3, 3: 2}]),
+        lambda: _diagram_action("D4", {0: 2, 2: 3, 3: 0, 1: 1}, {0: 0, 1: 1, 2: 3, 3: 2}),
     ),
     "D4-sc-cyclic3": (
         "simply connected D4 with the order-3 rotation of outer nodes",
-        lambda: _d4([{0: 2, 2: 3, 3: 0, 1: 1}]),
+        lambda: _diagram_action("D4", {0: 2, 2: 3, 3: 0, 1: 1}),
     ),
     "A2+A2-sc-swap": (
         "two A2 factors exchanged by an involution",
-        _build_a2a2_swap,
+        lambda: _diagram_action("A2+A2", {0: 2, 1: 3, 2: 0, 3: 1}),
     ),
     "E6-sc-flip": (
         "simply connected E6 with the diagram flip",
-        _build_e6_flip,
+        lambda: _diagram_action("E6", {0: 5, 5: 0, 2: 4, 4: 2, 1: 1, 3: 3}),
     ),
     "A1-torus-inversion": (
         "rank-one torus with the inversion action",
@@ -92,6 +72,11 @@ _BUILDERS = {
 
 def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILDERS))
+
+
+def preset_notes() -> list[tuple[str, str]]:
+    """(name, note) of every preset, by name, without building any."""
+    return [(name, _BUILDERS[name][0]) for name in preset_names()]
 
 
 def load_preset(name: str) -> Preset:

@@ -10,9 +10,10 @@ product of their coordinate tuples.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from operator import itemgetter, mul
 
-from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .intlat import IntMatrix, _nonzero, _smith_invariants
 from .record import FrozenRecord
 
@@ -139,49 +140,31 @@ def cartan_matrix(fam: str, n: int) -> IntMatrix:
 
 
 def cartan_matrix_product(ct: CartanType) -> IntMatrix:
-    n = ct.rank
+    n, offset = ct.rank, 0
     a = [[0] * n for _ in range(n)]
-    offset = 0
     for fam, r in ct.components:
-        block = cartan_matrix(fam, r)
-        for i in range(r):
-            for j in range(r):
-                a[offset + i][offset + j] = block[i, j]
+        for i, row in enumerate(cartan_matrix(fam, r).entries):
+            a[offset + i][offset : offset + r] = row
         offset += r
     return IntMatrix(a, cols=n)
 
 
-def _generate_root_coroot_pairs(cartan: IntMatrix) -> list[tuple[tuple, tuple, tuple]]:
-    """Close the simple (root, coroot) pairs under simple reflections.
-
-    Roots carry coordinates in the simple-root basis, coroots in the
-    simple-coroot basis; the reflection s_i acts on both sides at once.
-    s_i changes only coordinate i, and fixes v when <v, alpha_i^vee> = 0.
-    Returns the sorted triples (root v, coroot, C v), C the Cartan matrix.
-    """
-    n = cartan.rows
-    ct = cartan.transpose()
-    pairs, products = {}, {}
-    frontier = []
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        pairs[e] = e
-        frontier.append(e)
-    while frontier:
-        new = []
-        for v in frontier:
-            w = pairs[v]
-            cw = ct.apply(w)
-            products[v] = cartan.apply(v)
-            for i, c in enumerate(products[v]):
-                if not c:
-                    continue
-                rv = v[:i] + (v[i] - c,) + v[i + 1 :]
-                if rv not in pairs:
-                    pairs[rv] = w[:i] + (w[i] - cw[i],) + w[i + 1 :]
-                    new.append(rv)
-        frontier = new
-    return sorted((v, w, products[v]) for v, w in pairs.items())
+def _check_vectors(rank, roots, coroots):
+    """Refuse roots and coroots that do not correspond one to one, a
+    coordinate length other than rank, a zero root or <alpha, alpha^vee> != 2."""
+    if len(roots) != len(coroots):
+        raise DomainError("roots and coroots must correspond one to one")
+    for r in roots:
+        if len(r) != rank:
+            raise DomainError("root coordinate length differs from rank")
+        if not any(r):
+            raise DomainError("zero vector listed as a root")
+    for c in coroots:
+        if len(c) != rank:
+            raise DomainError("coroot coordinate length differs from rank")
+    for r, c in zip(roots, coroots):
+        if (n := sum(map(mul, r, c))) != 2:
+            raise DomainError(f"<alpha, alpha^vee> = {n} != 2 at root {r}")
 
 
 def _images(vectors, codes, at, dual, code_i) -> list:
@@ -197,17 +180,16 @@ class RootDatum:
 
     def __init__(self, rank, roots, coroots, basis_indices, reduced=True, validate=True):
         self.rank = int(rank)
-        self.roots = tuple(tuple(int(x) for x in r) for r in roots)
-        self.coroots = tuple(tuple(int(x) for x in c) for c in coroots)
+        self.roots = tuple(tuple(map(int, r)) for r in roots)
+        self.coroots = tuple(tuple(map(int, c)) for c in coroots)
         self.basis_indices = tuple(basis_indices)
         self.reduced = bool(reduced)
         self._index = {r: i for i, r in enumerate(self.roots)}
         if len(self._index) != len(self.roots):
             raise DomainError("duplicate roots")
         self._simple_coords = None
-        self._components = self._component_types = None
-        self._root_codes = self._negatives = None
-        self._root_sums = None
+        self._cartan = self._components = self._component_types = self._base_groups = None
+        self._root_codes = self._negatives = self._root_sums = None
         if validate:
             self._validate()
 
@@ -236,20 +218,7 @@ class RootDatum:
     # -- validation ----------------------------------------------------
 
     def _validate(self):
-        if len(self.roots) != len(self.coroots):
-            raise DomainError("roots and coroots must correspond one to one")
-        for r in self.roots:
-            if len(r) != self.rank:
-                raise DomainError("root coordinate length differs from rank")
-            if all(x == 0 for x in r):
-                raise DomainError("zero vector listed as a root")
-        for c in self.coroots:
-            if len(c) != self.rank:
-                raise DomainError("coroot coordinate length differs from rank")
-        for r, c in zip(self.roots, self.coroots):
-            n = sum(map(mul, r, c))
-            if n != 2:
-                raise DomainError(f"<alpha, alpha^vee> = {n} != 2 at root {r}")
+        _check_vectors(self.rank, self.roots, self.coroots)
         if len(set(self.coroots)) != len(self.coroots):
             raise DomainError("duplicate coroots")
         codes = self._reflection_codes()
@@ -443,43 +412,28 @@ class RootDatum:
         Components are the connected pieces of the base under the Cartan
         pairing; each root joins the component carrying its support.
         """
-        if self._components is not None:
-            return self._components
-        k = len(self.basis_indices)
-        parent = list(range(k))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in range(k):
-            for b in range(a + 1, k):
-                if self.pairing(self.basis_indices[a], self.basis_indices[b]) != 0:
-                    parent[find(a)] = find(b)
-        groups: dict[int, list[int]] = {}
-        for a in range(k):
-            groups.setdefault(find(a), []).append(a)
-        comps = []
-        for members in sorted(groups.values()):
-            support = set(members)
-            idxs = [
-                i
-                for i in range(self.nroots)
-                if {j for j, c in enumerate(self._simple_coords[i]) if c} <= support
-                and any(self._simple_coords[i])
-            ]
-            comps.append(tuple(idxs))
-        self._components = tuple(comps)
+        if self._components is None:
+            self.component_types()
+            supports = [{j for j, c in enumerate(v) if c} for v in self._simple_coords]
+            self._components = tuple(
+                tuple(i for i, s in enumerate(supports) if s and s <= group)
+                for group in map(set, self._base_groups)
+            )
         return self._components
 
     def component_types(self) -> tuple[tuple[str, int], ...]:
         """The (family, rank) of each component, in the order of
         ``components()``; recognized once per datum."""
         if self._component_types is None:
-            self._component_types = tuple(_component_type(self, c) for c in self.components())
+            self._base_groups, self._component_types = _cartan_components(self.base_cartan())
         return self._component_types
+
+    def base_cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix <alpha_q, alpha_p^vee> of the base, built once."""
+        if self._cartan is None:
+            base = self.basis_indices
+            self._cartan = tuple(tuple(self.pairing(j, i) for j in base) for i in base)
+        return self._cartan
 
     def simple_reflection_permutation(self, basis_position: int) -> tuple[int, ...]:
         """Permutation of root indices induced by reflecting along the
@@ -535,106 +489,174 @@ def build_torus(rank: int) -> RootDatum:
     """Root datum of a torus: a lattice with no roots."""
     if rank < 0:
         raise DomainError("torus rank must be nonnegative")
-    return RootDatum(rank, [], [], [], reduced=True)
+    return _build_based(rank, [], [])
 
 
 def build_preset(cartan_type, isogeny: str = "sc") -> RootDatum:
     """Construct the simply connected or adjoint datum of a Cartan type.
 
-    sc: character lattice = weight lattice (basis: fundamental weights);
-    adjoint: character lattice = root lattice (basis: simple roots).
+    sc: character lattice = weight lattice (basis: fundamental weights),
+    simple roots C e_i for C the Cartan matrix, simple coroots e_i;
+    adjoint: character lattice = root lattice (basis: simple roots),
+    simple roots e_i, simple coroots C^T e_i.
     """
     ct = cartan_type if isinstance(cartan_type, CartanType) else CartanType.parse(cartan_type)
     if isogeny not in ("sc", "adjoint"):
         raise DomainError(f"unknown isogeny {isogeny!r}; expected 'sc' or 'adjoint'")
-    c = cartan_matrix_product(ct)
-    ctr = c.transpose()
-    n = ct.rank
-    roots, coroots = [], []
-    for v, w, cv in _generate_root_coroot_pairs(c):
-        if isogeny == "sc":
-            roots.append(cv)
-            coroots.append(w)
-        else:
-            roots.append(v)
-            coroots.append(ctr.apply(w))
-    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    simple = [c.apply(e) for e in units] if isogeny == "sc" else units
-    return RootDatum(n, roots, coroots, basis_indices=[roots.index(s) for s in simple])
+    c = cartan_matrix_product(ct).entries
+    units = IntMatrix.identity(ct.rank).entries
+    if isogeny == "sc":
+        return _build_based(ct.rank, zip(*c), units)
+    return _build_based(ct.rank, units, c)
+
+
+def _minus(vector, c, column) -> tuple:
+    """vector - c column, for a column given by its (index, entry) pairs."""
+    out = list(vector)
+    for q, x in column:
+        out[q] -= c * x
+    return tuple(out)
+
+
+def _build_based(rank, simple_roots, simple_coroots) -> RootDatum:
+    """The root datum in Z^rank of simple roots alpha_i and coroots
+    alpha_i^vee whose Cartan matrix C[i][j] = <alpha_j, alpha_i^vee> is of
+    finite type, which determines it (SGA3 Exp. XXI; Springer, Linear
+    Algebraic Groups, 7.4), with its roots sorted by simple coordinates.
+
+    Before the walk it checks the vectors and that C is of finite type. A
+    finite-type C = B^vee^T B (B, B^vee the matrices of the simple roots
+    and coroots) is nonsingular, so the base is then independent; a
+    refused C is first tested for a dependent base. The walk reflects in
+    simple coordinates: s_i sends v to v - c e_i, c = (C v)_i, the root x
+    to x - c alpha_i, its coroot y to y - <alpha_i, y> alpha_i^vee and C v
+    to C v - c C e_i, each one sparse column update. The roots of a finite
+    type are reduced and uniformly signed over the base, so the datum keeps
+    the walk's coordinates and is not validated again.
+    """
+    base = [tuple(map(int, r)) for r in simple_roots]
+    cobase = [tuple(map(int, c)) for c in simple_coroots]
+    _check_vectors(rank, base, cobase)
+    cols, cocols = list(map(_nonzero, base)), list(map(_nonzero, cobase))
+    cartan = tuple(tuple(sum(r[q] * y for q, y in coroot) for r in base) for coroot in cocols)
+    try:
+        groups, types = _cartan_components(cartan)
+    except DomainError:
+        if IntMatrix.from_columns(base, rank).rank() < len(base):
+            raise DomainError("base of simple roots is linearly dependent") from None
+        raise
+    cartan_cols = list(map(_nonzero, zip(*cartan)))
+    units = IntMatrix.identity(len(base)).entries
+    # simple coordinates v -> (root, coroot, C v)
+    found = {e: (r, c, col) for e, r, c, col in zip(units, base, cobase, zip(*cartan))}
+    queue = list(units)
+    for v in queue:  # the queue grows as roots are found
+        x, y, cv = found[v]
+        for i in compress(range(len(v)), cv):
+            c = cv[i]
+            if (rv := v[:i] + (v[i] - c,) + v[i + 1 :]) not in found:
+                d = sum(y[q] * a for q, a in cols[i])
+                found[rv] = (
+                    _minus(x, c, cols[i]), _minus(y, d, cocols[i]), _minus(cv, c, cartan_cols[i])
+                )
+                queue.append(rv)
+    coords = sorted(found)
+    where = {v: k for k, v in enumerate(coords)}
+    roots, coroots = [found[v][0] for v in coords], [found[v][1] for v in coords]
+    datum = RootDatum(rank, roots, coroots, [where[e] for e in units], validate=False)
+    datum._simple_coords = tuple(coords)
+    datum._cartan, datum._base_groups, datum._component_types = cartan, groups, types
+    return datum
 
 
 # -- type recognition ---------------------------------------------------
 
 
-def _component_type(datum: RootDatum, comp: tuple[int, ...]) -> tuple[str, int]:
-    members = set(comp)
-    idx = [i for i in datum.basis_indices if i in members]
-    n = len(idx)
+def _cartan_components(a) -> tuple[tuple, tuple]:
+    """The connected components of a Cartan matrix a[i][j] = <alpha_j,
+    alpha_i^vee> with 2 on its diagonal: their positions, by smallest
+    position, and their (family, rank), rank-2 double bonds as C2. Raises
+    DomainError unless a is of finite type: nonpositive off the diagonal,
+    a[i][j] = 0 exactly when a[j][i] = 0, and each component a tree with
+    bond weights a[i][j] a[j][i] of 1, 2 or 3 in the shape of a Dynkin
+    diagram."""
+    k = len(a)
+    adj, bonds = [[] for _ in range(k)], {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            x, y = a[i][j], a[j][i]
+            if x > 0 or y > 0 or (x == 0) != (y == 0):
+                raise DomainError(
+                    f"Cartan matrix is not of finite type: <alpha_{j}, alpha_{i}^vee> = {x}"
+                    f" and <alpha_{i}, alpha_{j}^vee> = {y}"
+                )
+            if x:
+                adj[i].append(j)
+                adj[j].append(i)
+                bonds[i, j] = bonds[j, i] = x * y
+    groups, types, seen = [], [], set()
+    for start in range(k):
+        if start not in seen:
+            comp = [start]
+            seen.add(start)
+            for i in comp:  # the component grows as nodes are reached
+                comp += [j for j in adj[i] if j not in seen]
+                seen.update(adj[i])
+            groups.append(tuple(sorted(comp)))
+            types.append(_component_type(a, groups[-1], adj, bonds))
+            if isinstance(types[-1], str):
+                nodes = ", ".join(map(str, groups[-1]))
+                raise DomainError(
+                    f"Cartan matrix is not of finite type: {types[-1]} on simple roots {nodes}"
+                )
+    return tuple(groups), tuple(types)
+
+
+def _component_type(a, comp, adj, bonds) -> tuple[str, int] | str:
+    """The (family, rank) of the connected component comp of the Cartan
+    matrix a, given its neighbour lists and bond weights; for a component
+    of infinite type, the name of its shape."""
+    n = len(comp)
+    weights = sorted(bonds[i, j] for i in comp for j in adj[i] if i < j)
+    if len(weights) != n - 1:
+        return "a cycle"
     if n == 1:
         return ("A", 1)
-    pair = {}
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                pair[a, b] = datum.pairing(idx[b], idx[a])  # <alpha_b, alpha_a^vee>
-    adj = {a: [] for a in range(n)}
-    bonds = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = pair[a, b] * pair[b, a]
-            if w:
-                adj[a].append(b)
-                adj[b].append(a)
-                bonds[a, b] = bonds[b, a] = w
-    # connected tree expected; classify by bond weights and shape
-    weights = sorted(bonds[a, b] for a in range(n) for b in adj[a] if a < b)
-    if any(w > 3 for w in weights):
-        raise InternalInconsistencyError("bond weight exceeds 3 in a finite type")
+    if weights[-1] > 3:
+        return f"a bond of weight {weights[-1]}"
     if 3 in weights:
-        if n != 2:
-            raise InternalInconsistencyError("triple bond outside rank 2")
-        return ("G", 2)
+        return ("G", 2) if n == 2 else "a triple bond past rank 2"
+    degrees = sorted(len(adj[i]) for i in comp)
     if 2 in weights:
-        if weights.count(2) != 1:
-            raise InternalInconsistencyError("multiple double bonds in one component")
-        degrees = sorted(len(adj[a]) for a in range(n))
-        if degrees[-1] > 2:
-            raise InternalInconsistencyError("branch node in a doubly laced component")
+        if weights.count(2) != 1 or degrees[-1] > 2:
+            return "a doubly laced diagram with a branch or two double bonds"
         if n == 2:
             return ("C", 2)  # B2 and C2 coincide; normalized to C2
-        a, b = next(edge for edge, w in bonds.items() if w == 2)
-        if len(adj[a]) != 1:
-            a, b = b, a
-        if len(adj[a]) == 1:
-            # the end node a is short, and then the only short node (B),
+        edge = next(edge for edge, w in bonds.items() if w == 2 and edge[0] in comp)
+        i, j = sorted(edge, key=lambda x: len(adj[x]))  # an end node first
+        if len(adj[i]) == 1:
+            # the end node i is short, and then the only short node (B),
             # exactly when its coroot pairs to -2 with its neighbour's root
-            return ("B", n) if pair[a, b] == -2 else ("C", n)
-        if n == 4:
-            return ("F", 4)
-        raise InternalInconsistencyError("interior double bond outside F4")
+            return ("B", n) if a[i][j] == -2 else ("C", n)
+        return ("F", 4) if n == 4 else "an interior double bond outside F4"
     # simply laced
-    degrees = [len(adj[a]) for a in range(n)]
-    if max(degrees) <= 2:
+    if degrees[-1] <= 2:
         return ("A", n)
-    if degrees.count(3) != 1 or max(degrees) > 3:
-        raise InternalInconsistencyError("unrecognized simply laced shape")
-    hub = degrees.index(3)
-    arms = []
-    for start in adj[hub]:
-        length, prev, cur = 1, hub, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
+    if degrees[-2] > 2 or degrees[-1] > 3:
+        return "a simply laced diagram with two branches"
+    # the arms are paths from the hub, each as long as the depth of its end
+    hub = next(i for i in comp if len(adj[i]) == 3)
+    depth, queue = {hub: 0}, [hub]
+    for i in queue:  # the queue grows as nodes are reached
+        new = [j for j in adj[i] if j not in depth]
+        depth.update((j, depth[i] + 1) for j in new)
+        queue += new
+    arms = sorted(depth[i] for i in comp if len(adj[i]) == 1)
+    if arms[:2] == [1, 1]:
         return ("D", n)
-    if arms[0] == 1 and arms[1] == 2 and n in (6, 7, 8):
+    if arms[:2] == [1, 2] and n in (6, 7, 8):
         return ("E", n)
-    raise InternalInconsistencyError("unrecognized branched shape")
+    return f"a branch with arms {arms[0]}, {arms[1]} and {arms[2]}"
 
 
 def cartan_type_of(datum: RootDatum) -> CartanType:
@@ -642,5 +664,4 @@ def cartan_type_of(datum: RootDatum) -> CartanType:
 
     Rank-2 double-bond components normalize to C2 and rank-3 D to A3.
     """
-    comps = datum.component_types()
-    return CartanType(tuple(sorted(("A", 3) if t == ("D", 3) else t for t in comps)))
+    return CartanType(tuple(sorted(datum.component_types())))

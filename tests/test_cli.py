@@ -17,7 +17,8 @@ import foldlab.cli as cli
 from foldlab.folding import equivalence_classes
 from foldlab.intlat import CoinvariantLattice, IntMatrix
 from foldlab.matrixlab import CountReport
-from foldlab.presets import preset_names
+from foldlab import presets
+from foldlab.presets import load_preset, preset_names
 from foldlab.rootdata import CartanType, WeylGroup
 
 
@@ -352,6 +353,16 @@ def test_presets_listing(capsys):
     out = capsys.readouterr().out
     for name in ("A2-sc-flip", "D4-sc-triality", "A1-torus-inversion"):
         assert name in out
+
+
+def test_presets_listing_builds_nothing(capsys, monkeypatch):
+    expected = "".join(f"{name}: {load_preset(name).note}\n" for name in preset_names())
+    calls = []
+    for name in ("build_preset", "build_torus"):
+        monkeypatch.setattr(presets, name, lambda *a, **k: calls.append(a))
+    assert cli.main(["presets"]) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == []
 
 
 PARSED = dict(
@@ -826,22 +837,69 @@ def _child_env(**extra):
     return {**env, "PYTHONPATH": SRC, **extra}
 
 
+# (argv, the stream sent to /dev/full); new rows go at the end, so the ids
+# argv0, argv1, ... of the earlier rows stay as they are
+FULL_STREAM_RUNS = [
+    (["presets"], "stdout"),
+    (["--help"], "stdout"),
+    (["run", "{a2}"], "stdout"),
+    (["run", "{missing}"], "stderr"),
+    (["run", "--bogus"], "stderr"),
+]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}])
-@pytest.mark.parametrize("argv", [["presets"], ["--help"], ["run", "{a2}"]])
-def test_failed_stdout_exit_2_in_a_process(tmp_path, argv, unbuffered):
-    a2 = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
+@pytest.mark.parametrize(
+    "argv,stream", [pytest.param(*row, id=f"argv{i}") for i, row in enumerate(FULL_STREAM_RUNS)]
+)
+def test_failed_stdout_exit_2_in_a_process(tmp_path, argv, stream, unbuffered):
+    paths = {"a2": write(tmp_path, "[datum]\npreset = A2-sc-flip\n"), "missing": "/nonexistent.ini"}
     with open("/dev/full", "w") as full:
         child = subprocess.run(
-            [sys.executable, "-m", "foldlab.cli", *(a.format(a2=a2) for a in argv)],
+            [sys.executable, "-m", "foldlab.cli", *(a.format(**paths) for a in argv)],
             env=_child_env(**unbuffered),
-            stdout=full,
-            stderr=subprocess.PIPE,
+            stdout=full if stream == "stdout" else subprocess.PIPE,
+            stderr=full if stream == "stderr" else subprocess.PIPE,
             text=True,
             timeout=60,
         )
-    # buffered, the interpreter's last flush would fail again and exit 120
-    assert (child.returncode, child.stderr) == (2, STDOUT_FULL)
+    # buffered, the interpreter's last flush would fail again and exit 120;
+    # a failed error message would end in a traceback and exit 1
+    if stream == "stdout":
+        assert (child.returncode, child.stderr) == (2, STDOUT_FULL)
+    else:
+        assert (child.returncode, child.stdout) == (2, "")
+
+
+class _FullStderr:
+    """A stderr whose writes fail as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "config,argv,code",
+    [
+        ("[datum]\npreset = A2-sc-flip\nq = 2\n", [], 2),
+        ("[datum]\ntype = B3\n", ["--analysis", "count", "--q", "2"], 3),
+        ("[datum]\ntype = B3\n", ["--limit-enum", "35"], 4),
+        ("[datum]\npreset = A2-sc-flip\n", ["--analysis", "count", "--q", "2"], 5),
+        (None, ["--bogus"], 2),
+    ],
+    ids=["config", "action", "limit", "mismatch", "usage"],
+)
+def test_failed_stderr_keeps_the_exit_code(tmp_path, capsys, monkeypatch, config, argv, code):
+    monkeypatch.setattr(
+        cli, "verify_fixed_count", lambda n, q, order_limit=0: CountReport(n=n, q=q, brute=6, predicted=7)
+    )
+    monkeypatch.setattr(sys, "stderr", _FullStderr())
+    cfg = [write(tmp_path, config)] if config else []
+    assert cli.main(["run", *cfg, *argv]) == code
 
 
 # (argv, exit code): one command line per exit code, --help and presets;

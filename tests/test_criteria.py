@@ -13,7 +13,7 @@ from foldlab.criteria import (
 from foldlab.errors import DomainError
 from foldlab.intlat import FinAbGroup
 from foldlab.presets import load_preset, preset_names, type_a_flip
-from foldlab.action import trivial_action
+from foldlab.action import PinnedAction, trivial_action
 
 
 def test_base_spec_validation():
@@ -126,17 +126,20 @@ def test_active_even_a_components():
 
 def test_component_types_are_recognized_once_per_datum(monkeypatch):
     calls = []
-    recognize = rootdata._component_type
-    monkeypatch.setattr(
-        rootdata, "_component_type", lambda d, comp: calls.append(d) or recognize(d, comp)
-    )
-    pre = load_preset("A2+A2-sc-swap")
-    for datum, act in (type_a_flip(4), (pre.datum, pre.action)):
+    recognize = rootdata._cartan_components
+    monkeypatch.setattr(rootdata, "_cartan_components", lambda a: calls.append(a) or recognize(a))
+    flip, pre = type_a_flip(4), load_preset("A2+A2-sc-swap")
+    assert len(calls) == 2  # the builder's finite-type check, once per datum
+    d = pre.datum
+    given = rootdata.RootDatum(d.rank, d.roots, d.coroots, d.basis_indices)
+    cases = [flip, (d, pre.action), (given, PinnedAction(given, pre.action.generators))]
+    for datum, act in cases:
         decide(datum, act, BaseSpec.all_primes())
         fiber_reports(datum, act, (0, 2, 3))
         assert active_even_a_components(datum, act) == active_even_a_components(datum, act)
         assert datum.component_types() is datum.component_types()
-        assert sum(d is datum for d in calls) == len(datum.components())
+    # a datum given by its roots is recognized on first use, and only then
+    assert len(calls) == 3
 
 
 def test_fiber_report_a2_flip():

@@ -22,7 +22,7 @@ from foldlab.rootdata import (
     cartan_type_of,
 )
 from constants_oracle import root_sums_by_tuples
-from validate_oracle import generate_pairs_by_tuples, validate_by_tuples
+from validate_oracle import bareiss_det, generate_pairs_by_tuples, validate_by_tuples
 
 
 def test_cartan_type_parse():
@@ -388,8 +388,11 @@ def _directly_checked(monkeypatch, build):
 
 
 def test_validation_checks_only_the_base_directly(monkeypatch):
+    # the builder checks no reflection; E8 given by its roots checks the base
+    assert _directly_checked(monkeypatch, lambda: build_preset("E8", "sc")) == []
     e8 = build_preset("E8", "sc")
-    calls = _directly_checked(monkeypatch, lambda: build_preset("E8", "sc"))
+    rebuild = lambda: RootDatum(e8.rank, e8.roots, e8.coroots, e8.basis_indices)
+    calls = _directly_checked(monkeypatch, rebuild)
     assert len(calls) == 8
     assert sorted(calls) == sorted(e8.basis_indices)
     # the doubled roots of a nonreduced datum lie in no orbit of the base
@@ -480,29 +483,181 @@ def test_walk_leaves_no_reduced_root_to_solve(monkeypatch):
     assert len(_solves_per_build(monkeypatch, rebuild)) == 2 * len(doubled)
 
 
+def _from_tuple_generation(ctype, isogeny):
+    """The datum of a Cartan type from the tuple oracle's (root, coroot, C
+    root) triples, placed in the lattice as build_preset places them and
+    validated in full."""
+    c = rootdata.cartan_matrix_product(CartanType.parse(ctype))
+    triples = generate_pairs_by_tuples(c)
+    if isogeny == "sc":
+        roots, coroots = [cv for _, _, cv in triples], [w for _, w, _ in triples]
+    else:
+        roots = [v for v, _, _ in triples]
+        coroots = [c.transpose().apply(w) for _, w, _ in triples]
+    coords = [v for v, _, _ in triples]
+    basis = [coords.index(e) for e in IntMatrix.identity(c.rows).entries]
+    return RootDatum(c.rows, roots, coroots, basis)
+
+
+def _assert_matches_full_validation(d):
+    """The builder's datum d equals the datum rebuilt from its roots with
+    the full validation, and passes the tuple oracle's checks."""
+    full = RootDatum(d.rank, d.roots, d.coroots, d.basis_indices, validate=True)
+    assert (full.roots, full.coroots, full.basis) == (d.roots, d.coroots, d.basis)
+    assert full._simple_coords == d._simple_coords
+    oracle = RootDatum(d.rank, d.roots, d.coroots, d.basis_indices, validate=False)
+    validate_by_tuples(oracle)
+    assert oracle._simple_coords == d._simple_coords
+
+
 @pytest.mark.parametrize("ctype", _CATALOG_TYPES)
-def test_build_preset_matches_tuple_generation(ctype, monkeypatch):
+def test_build_preset_matches_tuple_generation(ctype):
     for isogeny in ("sc", "adjoint"):
         new = build_preset(ctype, isogeny)
-        with monkeypatch.context() as m:
-            m.setattr(rootdata, "_generate_root_coroot_pairs", generate_pairs_by_tuples)
-            old = build_preset(ctype, isogeny)
+        old = _from_tuple_generation(ctype, isogeny)
         assert new.roots == old.roots
         assert new.coroots == old.coroots
         assert new.basis_indices == old.basis_indices
         assert new._simple_coords == old._simple_coords
+        _assert_matches_full_validation(new)
 
 
-def test_build_preset_applies_the_cartan_matrix_once_per_root(monkeypatch):
-    # the generation's product C v is the sc root; the sc base takes one
-    # product per simple root
+def test_builder_matches_full_validation_on_presets_and_tori():
+    data = [load_preset(name).datum for name in preset_names()]
+    for d in data + [build_torus(0), build_torus(3)]:
+        _assert_matches_full_validation(d)
+
+
+def test_builder_applies_no_matrix_per_root(monkeypatch):
+    # each root's coordinates, coroot and pairings are its parent's moved
+    # by one sparse column, so no IntMatrix.apply runs
+    calls = []
+    apply = IntMatrix.apply
+    monkeypatch.setattr(IntMatrix, "apply", lambda mat, v: calls.append(v) or apply(mat, v))
     for ctype in ("A4", "E7", "B3+G2"):
-        calls = []
-        apply = IntMatrix.apply
-        with monkeypatch.context() as m:
-            m.setattr(IntMatrix, "apply", lambda mat, v: calls.append(v) or apply(mat, v))
-            datum = build_preset(ctype, "sc")
-        assert len(calls) == 2 * datum.nroots + datum.rank, ctype
+        for isogeny in ("sc", "adjoint"):
+            build_preset(ctype, isogeny)
+    build_torus(3)
+    assert calls == []
+
+
+def _based(rank, roots, coroots):
+    return lambda: rootdata._build_based(rank, roots, coroots)
+
+
+_UNITS2 = [(1, 0), (0, 1)]
+_UNITS3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        # affine A1: <alpha_1, alpha_0^vee> = <alpha_0, alpha_1^vee> = -2
+        (
+            _based(2, _UNITS2, [(2, -2), (-2, 2)]),
+            "Cartan matrix is not of finite type: a bond of weight 4 on simple roots 0, 1",
+        ),
+        # affine A2: the three simple roots form a cycle
+        (
+            _based(3, _UNITS3, [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]),
+            "Cartan matrix is not of finite type: a cycle on simple roots 0, 1, 2",
+        ),
+        # the affine A1 Cartan matrix again, from a dependent base
+        (
+            _based(2, [(1, 0), (-1, 0)], [(2, 0), (-2, 0)]),
+            "base of simple roots is linearly dependent",
+        ),
+        (_based(1, [(1,), (2,)], [(2,), (1,)]), "base of simple roots is linearly dependent"),
+        (_based(2, _UNITS2, [(1, 0), (0, 2)]), "<alpha, alpha^vee> = 1 != 2 at root (1, 0)"),
+        (_based(2, _UNITS2, [(2, 0)]), "roots and coroots must correspond one to one"),
+        (
+            _based(2, [(1, 0), (0, 1, 0)], [(2, 0), (0, 2)]),
+            "root coordinate length differs from rank",
+        ),
+        (
+            _based(2, _UNITS2, [(2, 0), (0, 2, 0)]),
+            "coroot coordinate length differs from rank",
+        ),
+        (
+            _based(2, _UNITS2, [(2, 1), (1, 2)]),
+            "Cartan matrix is not of finite type:"
+            " <alpha_1, alpha_0^vee> = 1 and <alpha_0, alpha_1^vee> = 1",
+        ),
+        (
+            _based(2, _UNITS2, [(2, -1), (0, 2)]),
+            "Cartan matrix is not of finite type:"
+            " <alpha_1, alpha_0^vee> = -1 and <alpha_0, alpha_1^vee> = 0",
+        ),
+    ],
+    ids=[
+        "affine-A1", "affine-A2", "dependent", "dependent-rank-1", "pairing-not-2",
+        "count", "root-length", "coroot-length", "positive", "one-sided",
+    ],
+)
+def test_builder_refuses_before_the_walk(build, message, monkeypatch):
+    # the walk moves every root it finds with _minus; a refusal comes first
+    monkeypatch.setattr(rootdata, "_minus", lambda *a: pytest.fail("the walk started"))
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def _principal_minors_positive(a):
+    n = len(a)
+    return all(
+        bareiss_det(IntMatrix([[a[i][j] for j in rows] for i in rows])) > 0
+        for k in range(1, n + 1)
+        for rows in itertools.combinations(range(n), k)
+    )
+
+
+def _check_recognition(a):
+    """_cartan_components accepts a generalized Cartan matrix exactly when
+    all its principal minors are positive (Kac, Infinite dimensional Lie
+    algebras, 4.3), and each component it types is the Cartan matrix of
+    that type with its nodes relabelled."""
+    try:
+        groups, types = rootdata._cartan_components(a)
+    except DomainError as exc:
+        assert str(exc).startswith("Cartan matrix is not of finite type: "), str(exc)
+        assert not _principal_minors_positive(a), a
+        return
+    assert _principal_minors_positive(a), a
+    assert sorted(i for g in groups for i in g) == list(range(len(a)))
+    for group, (fam, n) in zip(groups, types):
+        c = cartan_matrix(fam, n).entries
+        assert any(
+            all(a[group[p[i]]][group[p[j]]] == c[i][j] for i in range(n) for j in range(n))
+            for p in itertools.permutations(range(n))
+        ), (a, group, fam, n)
+
+
+def _gcm(n, bonds):
+    """The n x n generalized Cartan matrix with the pairs (a[i][j], a[j][i])
+    of bonds, i < j in lexicographic order."""
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), (x, y) in zip(itertools.combinations(range(n), 2), bonds):
+        a[i][j], a[j][i] = x, y
+    return a
+
+
+def test_recognition_of_every_generalized_cartan_matrix_up_to_rank_3():
+    bonds = [(0, 0)] + list(itertools.product(range(-1, -5, -1), repeat=2))
+    for n in (1, 2, 3):
+        for chosen in itertools.product(bonds, repeat=n * (n - 1) // 2):
+            _check_recognition(_gcm(n, chosen))
+
+
+_SAMPLED_BONDS = [(0, 0)] * 4 + [(-1, -1)] * 4 + [(-1, -2), (-2, -1), (-1, -3), (-2, -2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_recognition_of_sampled_generalized_cartan_matrices(data):
+    n = data.draw(st.integers(4, 6))
+    pairs = n * (n - 1) // 2
+    bonds = data.draw(st.lists(st.sampled_from(_SAMPLED_BONDS), min_size=pairs, max_size=pairs))
+    _check_recognition(_gcm(n, bonds))
 
 
 def test_weyl_closure_of_degree_at_most_one():

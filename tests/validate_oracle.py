@@ -11,8 +11,8 @@ simple coordinates, where the datum checks the base reflections and carries
 stability and coordinates along the orbits they reach.
 ``generate_pairs_by_tuples`` closes the simple (root, coroot) pairs under
 every simple reflection by rebuilding both tuples, where
-``rootdata._generate_root_coroot_pairs`` skips reflections that fix a root
-and changes one coordinate.  ``inverse_by_adjugate`` forms the inverse
+``rootdata._build_based`` skips reflections that fix a root and moves each
+root's coordinates, coroot and pairings by one sparse column.  ``inverse_by_adjugate`` forms the inverse
 from n^2 cofactor determinants, each a fraction-free ``bareiss_det``;
 ``IntMatrix.inverse_unimodular`` reads it off the Smith form.
 """
