@@ -13,7 +13,7 @@ import math
 from itertools import compress
 from operator import itemgetter, mul
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import IntMatrix, _nonzero, _smith_invariants
 from .record import FrozenRecord
 
@@ -179,9 +179,11 @@ class RootDatum:
     """Root datum (lattice, roots, coroots, base).  Validates on build."""
 
     def __init__(self, rank, roots, coroots, basis_indices, reduced=True, validate=True):
+        # the builder's vectors are tuples of ints already
+        vector = (lambda v: tuple(map(int, v))) if validate else tuple
         self.rank = int(rank)
-        self.roots = tuple(tuple(map(int, r)) for r in roots)
-        self.coroots = tuple(tuple(map(int, c)) for c in coroots)
+        self.roots = tuple(map(vector, roots))
+        self.coroots = tuple(map(vector, coroots))
         self.basis_indices = tuple(basis_indices)
         self.reduced = bool(reduced)
         self._index = {r: i for i, r in enumerate(self.roots)}
@@ -218,18 +220,43 @@ class RootDatum:
     # -- validation ----------------------------------------------------
 
     def _validate(self):
+        """Accept the datum exactly when the walk from its base gives it
+        (``_walk_coordinates``), and take the walk's simple coordinates and
+        Cartan recognition.  A valid datum with a valid base is its walk
+        (SGA3 Exp. XXI), so any other datum fails one of the checks that
+        follow, which name its first fault in this order: a reflection pair
+        in index order, root side first; a doubled root of a reduced datum;
+        a basis index; then, by one Smith form U B V = D of the base, a
+        dependent base or, in index order, a root r that is no integer
+        combination of the base (y = U r needs d_i | y_i for i < k and
+        y_i = 0 beyond; its coordinates are V (y_i / d_i)) or of mixed sign.
+        """
         _check_vectors(self.rank, self.roots, self.coroots)
         if len(set(self.coroots)) != len(self.coroots):
             raise DomainError("duplicate coroots")
-        codes = self._reflection_codes()
-        try:
-            reached = self._check_reflections(codes)
-        except DomainError:
-            # name the first failing pair in index order, as a scan of all
-            # pairs would
-            for i in range(self.nroots):
-                self._reflection_images(i, codes)
-            raise
+        coords = None
+        if all(0 <= i < self.nroots for i in self.basis_indices):
+            cobase = [self.coroots[i] for i in self.basis_indices]
+            try:
+                walk = _build_based(self.rank, self.basis, cobase)
+            except DomainError:
+                pass  # an infinite type or a dependent base, named below
+            else:
+                coords = _walk_coordinates(self, walk)
+        if coords is not None:
+            self._simple_coords = coords
+            self._cartan, self._base_groups = walk._cartan, walk._base_groups
+            self._component_types = walk._component_types
+            return
+        coroot_set = set(self.coroots)
+        for root, coroot in zip(self.roots, self.coroots):
+            col, cocol = _nonzero(root), _nonzero(coroot)
+            for x, y in zip(self.roots, self.coroots):
+                # a zero pairing fixes the vector
+                if (n := sum(x[q] * a for q, a in cocol)) and _minus(x, n, col) not in self._index:
+                    raise DomainError(f"reflection of {x} along {root} leaves the root set")
+                if (n := sum(y[q] * a for q, a in col)) and _minus(y, n, cocol) not in coroot_set:
+                    raise DomainError(f"coreflection of {y} leaves the coroot set")
         if self.reduced:
             for r in self.roots:
                 if tuple(2 * x for x in r) in self._index:
@@ -237,111 +264,20 @@ class RootDatum:
         for i in self.basis_indices:
             if not 0 <= i < self.nroots:
                 raise DomainError("basis index out of range")
-        self._compute_simple_coords(reached)
-
-    def _reflection_codes(self):
-        """Integer codes code(v) = sum_k v_k B^k of the roots and coroots,
-        and the index of each code on either side.
-
-        With m the largest coordinate size of a root or coroot, every
-        pairing has size at most rank m^2, so every root, coroot and image
-        x - n y has coordinates of size at most m (1 + rank m^2);
-        B = 2 m (1 + rank m^2) + 1 makes the code injective on all of them,
-        and code(x - n y) = code(x) - n code(y) by linearity.
-        """
-        m = max((abs(x) for v in self.roots + self.coroots for x in v), default=0)
-        big = 2 * m * (1 + self.rank * m * m) + 1
-        # a torus has no roots to code, whatever its rank
-        powers = [big**k for k in range(self.rank if self.roots else 0)]
-        root_codes = [sum(map(mul, r, powers)) for r in self.roots]
-        coroot_codes = [sum(map(mul, c, powers)) for c in self.coroots]
-        root_at = {code: j for j, code in enumerate(root_codes)}
-        coroot_at = {code: j for j, code in enumerate(coroot_codes)}
-        return root_codes, coroot_codes, root_at, coroot_at
-
-    def _reflection_images(self, i: int, codes) -> tuple[list, list]:
-        """Indices of s_i(alpha_j) and s_i^vee(alpha_j^vee) for every j,
-        each one sparse integer expression and one dict lookup.  Raises for
-        the first j, root side before coroot side, whose image leaves its set."""
-        root_codes, coroot_codes, root_at, coroot_at = codes
-        root, coroot = _nonzero(self.roots[i]), _nonzero(self.coroots[i])
-        images = _images(self.roots, root_codes, root_at, coroot, root_codes[i])
-        coimages = _images(self.coroots, coroot_codes, coroot_at, root, coroot_codes[i])
-        if None in images or None in coimages:
-            for j in range(self.nroots):
-                if images[j] is None:
-                    raise DomainError(
-                        f"reflection of {self.roots[j]} along {self.roots[i]} leaves the root set"
-                    )
-                if coimages[j] is None:
-                    raise DomainError(
-                        f"coreflection of {self.coroots[j]} leaves the coroot set"
-                    )
-        return images, coimages
-
-    def _check_reflections(self, codes) -> dict[int, tuple]:
-        """Reflection stability of the roots and coroots: checked directly
-        for the base roots, carried along the roots they reach, and checked
-        directly for every root left over.  Returns the simple coordinates
-        of the roots reached.
-
-        If s_g is stable for a base root g, s_j is stable, s_g(alpha_j) =
-        alpha_k and s_g^vee(alpha_j^vee) = alpha_k^vee, then s_k = s_g s_j s_g
-        on X and on X^vee, so s_k is stable too, and c(alpha_k) = c(alpha_j)
-        - <alpha_j, alpha_g^vee> e_p for g at base position p.  Roots the
-        base does not reach this way (the doubled roots of a nonreduced
-        datum, or every root under a bad base) are checked directly.
-        """
-        # a repeated base root makes the base dependent, refused later
-        base = {g: p for p, g in enumerate(self.basis_indices) if 0 <= g < self.nroots}
-        gens = [
-            (p, _nonzero(self.coroots[g]), *self._reflection_images(g, codes))
-            for g, p in base.items()
-        ]
-        units = IntMatrix.identity(len(self.basis_indices)).entries
-        reached = {g: units[p] for g, p in base.items()}
-        queue = list(base)
-        for j in queue:  # the queue grows as roots are reached
-            for p, coroot, images, coimages in gens:
-                i = images[j]
-                if i == coimages[j] and i not in reached:
-                    c, n = reached[j], sum(self.roots[j][q] * x for q, x in coroot)
-                    reached[i] = c[:p] + (c[p] - n,) + c[p + 1 :]
-                    queue.append(i)
-        for i in range(self.nroots):
-            if i not in reached:
-                self._reflection_images(i, codes)
-        return reached
-
-    def _compute_simple_coords(self, reached: dict[int, tuple]):
-        """Take the coordinates of the roots that ``reached`` maps, solve
-        every other root as an integer combination of the base, and check
-        each combination is uniformly signed.
-
-        With the Smith form U B V = D of the base matrix B, the base is
-        independent when its k invariants d_i are nonzero; a root r lies in
-        the span of the base exactly when y = U r has d_i | y_i for i < k
-        and y_i = 0 beyond, and its coordinates are then V (y_i / d_i).
-        """
-        base = [self.roots[i] for i in self.basis_indices]
-        k = len(base)
-        u, diag, v = _smith_invariants(IntMatrix.from_columns(base, self.rank))
+        k = len(self.basis_indices)
+        u, diag, v = _smith_invariants(IntMatrix.from_columns(self.basis, self.rank))
         if len(diag) != k:
             raise DomainError("base of simple roots is linearly dependent")
-        coords = []
-        for i, r in enumerate(self.roots):
-            sol = reached.get(i)
-            if sol is None:
-                y = u.apply(r)
-                if any(y[k:]) or any(yi % di for yi, di in zip(y, diag)):
-                    raise DomainError(
-                        f"root {r} is not an integer combination of the base"
-                    )
-                sol = v.apply(tuple(yi // di for yi, di in zip(y, diag)))
+        for r in self.roots:
+            y = u.apply(r)
+            if any(y[k:]) or any(yi % di for yi, di in zip(y, diag)):
+                raise DomainError(f"root {r} is not an integer combination of the base")
+            sol = v.apply(tuple(yi // di for yi, di in zip(y, diag)))
             if len({x > 0 for x in sol if x}) != 1:  # zero, or of mixed sign
                 raise DomainError(f"root {r} is not uniformly signed over the base")
-            coords.append(sol)
-        self._simple_coords = tuple(coords)
+        raise InternalInconsistencyError(
+            "a datum with a valid base differs from the datum its base builds"
+        )
 
     # -- structure -----------------------------------------------------
 
@@ -567,6 +503,36 @@ def _build_based(rank, simple_roots, simple_coroots) -> RootDatum:
     datum._simple_coords = tuple(coords)
     datum._cartan, datum._base_groups, datum._component_types = cartan, groups, types
     return datum
+
+
+def _walk_coordinates(datum: RootDatum, walk: RootDatum) -> tuple | None:
+    """The simple coordinates of the roots of datum when its (root, coroot)
+    pairs are those of the walk from its base, together, in a datum not
+    marked reduced, with doubled roots 2 alpha of coroot alpha^vee / 2 whose
+    halves the base reflections permute; None otherwise."""
+    at, coords, halves = walk._index, [], set()
+    for r, c in zip(datum.roots, datum.coroots):
+        if (k := at.get(r)) is not None:
+            if walk.coroots[k] != c:
+                return None
+            coords.append(walk._simple_coords[k])
+            continue
+        k = at.get(tuple(x // 2 for x in r))
+        if (
+            datum.reduced
+            or k is None
+            or tuple(2 * x for x in walk.roots[k]) != r
+            or tuple(2 * y for y in c) != walk.coroots[k]
+        ):
+            return None
+        coords.append(tuple(2 * x for x in walk._simple_coords[k]))
+        halves.add(k)
+    if len(coords) - len(halves) != walk.nroots:  # a root of the walk is missing
+        return None
+    perms = map(walk.simple_reflection_permutation, range(len(walk.basis_indices)))
+    if halves and any(s[k] not in halves for s in perms for k in halves):
+        return None
+    return tuple(coords)
 
 
 # -- type recognition ---------------------------------------------------

@@ -138,7 +138,8 @@ def test_component_types_are_recognized_once_per_datum(monkeypatch):
         fiber_reports(datum, act, (0, 2, 3))
         assert active_even_a_components(datum, act) == active_even_a_components(datum, act)
         assert datum.component_types() is datum.component_types()
-    # a datum given by its roots is recognized on first use, and only then
+    # a datum given by its roots is recognized while it is validated, by
+    # the walk from its base, and not again on use
     assert len(calls) == 3
 
 

@@ -7,8 +7,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldlab import rootdata
-from foldlab.errors import DomainError, ResourceLimitError
+from foldlab import intlat, rootdata
+from foldlab.errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from foldlab.folding import VARIANTS, folded_root_datum
 from foldlab.intlat import IntMatrix
 from foldlab.presets import load_preset, preset_names, type_a_flip
@@ -22,7 +22,12 @@ from foldlab.rootdata import (
     cartan_type_of,
 )
 from constants_oracle import root_sums_by_tuples
-from validate_oracle import bareiss_det, generate_pairs_by_tuples, validate_by_tuples
+from validate_oracle import (
+    bareiss_det,
+    coords_by_elimination,
+    generate_pairs_by_tuples,
+    validate_by_tuples,
+)
 
 
 def test_cartan_type_parse():
@@ -372,40 +377,57 @@ def test_validate_matches_tuple_oracle_on_catalog():
     assert _agree_with_oracle(2, *_BASE_FAILS_LATER) == message
 
 
-def _directly_checked(monkeypatch, build):
-    """Roots whose reflections ``build`` checks one by one, in call order."""
+def _walks_and_smith_forms(monkeypatch, build):
+    """The _build_based and smith_normal_form calls made while ``build``
+    runs, in call order."""
     calls = []
-    helper = RootDatum._reflection_images
-
-    def spy(self, i, codes):
-        calls.append(i)
-        return helper(self, i, codes)
-
+    walk, smith = rootdata._build_based, intlat.smith_normal_form
     with monkeypatch.context() as m:
-        m.setattr(RootDatum, "_reflection_images", spy)
+        m.setattr(rootdata, "_build_based", lambda *args: calls.append("walk") or walk(*args))
+        m.setattr(intlat, "smith_normal_form", lambda mat: calls.append("smith") or smith(mat))
         build()
     return calls
 
 
-def test_validation_checks_only_the_base_directly(monkeypatch):
-    # the builder checks no reflection; E8 given by its roots checks the base
-    assert _directly_checked(monkeypatch, lambda: build_preset("E8", "sc")) == []
+def test_given_datum_is_accepted_by_one_walk(monkeypatch):
+    # E8 given by its roots, and a nonreduced datum with its doubled roots,
+    # are each their walk from the base: one walk and no Smith form
     e8 = build_preset("E8", "sc")
-    rebuild = lambda: RootDatum(e8.rank, e8.roots, e8.coroots, e8.basis_indices)
-    calls = _directly_checked(monkeypatch, rebuild)
-    assert len(calls) == 8
-    assert sorted(calls) == sorted(e8.basis_indices)
-    # the doubled roots of a nonreduced datum lie in no orbit of the base
+    pre = load_preset("A4-sc-flip")
+    folded = folded_root_datum(pre.datum, pre.action, "nonreduced")
+    assert any(folded.doubled.values())
+    for d in (e8, folded.datum):
+        given = lambda: RootDatum(d.rank, d.roots, d.coroots, d.basis_indices, d.reduced)
+        assert _walks_and_smith_forms(monkeypatch, given) == ["walk"]
+
+
+def test_given_datum_unlike_its_walk_is_inconsistent(monkeypatch):
+    # a valid datum with a valid base is its walk, so a walk that gives
+    # other roots is a fault of the program, not of the datum
+    e6, other = build_preset("E6", "sc"), build_preset("E6", "adjoint")
+    monkeypatch.setattr(rootdata, "_build_based", lambda *args: other)
+    with pytest.raises(InternalInconsistencyError):
+        RootDatum(e6.rank, e6.roots, e6.coroots, e6.basis_indices)
+
+
+
+def test_given_doubled_roots_need_a_kept_set_and_a_nonreduced_mark():
+    # the nonreduced variant of A4-sc-flip, of type BC2, whose doubled roots
+    # are twice the four short roots
     pre = load_preset("A4-sc-flip")
     folded = folded_root_datum(pre.datum, pre.action, "nonreduced")
     d = folded.datum
-    doubled = {i for i, flag in folded.doubled.items() if flag}
-    calls = _directly_checked(
-        monkeypatch,
-        lambda: RootDatum(d.rank, d.roots, d.coroots, d.basis_indices, reduced=False),
-    )
-    assert sorted(calls) == sorted(set(d.basis_indices) | doubled)
-
+    message = "datum marked reduced but contains a doubled root"
+    assert _agree_with_oracle(d.rank, d.roots, d.coroots, d.basis_indices, True) == message
+    # dropping the doubles of one pair of short roots leaves doubled roots
+    # that a base reflection moves out of the set
+    doubled = [d.roots[i] for i, flag in folded.doubled.items() if flag]
+    drop = {d.root_index(doubled[0]), d.root_index([-x for x in doubled[0]])}
+    keep = [i for i in range(d.nroots) if i not in drop]
+    roots, coroots = [d.roots[i] for i in keep], [d.coroots[i] for i in keep]
+    basis = [keep.index(i) for i in d.basis_indices]
+    message = "reflection of (0, 2) along (-1, 2) leaves the root set"
+    assert _agree_with_oracle(d.rank, roots, coroots, basis, False) == message
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
@@ -432,10 +454,9 @@ _CATALOG_TYPES = [
 
 
 def _solved_coords(d):
-    """Simple coordinates of every root of d by the Smith solve alone."""
-    datum = RootDatum(*_catalog_row(d), validate=False)
-    datum._compute_simple_coords({})
-    return datum._simple_coords
+    """Simple coordinates of every root of d by the tuple oracle's rational
+    elimination alone."""
+    return coords_by_elimination(d)
 
 
 @pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
@@ -446,41 +467,6 @@ def test_carried_coordinates_match_the_smith_solve(isogeny):
     data += [build_preset("E8", isogeny), build_torus(0), build_torus(3)]
     for d in data:
         assert d._simple_coords == _solved_coords(d)
-
-
-def _solves_per_build(monkeypatch, build):
-    """The IntMatrix.apply calls made inside _compute_simple_coords while
-    ``build`` runs."""
-    calls = []
-    compute, apply = RootDatum._compute_simple_coords, IntMatrix.apply
-
-    def spied(self, reached):
-        with monkeypatch.context() as m:
-            m.setattr(IntMatrix, "apply", lambda mat, v: calls.append(v) or apply(mat, v))
-            compute(self, reached)
-
-    with monkeypatch.context() as m:
-        m.setattr(RootDatum, "_compute_simple_coords", spied)
-        build()
-    return calls
-
-
-def test_walk_leaves_no_reduced_root_to_solve(monkeypatch):
-    # every root of a reduced datum is W-conjugate to a simple root, so the
-    # reflection walk carries its coordinates and no root is solved
-    for name in preset_names():
-        assert _solves_per_build(monkeypatch, lambda: load_preset(name)) == []
-    for isogeny in ("sc", "adjoint"):
-        assert _solves_per_build(monkeypatch, lambda: build_preset("E8", isogeny)) == []
-    # the doubled roots of a nonreduced datum are solved, two products each
-    pre = load_preset("A2-sc-flip")
-    folded = folded_root_datum(pre.datum, pre.action, "nonreduced").datum
-    rebuild = lambda: RootDatum(*_catalog_row(folded))
-    doubled = [
-        r for r in folded.roots if not any(x % 2 for x in r) and folded.is_root([x // 2 for x in r])
-    ]
-    assert len(doubled) == 2
-    assert len(_solves_per_build(monkeypatch, rebuild)) == 2 * len(doubled)
 
 
 def _from_tuple_generation(ctype, isogeny):

@@ -3,12 +3,12 @@ unimodular inverse.
 
 ``validate_by_tuples`` checks reflection stability by building the image
 tuple of every (root, root) pair and looking it up among the roots and the
-coroots.  ``RootDatum._validate`` instead encodes every vector as one
-integer and checks each image by one integer expression, so this is an
-independent cross-check of the encoding, with the same checks, messages and
-order; it checks every reflection directly and solves every root for its
-simple coordinates, where the datum checks the base reflections and carries
-stability and coordinates along the orbits they reach.
+coroots, and solves every root over the base by rational elimination
+(``coords_by_elimination``).  ``RootDatum._validate`` instead builds the
+datum from its base (``rootdata._build_based``) and compares, and only a
+datum it refuses gets a scan of its reflection pairs and a Smith form of
+its base; so this is an independent cross-check, with the same checks,
+messages and order.
 ``generate_pairs_by_tuples`` closes the simple (root, coroot) pairs under
 every simple reflection by rebuilding both tuples, where
 ``rootdata._build_based`` skips reflections that fix a root and moves each
@@ -17,14 +17,16 @@ from n^2 cofactor determinants, each a fraction-free ``bareiss_det``;
 ``IntMatrix.inverse_unimodular`` reads it off the Smith form.
 """
 
+from fractions import Fraction
+
 from foldlab.errors import DomainError
 from foldlab.intlat import IntMatrix
 
 
 def validate_by_tuples(datum):
     """Every check of ``RootDatum._validate`` on a datum built with
-    ``validate=False``; the final base check is the datum's own, given no
-    carried coordinates, so it solves every root by the Smith form."""
+    ``validate=False``, which then carries the simple coordinates that
+    ``coords_by_elimination`` gives."""
     if len(datum.roots) != len(datum.coroots):
         raise DomainError("roots and coroots must correspond one to one")
     for r in datum.roots:
@@ -67,7 +69,38 @@ def validate_by_tuples(datum):
     for i in datum.basis_indices:
         if not 0 <= i < datum.nroots:
             raise DomainError("basis index out of range")
-    datum._compute_simple_coords({})
+    datum._simple_coords = coords_by_elimination(datum)
+
+
+def coords_by_elimination(datum) -> tuple:
+    """The simple coordinates of every root of datum, by Gauss-Jordan
+    elimination over the rationals of [B | roots] for B the matrix of the
+    base; refuses a dependent base, then in index order a root that is no
+    integer combination of the base or is not uniformly signed over it."""
+    base = [datum.roots[i] for i in datum.basis_indices]
+    k = len(base)
+    rows = [[Fraction(v[q]) for v in base + list(datum.roots)] for q in range(datum.rank)]
+    for p in range(k):
+        pivot = next((i for i in range(p, datum.rank) if rows[i][p]), None)
+        if pivot is None:
+            raise DomainError("base of simple roots is linearly dependent")
+        rows[p], rows[pivot] = rows[pivot], rows[p]
+        head = rows[p][p]
+        rows[p] = [x / head for x in rows[p]]
+        for i in range(datum.rank):
+            if i != p and rows[i][p]:
+                f = rows[i][p]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[p])]
+    coords = []
+    for j, r in enumerate(datum.roots):
+        column = [row[k + j] for row in rows]
+        if any(column[k:]) or any(x.denominator != 1 for x in column[:k]):
+            raise DomainError(f"root {r} is not an integer combination of the base")
+        sol = tuple(int(x) for x in column[:k])
+        if len({x > 0 for x in sol if x}) != 1:
+            raise DomainError(f"root {r} is not uniformly signed over the base")
+        coords.append(sol)
+    return tuple(coords)
 
 
 def generate_pairs_by_tuples(cartan: IntMatrix) -> list[tuple[tuple, tuple, tuple]]:
