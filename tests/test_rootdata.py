@@ -378,27 +378,61 @@ def test_validate_matches_tuple_oracle_on_catalog():
 
 
 def _walks_and_smith_forms(monkeypatch, build):
-    """The _build_based and smith_normal_form calls made while ``build``
-    runs, in call order."""
+    """The _build_based calls, as ("walk", simple roots, simple coroots), and
+    the smith_normal_form calls, as "smith", made while ``build`` runs, in
+    call order."""
     calls = []
     walk, smith = rootdata._build_based, intlat.smith_normal_form
+
+    def spy_walk(rank, roots, coroots):
+        roots, coroots = list(roots), list(coroots)
+        calls.append(("walk", roots, coroots))
+        return walk(rank, roots, coroots)
+
     with monkeypatch.context() as m:
-        m.setattr(rootdata, "_build_based", lambda *args: calls.append("walk") or walk(*args))
+        m.setattr(rootdata, "_build_based", spy_walk)
         m.setattr(intlat, "smith_normal_form", lambda mat: calls.append("smith") or smith(mat))
         build()
     return calls
 
 
-def test_given_datum_is_accepted_by_one_walk(monkeypatch):
+def test_validation_checks_only_the_base_directly(monkeypatch):
     # E8 given by its roots, and a nonreduced datum with its doubled roots,
-    # are each their walk from the base: one walk and no Smith form
+    # are each accepted by one walk from their own base and no Smith form
     e8 = build_preset("E8", "sc")
     pre = load_preset("A4-sc-flip")
     folded = folded_root_datum(pre.datum, pre.action, "nonreduced")
     assert any(folded.doubled.values())
     for d in (e8, folded.datum):
         given = lambda: RootDatum(d.rank, d.roots, d.coroots, d.basis_indices, d.reduced)
-        assert _walks_and_smith_forms(monkeypatch, given) == ["walk"]
+        base = [d.roots[i] for i in d.basis_indices]
+        cobase = [d.coroots[i] for i in d.basis_indices]
+        assert _walks_and_smith_forms(monkeypatch, given) == [("walk", base, cobase)]
+
+
+def test_walk_leaves_no_reduced_root_to_solve(monkeypatch):
+    # every root of a given datum is a root of its walk, or, in a nonreduced
+    # datum, twice one, so no root is solved: the presets, their folded
+    # variants and E8 in both isogenies take no Smith form
+    data = list(_catalog_data())
+    data += [_catalog_row(build_preset("E8", isogeny)) for isogeny in ("sc", "adjoint")]
+    for row in data:
+        calls = _walks_and_smith_forms(monkeypatch, lambda: RootDatum(*row))
+        assert "smith" not in calls
+        assert len(calls) == 1
+    # the doubled roots of a nonreduced datum take twice their halves'
+    # coordinates from the walk
+    pre = load_preset("A2-sc-flip")
+    folded = folded_root_datum(pre.datum, pre.action, "nonreduced").datum
+    given = RootDatum(*_catalog_row(folded))
+    doubled = [
+        i for i, r in enumerate(given.roots)
+        if not any(x % 2 for x in r) and given.is_root([x // 2 for x in r])
+    ]
+    assert len(doubled) == 2
+    for i in doubled:
+        half = given.root_index([x // 2 for x in given.roots[i]])
+        assert given.simple_coordinates(i) == tuple(2 * x for x in given.simple_coordinates(half))
 
 
 def test_given_datum_unlike_its_walk_is_inconsistent(monkeypatch):
