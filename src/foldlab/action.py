@@ -184,6 +184,12 @@ class PinnedAction:
         return any(perm[i] != i for perm in self.component_stabilizer(comp_index) for i in comp)
 
 
+def check_action_of(datum: RootDatum, act: PinnedAction) -> None:
+    """Refuse an action built for a datum other than ``datum``."""
+    if act.datum is not datum:
+        raise DomainError("action was built for a different datum")
+
+
 def trivial_action(datum: RootDatum) -> PinnedAction:
     return PinnedAction(datum, [IntMatrix.identity(datum.rank)])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import DomainError, InternalInconsistencyError
 from .intlat import _nonzero
 from .rootdata import RootDatum
-from .action import PinnedAction
+from .action import PinnedAction, check_action_of
 from .folding import equivalence_classes
 from .record import Record
 
@@ -356,6 +356,7 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
     Consistency across every special decomposition is asserted; failure
     would mean the element does not extend to a Lie algebra automorphism.
     """
+    check_action_of(sc.datum, act)
     out = []
     for perm in act.element_permutations():
         c: dict[int, int] = dict.fromkeys(sc.datum.basis_indices, 1)
@@ -528,6 +529,7 @@ def check_equivariance(sc: StructureConstants, act: PinnedAction, classes) -> Eq
     a . X_beta = X_{a.beta} for every element, and the sign discrepancies
     where they do not (always +/-1).  ``classes`` are the fold classes of
     the datum under ``act``, as ``equivariant_signs`` returns them."""
+    check_action_of(sc.datum, act)
     special = {i for cls in classes for i in cls.special}
     c_tables = automorphism_constants(sc, act)
     orbit_of = {i: orb for orb in act.orbits("roots") for i in orb}

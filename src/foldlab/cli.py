@@ -234,8 +234,7 @@ def _build_datum_and_action(config, enum_limit):
             ct = CartanType.parse(kind)
             # rank^3 first: listing the degrees takes O(rank) time and memory
             _check_datum_size(ct.rank, None, enum_limit)
-            # W has sum(d_i - 1) reflections, one per positive root (Humphreys 3.9)
-            _check_datum_size(ct.rank, 2 * sum(d - 1 for d in ct.degrees), enum_limit)
+            _check_datum_size(ct.rank, ct.root_count, enum_limit)
             datum = build_preset(ct, datum_cfg.get("isogeny", "sc"))
     except DomainError as exc:
         raise ConfigError(str(exc)) from None

@@ -13,7 +13,7 @@ from math import gcd
 from .errors import DomainError
 from .intlat import FinAbGroup, coinvariants, is_prime
 from .rootdata import RootDatum
-from .action import PinnedAction
+from .action import PinnedAction, check_action_of
 from .folding import active_even_a_components, equivalence_classes
 from .record import FrozenRecord, Record, ValueRecord
 
@@ -91,6 +91,7 @@ class CriteriaReport(Record):
 
 
 def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaReport:
+    check_action_of(datum, act)
     group = coinvariants(datum.rank, act.generators)
     order = group.torsion_order()
     active = bool(active_even_a_components(datum, act))
@@ -181,6 +182,7 @@ def fiber_reports(datum: RootDatum, act: PinnedAction, chars) -> dict[int, Fiber
     for p in chars:
         if p != 0 and not is_prime(p):
             raise DomainError(f"characteristic must be 0 or prime, got {p}")
+    check_action_of(datum, act)
     group = coinvariants(datum.rank, act.generators)
     dimension = group.free_rank + 2 * len(equivalence_classes(datum, act))
     active = bool(active_even_a_components(datum, act))

@@ -16,7 +16,7 @@ from math import gcd
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import CoinvariantLattice, FinAbGroup, IntMatrix, _relation_matrix, cokernel
 from .rootdata import RootDatum, WEYL_LIMIT_DEFAULT, cartan_type_of
-from .action import PinnedAction
+from .action import PinnedAction, check_action_of
 from .record import FrozenRecord, Record
 
 VARIANTS = ("R1", "R2", "nonreduced")
@@ -66,8 +66,7 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
     single-orbit sum-free pattern nor the two-orbit special pattern; the
     classification is re-verified on every input rather than assumed.
     """
-    if act.datum is not datum:
-        raise DomainError("action was built for a different datum")
+    check_action_of(datum, act)
     orbits = act.orbits("positive")
     if not orbits:
         return ()
@@ -142,6 +141,7 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
 
 def active_even_a_components(datum: RootDatum, act: PinnedAction) -> tuple[int, ...]:
     """Indices of even-rank type A components moved by their stabilizer."""
+    check_action_of(datum, act)
     return tuple(
         ci
         for ci, (fam, rank) in enumerate(datum.component_types())
@@ -364,8 +364,7 @@ def fixed_weyl(datum: RootDatum, act: PinnedAction, limit: int = WEYL_LIMIT_DEFA
 def center_structure(datum: RootDatum, act: PinnedAction) -> FinAbGroup:
     """Coinvariants of (character lattice)/(root lattice): the component
     structure of the fixed points of the center."""
-    if act.datum is not datum:
-        raise DomainError("action was built for a different datum")
+    check_action_of(datum, act)
     rel = _relation_matrix(datum.rank, act.generators)
     return cokernel(IntMatrix.from_columns(datum.basis + rel.transpose().entries, datum.rank))
 
@@ -380,6 +379,7 @@ def isogeny_injectivity_check(datum: RootDatum, act: PinnedAction) -> bool:
     sum_{i in O'} C[i][j] at (O', O) for any j in O, and it is injective
     exactly when its rank is the number of orbits.
     """
+    check_action_of(datum, act)
     base = datum.basis_indices
     pos_of = {r: p for p, r in enumerate(base)}
     cartan = datum.base_cartan()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .intlat import hom_to_units_count, is_prime, prime_power
@@ -28,60 +29,16 @@ FIELD_SIZE_LIMIT = 512
 # -- finite fields -------------------------------------------------------
 
 
-def _digits(a: int, p: int, e: int) -> list[int]:
-    out = []
-    for _ in range(e):
-        out.append(a % p)
-        a //= p
-    return out
-
-
-def _undigits(ds, p: int) -> int:
-    v = 0
-    for d in reversed(ds):
-        v = v * p + d
-    return v
-
-
-def _poly_divides(div, poly, p) -> bool:
-    """Whether monic div divides monic poly over F_p (coeffs low-to-high)."""
-    rem = list(poly)
-    d = len(div) - 1
-    while len(rem) - 1 >= d:
-        lead = rem[-1]
-        if lead:
-            shift = len(rem) - 1 - d
-            for k, c in enumerate(div):
-                rem[shift + k] = (rem[shift + k] - lead * c) % p
-        rem.pop()
-    return not any(rem)
-
-
-def _irreducible_tail(p: int, e: int) -> tuple[int, ...]:
-    """Tail (m_0..m_{e-1}) of a monic irreducible x^e + sum m_k x^k."""
-    for tail in itertools.product(range(p), repeat=e):
-        poly = list(tail) + [1]
-        if not poly[0]:
-            continue  # divisible by x
-        reducible = False
-        for d in range(1, e // 2 + 1):
-            for div_tail in itertools.product(range(p), repeat=d):
-                if _poly_divides(list(div_tail) + [1], poly, p):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            return tuple(tail)
-    raise InternalInconsistencyError(f"no irreducible polynomial of degree {e} found")
-
-
 class GF:
     """A finite field with q = p^e elements, as lookup tables.
 
     Elements are the integers 0..q-1; the base-p digits of an element are
-    the coefficients of its polynomial representative, so 0 and 1 are the
-    two identities and integers below p form the prime field.
+    the coefficients of its polynomial representative modulo x^e + sum
+    m_k x^k.  The tail ``modulus_tail`` = (m_0..m_{e-1}) is the first in
+    ``itertools.product`` order with m_0 != 0 whose x has order q - 1, so
+    the modulus is primitive and the powers of x list every nonzero
+    element.  0 and 1 are the two identities, integers below p form the
+    prime field, and for a prime field x is -m_0.
     """
 
     zero = 0
@@ -94,14 +51,23 @@ class GF:
                 f"field size {q} exceeds the table limit {FIELD_SIZE_LIMIT}"
             )
         self.q, self.p, self.e = q, p, e
-        self.modulus_tail = None if e == 1 else _irreducible_tail(p, e)
-        # The powers of a primitive element list every nonzero element, so
-        # they give log/antilog tables from O(q) slow products.
-        antilog = next(
-            powers
-            for powers in map(self._powers_slow, range(1, q))
-            if len(powers) == q - 1
-        )
+        weights = [p**k for k in range(e)]
+        for tail in itertools.product(range(p), repeat=e):
+            if not tail[0]:
+                continue  # x divides the modulus
+            # x is a unit, so its powers return to 1; multiplying by x moves
+            # the digits up and folds the top one back through
+            # x^e = -sum m_k x^k
+            antilog, digits = [1], [1] + [0] * (e - 1)
+            while True:
+                top = digits[-1]
+                digits = [(d - top * m) % p for d, m in zip([0] + digits[:-1], tail)]
+                if (power := sum(map(operator.mul, digits, weights))) == 1:
+                    break
+                antilog.append(power)
+            if len(antilog) == q - 1:
+                break
+        self.modulus_tail = tail
         log = [0] * q
         for k, a in enumerate(antilog):
             log[a] = k
@@ -111,45 +77,12 @@ class GF:
         ]
         self._inv = [0] + [antilog[-log[a]] for a in range(1, q)]
         self._neg = [row[p - 1] for row in self._mul]  # a * (-1)
-        # a + b = a * (1 + b / a) for nonzero a
-        one_plus = [self._add_slow(1, b) for b in range(q)]
+        # 1 + b adds 1 to b's lowest digit; a + b = a * (1 + b / a) for nonzero a
+        one_plus = [b - b % p + (b + 1) % p for b in range(q)]
         self._add = [list(range(q))]
         for a in range(1, q):
             times_a, over_a = self._mul[a], self._mul[self._inv[a]]
             self._add.append([times_a[one_plus[over_a[b]]] for b in range(q)])
-
-    def _powers_slow(self, g):
-        """[1, g, g^2, ...] up to the last power before 1 recurs."""
-        out = [1]
-        power = g
-        while power != 1:
-            out.append(power)
-            power = self._mul_slow(power, g)
-        return out
-
-    def _add_slow(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        da, db = _digits(a, self.p, self.e), _digits(b, self.p, self.e)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
-
-    def _mul_slow(self, a, b):
-        p, e = self.p, self.e
-        if e == 1:
-            return (a * b) % p
-        da, db = _digits(a, p, e), _digits(b, p, e)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for top in range(2 * e - 2, e - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for k, mcoef in enumerate(self.modulus_tail):
-                    prod[top - e + k] = (prod[top - e + k] - c * mcoef) % p
-        return _undigits(prod[:e], p)
 
     def from_int(self, n: int) -> int:
         return n % self.p

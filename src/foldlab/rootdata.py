@@ -69,6 +69,12 @@ class CartanType(FrozenRecord):
         return tuple(d for fam, n in self.components for d in _DEGREES[fam](n))
 
     @property
+    def root_count(self) -> int:
+        """W has sum(d_i - 1) reflections, one per positive root
+        (Humphreys, Reflection Groups and Coxeter Groups, 3.9)."""
+        return 2 * sum(d - 1 for d in self.degrees)
+
+    @property
     def weyl_order(self) -> int:
         """|W| as the product of the degrees (Humphreys, Reflection Groups
         and Coxeter Groups, ch. 3); 1 for the empty type."""
@@ -222,12 +228,13 @@ class RootDatum:
     def _validate(self):
         """Accept the datum exactly when the walk from its base gives it
         (``_walk_coordinates``), and take the walk's simple coordinates and
-        Cartan recognition.  A valid datum with a valid base is its walk
-        (SGA3 Exp. XXI), so any other datum fails one of the checks that
-        follow, which name its first fault in this order: a reflection pair
-        in index order, root side first; a doubled root of a reduced datum;
-        a basis index; then, by one Smith form U B V = D of the base, a
-        dependent base or, in index order, a root r that is no integer
+        Cartan recognition; a datum whose root count cannot match its
+        base's type is not walked.  A valid datum with a valid base is its
+        walk (SGA3 Exp. XXI), so any other datum fails one of the checks
+        that follow, which name its first fault in this order: a reflection
+        pair in index order, root side first; a doubled root of a reduced
+        datum; a basis index; then, by one Smith form U B V = D of the base,
+        a dependent base or, in index order, a root r that is no integer
         combination of the base (y = U r needs d_i | y_i for i < k and
         y_i = 0 beyond; its coordinates are V (y_i / d_i)) or of mixed sign.
         """
@@ -238,11 +245,16 @@ class RootDatum:
         if all(0 <= i < self.nroots for i in self.basis_indices):
             cobase = [self.coroots[i] for i in self.basis_indices]
             try:
-                walk = _build_based(self.rank, self.basis, cobase)
+                based = _recognized_base(self.rank, self.basis, cobase)
             except DomainError:
                 pass  # an infinite type or a dependent base, named below
             else:
-                coords = _walk_coordinates(self, walk)
+                # the walk gives the roots of the base's type, to which a
+                # nonreduced datum may add doubled roots
+                n = CartanType(based[-1]).root_count
+                if self.nroots == n or (self.nroots > n and not self.reduced):
+                    walk = _walk(self.rank, *based)
+                    coords = _walk_coordinates(self, walk)
         if coords is not None:
             self._simple_coords = coords
             self._cartan, self._base_groups = walk._cartan, walk._base_groups
@@ -454,33 +466,50 @@ def _minus(vector, c, column) -> tuple:
     return tuple(out)
 
 
-def _build_based(rank, simple_roots, simple_coroots) -> RootDatum:
-    """The root datum in Z^rank of simple roots alpha_i and coroots
-    alpha_i^vee whose Cartan matrix C[i][j] = <alpha_j, alpha_i^vee> is of
-    finite type, which determines it (SGA3 Exp. XXI; Springer, Linear
-    Algebraic Groups, 7.4), with its roots sorted by simple coordinates.
+def _recognized_base(rank, simple_roots, simple_coroots) -> tuple:
+    """The simple roots alpha_i and coroots alpha_i^vee as tuples, their
+    Cartan matrix C[i][j] = <alpha_j, alpha_i^vee>, and C's components
+    with their types (``_cartan_components``).
 
-    Before the walk it checks the vectors and that C is of finite type. A
-    finite-type C = B^vee^T B (B, B^vee the matrices of the simple roots
-    and coroots) is nonsingular, so the base is then independent; a
-    refused C is first tested for a dependent base. The walk reflects in
-    simple coordinates: s_i sends v to v - c e_i, c = (C v)_i, the root x
-    to x - c alpha_i, its coroot y to y - <alpha_i, y> alpha_i^vee and C v
-    to C v - c C e_i, each one sparse column update. The roots of a finite
-    type are reduced and uniformly signed over the base, so the datum keeps
-    the walk's coordinates and is not validated again.
+    It checks the vectors and that C is of finite type. A finite-type
+    C = B^vee^T B (B, B^vee the matrices of the simple roots and coroots)
+    is nonsingular, so the base is then independent; a refused C is first
+    tested for a dependent base.
     """
     base = [tuple(map(int, r)) for r in simple_roots]
     cobase = [tuple(map(int, c)) for c in simple_coroots]
     _check_vectors(rank, base, cobase)
-    cols, cocols = list(map(_nonzero, base)), list(map(_nonzero, cobase))
-    cartan = tuple(tuple(sum(r[q] * y for q, y in coroot) for r in base) for coroot in cocols)
+    cartan = tuple(
+        tuple(sum(r[q] * y for q, y in coroot) for r in base) for coroot in map(_nonzero, cobase)
+    )
     try:
         groups, types = _cartan_components(cartan)
     except DomainError:
         if IntMatrix.from_columns(base, rank).rank() < len(base):
             raise DomainError("base of simple roots is linearly dependent") from None
         raise
+    return base, cobase, cartan, groups, types
+
+
+def _build_based(rank, simple_roots, simple_coroots) -> RootDatum:
+    """The root datum in Z^rank of simple roots and coroots whose Cartan
+    matrix is of finite type (``_recognized_base``), which determines it
+    (SGA3 Exp. XXI; Springer, Linear Algebraic Groups, 7.4)."""
+    return _walk(rank, *_recognized_base(rank, simple_roots, simple_coroots))
+
+
+def _walk(rank, base, cobase, cartan, groups, types) -> RootDatum:
+    """The roots and coroots that the simple reflections reach from a
+    recognized base (``_recognized_base``), sorted by simple coordinates.
+
+    The walk reflects in simple coordinates: s_i sends v to v - c e_i,
+    c = (C v)_i, the root x to x - c alpha_i, its coroot y to
+    y - <alpha_i, y> alpha_i^vee and C v to C v - c C e_i, each one sparse
+    column update. The roots of a finite type are reduced and uniformly
+    signed over the base, so the datum keeps the walk's coordinates and is
+    not validated again.
+    """
+    cols, cocols = list(map(_nonzero, base)), list(map(_nonzero, cobase))
     cartan_cols = list(map(_nonzero, zip(*cartan)))
     units = IntMatrix.identity(len(base)).entries
     # simple coordinates v -> (root, coroot, C v)

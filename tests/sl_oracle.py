@@ -6,9 +6,12 @@ one linear system.  The routines here check the facts those two rest on by
 other routes:
 
 - ``GF`` is the package's field with its arithmetic as methods, which the
-  routines here use, and ``mat_det`` is plain Gaussian elimination with row
-  swaps: the reference for the determinant ``count_fixed`` carries down its
-  column search (``matrixlab._reduce_column``).
+  routines here use.  Its ``digit_add`` and ``digit_mul`` add and multiply
+  base-p digits as polynomial coefficients modulo the field's modulus
+  (``digit_product``), the reference for the field's log/antilog tables.
+- ``mat_det`` is plain Gaussian elimination with row swaps: the reference
+  for the determinant ``count_fixed`` carries down its column search
+  (``matrixlab._reduce_column``).
 - ``theta`` applies the involution literally, through ``mat_inv``, and
   ``is_theta_fixed`` tests g^T J g = J with det g = 1, which is what the
   full scan of ``count_oracle`` keeps; the tests check that theta is an
@@ -40,12 +43,58 @@ FULL_SCAN_LIMIT = 300_000
 # -- matrices over a field ----------------------------------------------
 
 
+def _digits(a: int, p: int, e: int) -> list[int]:
+    out = []
+    for _ in range(e):
+        out.append(a % p)
+        a //= p
+    return out
+
+
+def _undigits(ds, p: int) -> int:
+    v = 0
+    for d in reversed(ds):
+        v = v * p + d
+    return v
+
+
+def reduce_poly(coeffs, p: int, tail) -> int:
+    """The element of F_p[x] / (x^e + sum tail[k] x^k), e = len(tail), of
+    the polynomial with integer coefficients ``coeffs``, low to high."""
+    e = len(tail)
+    rem = [c % p for c in coeffs] + [0] * (e - len(coeffs))
+    for top in range(len(rem) - 1, e - 1, -1):
+        c = rem[top]
+        if c:
+            for k, m in enumerate(tail):
+                rem[top - e + k] = (rem[top - e + k] - c * m) % p
+    return _undigits(rem[:e], p)
+
+
+def digit_product(a: int, b: int, p: int, tail) -> int:
+    """a * b by schoolbook multiplication of base-p digits, reduced
+    modulo x^e + sum tail[k] x^k."""
+    e = len(tail)
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(a, p, e)):
+        for j, y in enumerate(_digits(b, p, e)):
+            prod[i + j] += x * y
+    return reduce_poly(prod, p, tail)
+
+
 class GF(matrixlab.GF):
     """``foldlab.matrixlab.GF`` with its arithmetic as methods.
 
     ``count_fixed`` reads the field's tables directly; the oracles and the
     tests here go through these methods.
     """
+
+    def digit_add(self, a, b):
+        p, e = self.p, self.e
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
+
+    def digit_mul(self, a, b):
+        return digit_product(a, b, self.p, self.modulus_tail)
 
     def add(self, a, b):
         return self._add[a][b]

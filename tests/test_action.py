@@ -3,7 +3,15 @@
 import pytest
 
 from foldlab.action import PinnedAction, permutation_matrix, trivial_action
-from foldlab.errors import InvalidActionError, ResourceLimitError
+from foldlab.chevalley import automorphism_constants, base_constants, check_equivariance
+from foldlab.criteria import BaseSpec, decide, fiber_reports
+from foldlab.errors import DomainError, InvalidActionError, ResourceLimitError
+from foldlab.folding import (
+    active_even_a_components,
+    center_structure,
+    equivalence_classes,
+    isogeny_injectivity_check,
+)
 from foldlab.intlat import IntMatrix
 from foldlab.presets import load_preset, preset_names, type_a_flip
 from foldlab.rootdata import build_preset, build_torus
@@ -190,7 +198,28 @@ def test_preset_catalog_loads():
 
 
 def test_unknown_preset():
-    from foldlab.errors import DomainError
-
     with pytest.raises(DomainError):
         load_preset("Z9-mystery")
+
+
+_TAKES_AN_ACTION = {
+    "active_even_a_components": active_even_a_components,
+    "automorphism_constants": lambda d, a: automorphism_constants(base_constants(d), a),
+    "center_structure": center_structure,
+    "check_equivariance": lambda d, a: check_equivariance(base_constants(d), a, ()),
+    "decide": lambda d, a: decide(d, a, BaseSpec.all_primes()),
+    "equivalence_classes": equivalence_classes,
+    "fiber_reports": lambda d, a: fiber_reports(d, a, (0, 2)),
+    "isogeny_injectivity_check": isogeny_injectivity_check,
+}
+
+
+@pytest.mark.parametrize("other", ["A2+A2", "A4-adjoint", "E6"])
+@pytest.mark.parametrize("name", list(_TAKES_AN_ACTION))
+def test_action_built_for_another_datum_is_refused(name, other):
+    call = _TAKES_AN_ACTION[name]
+    pre = load_preset("A4-sc-flip")
+    datum = build_preset("A4", "adjoint") if other == "A4-adjoint" else build_preset(other)
+    with pytest.raises(DomainError, match="^action was built for a different datum$"):
+        call(datum, pre.action)
+    call(pre.datum, pre.action)  # the datum it was built for

@@ -470,7 +470,7 @@ def test_isogeny_check_refuses_a_base_permutation_off_the_diagram():
     perm = list(range(datum.nroots))
     a, b = datum.basis_indices[:2]
     perm[a], perm[b] = b, a
-    fake = SimpleNamespace(generator_perms=[tuple(perm)])
+    fake = SimpleNamespace(datum=datum, generator_perms=[tuple(perm)])
     with pytest.raises(
         InternalInconsistencyError,
         match="^Cartan matrix does not commute with the base permutation$",

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from foldlab import folding, matrixlab
 from foldlab.action import PinnedAction, permutation_matrix, trivial_action
 from foldlab.errors import DomainError, ResourceLimitError
-from foldlab.intlat import is_prime
+from foldlab.intlat import is_prime, prime_power
 from foldlab.matrixlab import (
     CountReport,
     _reduce_column,
@@ -34,6 +34,7 @@ from count_oracle import (
 from sl_oracle import (
     GF,
     _dot,
+    digit_product,
     dual_fixed_count,
     embed_matrix_over,
     embed_positions,
@@ -42,6 +43,7 @@ from sl_oracle import (
     mat_det,
     mat_inv,
     mat_mul,
+    reduce_poly,
     theta,
     xi_even,
     xi_odd,
@@ -124,11 +126,30 @@ PRIME_POWERS_TO_128 = sorted(
 def test_field_tables_match_digit_products(q):
     F = GF(q)
     for a in range(q):
-        assert F._add[a] == [F._add_slow(a, b) for b in range(q)]
-        assert F._mul[a] == [F._mul_slow(a, b) for b in range(q)]
-        assert F._add_slow(a, F._neg[a]) == 0
+        assert F._add[a] == [F.digit_add(a, b) for b in range(q)]
+        assert F._mul[a] == [F.digit_mul(a, b) for b in range(q)]
+        assert F.digit_add(a, F._neg[a]) == 0
         if a:
-            assert F._mul_slow(a, F._inv[a]) == 1
+            assert F.digit_mul(a, F._inv[a]) == 1
+
+
+def _order_of_x(p, tail):
+    x = reduce_poly([0, 1], p, tail)
+    power, order = x, 1
+    while power != 1:  # x is a unit, since tail[0] != 0
+        power, order = digit_product(power, x, p, tail), order + 1
+    return order
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_128)
+def test_field_modulus_is_the_first_primitive_tail(q):
+    p, e = prime_power(q)
+    first = next(
+        tail
+        for tail in itertools.product(range(p), repeat=e)
+        if tail[0] and _order_of_x(p, tail) == q - 1
+    )
+    assert GF(q).modulus_tail == first
 
 
 def test_from_int():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -378,19 +379,18 @@ def test_validate_matches_tuple_oracle_on_catalog():
 
 
 def _walks_and_smith_forms(monkeypatch, build):
-    """The _build_based calls, as ("walk", simple roots, simple coroots), and
-    the smith_normal_form calls, as "smith", made while ``build`` runs, in
-    call order."""
+    """The _walk calls, as ("walk", simple roots, simple coroots), and the
+    smith_normal_form calls, as "smith", made while ``build`` runs, in call
+    order."""
     calls = []
-    walk, smith = rootdata._build_based, intlat.smith_normal_form
+    walk, smith = rootdata._walk, intlat.smith_normal_form
 
-    def spy_walk(rank, roots, coroots):
-        roots, coroots = list(roots), list(coroots)
-        calls.append(("walk", roots, coroots))
-        return walk(rank, roots, coroots)
+    def spy_walk(rank, roots, coroots, *recognized):
+        calls.append(("walk", list(roots), list(coroots)))
+        return walk(rank, roots, coroots, *recognized)
 
     with monkeypatch.context() as m:
-        m.setattr(rootdata, "_build_based", spy_walk)
+        m.setattr(rootdata, "_walk", spy_walk)
         m.setattr(intlat, "smith_normal_form", lambda mat: calls.append("smith") or smith(mat))
         build()
     return calls
@@ -439,9 +439,45 @@ def test_given_datum_unlike_its_walk_is_inconsistent(monkeypatch):
     # a valid datum with a valid base is its walk, so a walk that gives
     # other roots is a fault of the program, not of the datum
     e6, other = build_preset("E6", "sc"), build_preset("E6", "adjoint")
-    monkeypatch.setattr(rootdata, "_build_based", lambda *args: other)
+    monkeypatch.setattr(rootdata, "_walk", lambda *args: other)
     with pytest.raises(InternalInconsistencyError):
         RootDatum(e6.rank, e6.roots, e6.coroots, e6.basis_indices)
+
+
+def test_root_count_unlike_the_type_is_refused_before_the_walk(monkeypatch):
+    def walks(given):
+        def refused():
+            with pytest.raises(DomainError) as err:
+                given()
+            messages.append(str(err.value))
+
+        messages = []
+        calls = _walks_and_smith_forms(monkeypatch, refused)
+        return [c for c in calls if c != "smith"], messages[0]
+
+    # A100's simple roots and their negatives: 200 of A100's 10100 roots,
+    # refused by the first reflection pair without walking the type
+    d = build_preset("A100")
+    base = [d.roots[i] for i in d.basis_indices]
+    cobase = [d.coroots[i] for i in d.basis_indices]
+    roots = base + [tuple(-x for x in r) for r in base]
+    coroots = cobase + [tuple(-x for x in c) for c in cobase]
+    message = f"reflection of {base[1]} along {base[0]} leaves the root set"
+    for reduced in (True, False):
+        given = functools.partial(RootDatum, d.rank, roots, coroots, range(100), reduced)
+        assert walks(given) == ([], message)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(DomainError):
+                given()
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.05, seconds
+    # the 12 roots of BC2 marked reduced: C2 has 8
+    pre = load_preset("A4-sc-flip")
+    bc2 = folded_root_datum(pre.datum, pre.action, "nonreduced").datum
+    given = functools.partial(RootDatum, *_catalog_row(bc2)[:4], True)
+    assert walks(given) == ([], "datum marked reduced but contains a doubled root")
 
 
 
