@@ -115,100 +115,144 @@ def sl_order(m: int, q: int) -> int:
     return order
 
 
-def _reduce_column(F: GF, pivots: list, rows_used: int, det: int, c):
-    """One column of a determinant carried column by column.
+def _reduce_columns(F: GF, pivots: list, rows_used: int, det: int, columns):
+    """The next column of a determinant carried column by column, for each
+    column of ``columns`` in turn.
 
     ``pivots`` holds a (pivot row, reduced column, -1 / pivot) entry for
-    each column before c; each reduced column is zero in the pivot rows of
+    each column before; each reduced column is zero in the pivot rows of
     the columns before it.  ``rows_used`` has the pivot rows as bits, and
     ``det`` is the product of the pivots times the sign of the permutation
-    their rows form.  Reduce c against the entries and return ``det`` with
-    c added and c's entry, or None when c reduces to zero, i.e. depends on
-    the columns before it.
+    their rows form.  Reduce each column c against the entries and yield
+    ``det`` with c added and c's entry, or None when c reduces to zero,
+    i.e. depends on the columns before it.
+    """
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    for u in columns:
+        for r, e, scale in pivots:
+            f = u[r]
+            if f:
+                times = mul[mul[f][scale]]
+                u = [add[x][times[y]] for x, y in zip(u, e)]
+        for r, pivot in enumerate(u):
+            if pivot:
+                break
+        else:
+            yield None
+            continue
+        d = mul[det][pivot]
+        if (rows_used >> r).bit_count() % 2:  # earlier pivot rows past r are inversions
+            d = neg[d]
+        yield d, (r, u, neg[inv[pivot]])
+
+
+def _pairing_tables(F: GF, m: int):
+    """Dot products of the heads and of the tails of the vectors of F_q^m.
+
+    A vector is coded by its base-q integer, in ``itertools.product``
+    order; with s = q^(m // 2), code // s codes its head, the first
+    h = m - m // 2 coordinates, and code % s its tail, the rest.  Returns
+    (head, tail): head[a][b] is the dot product of the heads coded a and
+    b and tail[a][b] that of the tails, so u . v is the sum of one entry of
+    each.  They hold q^(2h) + q^(2(m-h)) entries.
     """
     add, mul = F._add, F._mul
-    u = c
-    for r, e, scale in pivots:
-        f = u[r]
-        if f:
-            times = mul[mul[f][scale]]
-            u = [add[x][times[y]] for x, y in zip(u, e)]
-    for r, pivot in enumerate(u):
-        if pivot:
-            break
-    else:
-        return None
-    det = mul[det][pivot]
-    if (rows_used >> r).bit_count() % 2:  # earlier pivot rows past r are inversions
-        det = F._neg[det]
-    return det, (r, u, F._neg[F._inv[pivot]])
+    # blocks[k][a][b] is the dot product of the k-coordinate blocks coded a and b
+    blocks = [None, mul]
+    while len(blocks) <= m - m // 2:
+        blocks.append([[add[x][y] for x in row for y in by] for row in blocks[-1] for by in mul])
+    return blocks[-1], blocks[m // 2]
 
 
 def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
     """Number of matrices in SL_{2n+1}(F_q) fixed by the involution.
 
     A fixed matrix g satisfies g^T J g = J, so its columns c_0..c_{m-1}
-    satisfy c_k . (J c_d) = J[k][d].  Each vector's norm v . (J v) is
-    computed once, and the search keeps one candidate list per depth,
+    satisfy c_k . (J c_d) = J[k][d].  Vectors are coded as integers, and
+    the dot product of two is read from the head and tail tables of
+    ``_pairing_tables``, one entry of each.  Those tables hold at most 2 q^(m+1) entries,
+    fewer than |SL_m(F_q)|, so the order guard bounds them too; they are
+    built after it.  The code of J v and the norm v . (J v) of every vector
+    are computed once, and the search keeps one candidate list per depth,
     starting from the vectors whose norm is J[d][d]; once column c is
     chosen at depth k, every later list keeps only the vectors v with
     v . (J c) = J[k][d], and a choice that empties a later list is dropped.
-    Each chosen column is reduced against the columns above it by
-    ``_reduce_column``; one that reduces to zero depends on them and is
-    dropped, since no matrix below it is invertible.  A full choice of
-    columns is kept when its determinant, the product of its pivots times
-    the sign of the permutation its pivot rows form, is one.  The field
-    arithmetic reads the tables of ``GF``.  The ambient group order is
-    capped to keep the search finite in practice.
+    Each candidate list is reduced against the columns above it by one
+    call of ``_reduce_columns``; a column that reduces to zero depends on
+    them and is dropped, since no matrix below it is invertible.  A full
+    choice of columns is kept when its determinant, the product of its
+    pivots times the sign of the permutation its pivot rows form, is one;
+    the last column is counted in the loop over the one before it.  The
+    field arithmetic reads the tables of ``GF``.  The ambient group order
+    is capped to keep the search finite in practice.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     m = 2 * n + 1
-    if sl_order(m, q) > order_limit:
+    order = sl_order(m, q)
+    if order > order_limit:
+        if order < 10**30:
+            size = f"= {order}"
+        else:  # past 4300 digits, str(order) would raise
+            digits = (order.bit_length() - 1) * 30103 // 100000  # at most log10(order)
+            while 10**digits <= order:
+                digits += 1
+            size = f"has {digits} digits and"
         raise ResourceLimitError(
-            f"|SL_{m}(F_{q})| = {sl_order(m, q)} exceeds the search limit "
+            f"|SL_{m}(F_{q})| {size} exceeds the search limit "
             f"{order_limit} (raise --limit-enum)"
         )
     F = GF(q)
-    add, mul = F._add, F._mul
-
-    def dot(u, v):
-        acc = 0
-        for x, y in zip(u, v):
-            acc = add[acc][mul[x][y]]
-        return acc
-
+    add = F._add
+    head, tail = _pairing_tables(F, m)
+    split = q ** (m // 2)
+    vectors = list(itertools.product(range(q), repeat=m))
+    head_of = [v // split for v in range(len(vectors))]
+    tail_of = [v % split for v in range(len(vectors))]
     jf = form_over(F, involution_form(n))
-    jv = {}
+    j_rows = []
+    for row in jf:
+        code = 0
+        for x in row:
+            code = code * q + x
+        j_rows.append((head[head_of[code]], tail[tail_of[code]]))
+    j_code = []
     by_norm: dict = {}
-    for v in itertools.product(range(q), repeat=m):
-        jv[v] = tuple(dot(row, v) for row in jf)
-        by_norm.setdefault(dot(v, jv[v]), []).append(v)
+    for v, (a, b) in enumerate(zip(head_of, tail_of)):
+        jv = 0
+        for h_row, t_row in j_rows:
+            jv = jv * q + add[h_row[a]][t_row[b]]
+        j_code.append(jv)
+        by_norm.setdefault(add[head[head_of[jv]][a]][tail[tail_of[jv]][b]], []).append(v)
+    coords = vectors.__getitem__
     count = 0
     pivots: list = []
 
     def descend(depth: int, lists: list, det: int, rows_used: int):
         # lists[i] holds the candidates left for depth + i
         nonlocal count
-        for c in lists[0]:
-            step = _reduce_column(F, pivots, rows_used, det, c)
+        steps = _reduce_columns(F, pivots, rows_used, det, map(coords, lists[0]))
+        for c, step in zip(lists[0], steps):
             if step is None:
                 continue
-            d, entry = step
-            if depth == m - 1:
-                if d == 1:
-                    count += 1
-                continue
-            jc = jv[c]
+            jc = j_code[c]
+            h_row, t_row = head[head_of[jc]], tail[tail_of[jc]]
             below = []
             for target, later in zip(jf[depth][depth + 1 :], lists[1:]):
-                kept = [v for v in later if dot(v, jc) == target]
+                kept = [v for v in later if add[h_row[head_of[v]]][t_row[tail_of[v]]] == target]
                 if not kept:
                     break
                 below.append(kept)
             else:
+                d, entry = step
                 pivots.append(entry)
-                descend(depth + 1, below, d, rows_used | 1 << entry[0])
+                used = rows_used | 1 << entry[0]
+                if depth == m - 2:
+                    for last in _reduce_columns(F, pivots, used, d, map(coords, below[0])):
+                        if last and last[0] == 1:
+                            count += 1
+                else:
+                    descend(depth + 1, below, d, used)
                 pivots.pop()
 
     descend(0, [by_norm.get(jf[d][d], []) for d in range(m)], 1, 0)

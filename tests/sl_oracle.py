@@ -11,7 +11,7 @@ other routes:
   (``digit_product``), the reference for the field's log/antilog tables.
 - ``mat_det`` is plain Gaussian elimination with row swaps: the reference
   for the determinant ``count_fixed`` carries down its column search
-  (``matrixlab._reduce_column``).
+  (``matrixlab._reduce_columns``).
 - ``theta`` applies the involution literally, through ``mat_inv``, and
   ``is_theta_fixed`` tests g^T J g = J with det g = 1, which is what the
   full scan of ``count_oracle`` keeps; the tests check that theta is an

@@ -230,6 +230,26 @@ def test_resource_limit_messages_name_the_flag(tmp_path, capsys):
     assert "--limit-enum" in err
 
 
+def test_huge_group_order_refused_without_a_traceback(tmp_path, capsys):
+    # |SL_41(F_512)| has 4552 digits, past Python's limit for int to str
+    flip = ",".join(map(str, range(39, -1, -1)))
+    cfg = write(tmp_path, f"[datum]\ntype = A40\n\n[action]\nbasis_permutation = {flip}\n")
+    child = subprocess.run(
+        [sys.executable, "-m", "foldlab.cli", "run", cfg, "--analysis", "count", "--q", "512"],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 4
+    assert "|SL_41(F_512)| has 4552 digits and exceeds the search limit" in child.stderr
+    assert "--limit-enum" in child.stderr
+    assert "Traceback" not in child.stderr
+    # the exact order is printed only while it is short
+    assert cli.main(["run", cfg, "--analysis", "count", "--q", "3"]) == 4
+    assert "|SL_41(F_3)| has 802 digits and exceeds" in capsys.readouterr().err
+
+
 def test_bare_int_matrices_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, "[datum]\ntype = A2\n\n[action]\nmatrices = [1]\n")
     assert cli.main(["run", cfg]) == 2

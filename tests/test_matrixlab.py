@@ -13,7 +13,8 @@ from foldlab.errors import DomainError, ResourceLimitError
 from foldlab.intlat import is_prime, prime_power
 from foldlab.matrixlab import (
     CountReport,
-    _reduce_column,
+    _pairing_tables,
+    _reduce_columns,
     bruhat_predicted_count,
     count_fixed,
     form_over,
@@ -235,8 +236,9 @@ def test_fixed_count_sp4_f2():
 @pytest.mark.parametrize(
     "n,q",
     [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9), (2, 2)]
-    # past the default guard: a prime above 9, degree 4 over 2, degree 2 over 5
-    + [(1, 11), (1, 16), (1, 25)],
+    # past the default guard: a prime above 9, degree 4 over 2, degree 2 over 5,
+    # degree 3 over 3
+    + [(1, 11), (1, 16), (1, 25), (1, 27)],
 )
 def test_fixed_count_matches_classical_order(n, q):
     datum, act = type_a_flip(2 * n)
@@ -244,12 +246,39 @@ def test_fixed_count_matches_classical_order(n, q):
     assert brute == classical_fixed_order(n, q) == bruhat_predicted_count(datum, act, q)
 
 
+# The tables hold about q^(m+1) entries.  Cases past 27^4, the most a
+# count here builds, are left out: m = 5 from q = 16 and m = 7 from q = 7
+# (25^8 entries at m = 7, q = 25).
+PAIRING_CASES = [
+    (m, q)
+    for m in (3, 5, 7)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25)
+    if q ** (m + 1) <= 27**4
+]
+
+
+@pytest.mark.parametrize("m,q", PAIRING_CASES)
+def test_pairing_tables_match_the_dot_product(m, q):
+    F = GF(q)
+    head, tail = _pairing_tables(F, m)
+    split = q ** (m // 2)
+    vectors = list(itertools.product(range(q), repeat=m))
+    if m == 3 and q <= 4:
+        pairs = itertools.product(range(len(vectors)), repeat=2)
+    else:
+        rng = random.Random(m * 100 + q)
+        pairs = [(rng.randrange(len(vectors)), rng.randrange(len(vectors))) for _ in range(2000)]
+    for v, w in pairs:
+        (hv, tv), (hw, tw) = divmod(v, split), divmod(w, split)
+        assert F.add(head[hv][hw], tail[tv][tw]) == _dot(F, vectors[v], vectors[w]), (v, w)
+
+
 def carried_det(F, a):
-    """Determinant of a, one column at a time through ``_reduce_column``,
+    """Determinant of a, one column at a time through ``_reduce_columns``,
     as ``count_fixed`` carries it down its search."""
     pivots, rows_used, det = [], 0, 1
     for c in zip(*a):
-        step = _reduce_column(F, pivots, rows_used, det, c)
+        (step,) = _reduce_columns(F, pivots, rows_used, det, [c])
         if step is None:
             return 0
         det, entry = step
