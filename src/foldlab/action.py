@@ -173,15 +173,12 @@ class PinnedAction:
         self._component_perms = sigma
         return sigma
 
-    def component_stabilizer(self, comp_index: int) -> list[tuple[int, ...]]:
-        """Root permutations of the elements mapping the component to itself."""
-        sigma = self.component_permutations()
-        return [self._perm_of[m] for m in self.elements if sigma[m][comp_index] == comp_index]
-
     def stabilizer_moves_component(self, comp_index: int) -> bool:
         """Does some element fixing the component move one of its roots?"""
         comp = self.datum.components()[comp_index]
-        return any(perm[i] != i for perm in self.component_stabilizer(comp_index) for i in comp)
+        sigma = self.component_permutations()
+        stabilizer = (self._perm_of[m] for m in self.elements if sigma[m][comp_index] == comp_index)
+        return any(perm[i] != i for perm in stabilizer for i in comp)
 
 
 def check_action_of(datum: RootDatum, act: PinnedAction) -> None:

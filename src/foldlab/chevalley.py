@@ -379,124 +379,43 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
     return out
 
 
-def _d4_components_with_s3(sc: StructureConstants, act: PinnedAction):
-    """Components of type D4 whose stabilizer acts with full image S3."""
-    d = sc.datum
-    found = []
-    for ci, (comp, ctype) in enumerate(zip(d.components(), d.component_types())):
-        if ctype != ("D", 4):
-            continue
-        comp_sorted = tuple(sorted(comp))
-        restricted = {
-            tuple(perm[i] for i in comp_sorted) for perm in act.component_stabilizer(ci)
-        }
-        if len(restricted) == 6:
-            found.append(ci)
-    return found
-
-
-def _d4_seed(sc: StructureConstants, comp: tuple[int, ...]) -> dict[int, int]:
-    """Signs matching the explicit bracket-word system on a D4 component.
-
-    The words pin every nonsimple positive root vector to an iterated
-    bracket of simple vectors, anchored at the branch node."""
-    d = sc.datum
-    comp_set = set(comp)
-    base_pos = [p for p, r in enumerate(d.basis_indices) if r in comp_set]
-    idx = {p: d.basis_indices[p] for p in base_pos}
-    cartan = d.base_cartan()
-    neighbors = {p: [q for q in base_pos if q != p and cartan[p][q]] for p in base_pos}
-    hubs = [p for p in base_pos if len(neighbors[p]) == 3]
-    if len(hubs) != 1:
-        raise InternalInconsistencyError("D4 component without a unique branch node")
-    b = idx[hubs[0]]
-    o1, o2, o3 = (idx[p] for p in sorted(q for q in base_pos if q != hubs[0]))
-
-    # the word (w0, w1, ..., wn) is [..[[X_w0, X_w1], X_w2].., X_wn], walked
-    # one root vector at a time on the root sums and the constants
-    words = [(o1, b), (o2, b), (o3, b), (o1, b, o2), (o2, b, o3), (o1, b, o3)]
-    words += [(o1, b, o2, o3), (o1, b, o2, o3, b)]
-    sums = d.root_sums()
-    seed = {}
-    for first, *rest in words:
-        i, coeff = first, 1
-        for j in rest:
-            k = sums[i].get(j)
-            if k is None or k < 0:
-                raise InternalInconsistencyError("bracket word did not land on a root vector")
-            i, coeff = k, coeff * sc.table[i][j]
-        if abs(coeff) != 1:
-            raise InternalInconsistencyError("bracket word has non-unit coefficient")
-        seed[i] = coeff
-    if len(seed) != 8:
-        raise InternalInconsistencyError("bracket words hit fewer than 8 distinct roots")
-    return seed
-
-
 def equivariant_signs(sc: StructureConstants, act: PinnedAction):
     """Sign vector making the system equivariant on all nonspecial roots.
 
-    Returns (adjusted system, classes).  Signs stay +1 on the base; on D4
-    components carrying a full S3 action the explicit bracket-word seed is
-    installed first.  A stabilizer obstruction on a nonspecial orbit is a
-    genuine inconsistency and raises.
+    Returns (adjusted system, classes).  Each nonspecial orbit keeps sign
+    +1 on its first root rho in height order, and every other member g.rho
+    takes the sign that makes g . X'_rho = X'_{g.rho}.  A second pass
+    checks g . X'_y = X'_{g.y} for every element g and member y; its case
+    g.y = y is the stabilizer obstruction.  Any failure on a nonspecial
+    orbit is a genuine inconsistency and raises.
     """
     d = sc.datum
     classes = equivalence_classes(d, act)
     special = {i for cls in classes for i in cls.special}
     simple = set(d.basis_indices)
+    elements = list(zip(automorphism_constants(sc, act), act.element_permutations()))
+    orbit_of = {i: orb for orb in act.orbits("roots") for i in orb}
 
     eps: dict[int, int] = {}
-    for ci in _d4_components_with_s3(sc, act):
-        eps.update(_d4_seed(sc, d.components()[ci]))
-    seeded = dict(eps)
-
-    base_c = automorphism_constants(sc, act)
-    perms = act.element_permutations()
-
-    orbit_of = {i: orb for orb in act.orbits("roots") for i in orb}
-    done = set()
     for rho in sc.order_key:
-        if rho in done or rho in special:
+        if rho in eps or rho in special:
             continue
-        orb = set(orbit_of[rho])
-        done |= orb
-        for c, perm in zip(base_c, perms):
-            for y in orb:
-                if perm[y] == y and c[y] != 1:
+        assigned = {rho: 1}
+        for c, perm in elements:
+            assigned.setdefault(perm[rho], c[rho])
+        if set(assigned) != set(orbit_of[rho]):
+            raise InternalInconsistencyError("orbit not exhausted by the group")
+        for c, perm in elements:
+            for y, v in assigned.items():
+                if assigned[perm[y]] != v * c[y]:
                     raise InternalInconsistencyError(
-                        "stabilizer obstruction on a nonspecial orbit"
+                        "no equivariant signs on a nonspecial orbit"
                     )
-        start = eps.get(rho, 1)
-        if rho in simple and start != 1:
-            raise InternalInconsistencyError("seed sign on a simple root")
-        assigned = {rho: start}
-        changed = True
-        while changed:
-            changed = False
-            for c, perm in zip(base_c, perms):
-                for y in list(assigned):
-                    t = perm[y]
-                    v = assigned[y] * c[y]
-                    if t not in assigned:
-                        assigned[t] = v
-                        changed = True
-                    elif assigned[t] != v:
-                        raise InternalInconsistencyError(
-                            "inconsistent sign propagation across an orbit"
-                        )
-        if set(assigned) != orb:
-            raise InternalInconsistencyError("orbit not exhausted by generators")
-        for y, v in assigned.items():
-            if y in seeded and seeded[y] != v:
-                raise InternalInconsistencyError(
-                    "seed disagrees with propagated equivariant signs"
-                )
-            if y in simple and v != 1:
-                raise InternalInconsistencyError(
-                    "equivariant signs would break the pinning on the base"
-                )
-            eps[y] = v
+        if any(v != 1 for y, v in assigned.items() if y in simple):
+            raise InternalInconsistencyError(
+                "equivariant signs would break the pinning on the base"
+            )
+        eps.update(assigned)
     adjusted = rescale(sc, eps)
     return adjusted, classes
 

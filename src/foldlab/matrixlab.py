@@ -301,10 +301,12 @@ class CountReport(Record):
 
 def verify_fixed_count(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> CountReport:
     """Compare the brute-force fixed count in SL_{2n+1}(F_q) with the
-    prediction computed purely from the folded root combinatorics."""
-    datum, act = type_a_flip(2 * n, "sc")
-    predicted = bruhat_predicted_count(datum, act, q)
+    prediction computed purely from the folded root combinatorics.  A q
+    that is no prime power is refused before the count's order guard, and
+    the guard before the prediction folds anything."""
+    prime_power(q)
     brute = count_fixed(n, q, order_limit=order_limit)
+    predicted = bruhat_predicted_count(*type_a_flip(2 * n, "sc"), q)
     return CountReport(n=n, q=q, brute=brute, predicted=predicted)
 
 

@@ -324,3 +324,38 @@ def automorphism_constants_by_tuples(sc, act):
             c[gamma] = values.pop()
         out.append(c)
     return out
+
+
+def bracket_word_signs(sc, comp):
+    """Signs making X_beta an explicit iterated bracket of simple root
+    vectors, for the eight nonsimple positive roots of a D4 component
+    ``comp`` (root indices), anchored at its branch node.
+
+    The word (w0, w1, ..., wn) is [..[[X_w0, X_w1], X_w2].., X_wn], walked
+    one root vector at a time on the root sums and the constants of ``sc``.
+    The tests check that this system is equivariant under the full S3 of
+    the component and agrees with ``equivariant_signs`` up to one sign per
+    orbit, an independent check of its orbit propagation.
+    """
+    d = sc.datum
+    comp_set = set(comp)
+    base_pos = [p for p, r in enumerate(d.basis_indices) if r in comp_set]
+    cartan = d.base_cartan()
+    degree = {p: sum(1 for q in base_pos if q != p and cartan[p][q]) for p in base_pos}
+    (hub,) = (p for p in base_pos if degree[p] == 3)
+    b = d.basis_indices[hub]
+    o1, o2, o3 = (d.basis_indices[p] for p in base_pos if p != hub)
+    words = [(o1, b), (o2, b), (o3, b), (o1, b, o2), (o2, b, o3), (o1, b, o3)]
+    words += [(o1, b, o2, o3), (o1, b, o2, o3, b)]
+    sums = d.root_sums()
+    signs = {}
+    for first, *rest in words:
+        i, coeff = first, 1
+        for j in rest:
+            k = sums[i][j]
+            assert k >= 0, "bracket word left the positive roots"
+            i, coeff = k, coeff * sc.table[i][j]
+        assert abs(coeff) == 1, "bracket word has a non-unit coefficient"
+        signs[i] = coeff
+    assert len(signs) == 8, "bracket words hit fewer than 8 distinct roots"
+    return signs

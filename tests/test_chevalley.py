@@ -23,6 +23,7 @@ from foldlab.rootdata import build_preset, build_torus
 from constants_oracle import (
     automorphism_constants_by_tuples,
     base_constants_by_tuples,
+    bracket_word_signs,
     chain_length_by_tuples,
     flat_table,
     rescale_by_tuples,
@@ -463,13 +464,25 @@ def test_sign_flip_counts_frozen(name, flips):
 
 
 def test_d4_full_s3_equivariance():
-    # order-6 action: the bracket-word seed and orbit propagation must agree
+    # order-6 action: orbit propagation alone makes the system equivariant,
+    # and the explicit bracket-word system agrees with it orbit by orbit
     pre = load_preset("D4-sc-triality")
-    adjusted, classes = equivariant_signs(base_constants(pre.datum), pre.action)
+    assert pre.action.order == 6
+    sc = base_constants(pre.datum)
+    adjusted, classes = equivariant_signs(sc, pre.action)
     report = check_equivariance(adjusted, pre.action, classes)
     assert report.nonspecial_all_satisfied
     assert report.special_values == ()  # no type II classes on D4
     assert verify_jacobi(adjusted)
+
+    (comp,) = pre.datum.components()
+    words = bracket_word_signs(sc, comp)
+    by_words = rescale(sc, words)
+    assert verify_jacobi(by_words)
+    assert check_equivariance(by_words, pre.action, classes).nonspecial_all_satisfied
+    for orbit in pre.action.orbits("positive"):
+        ratios = {words.get(y, 1) * adjusted.eps[y] for y in orbit}
+        assert len(ratios) == 1, orbit
 
 
 def test_trivial_action_needs_no_adjustment():

@@ -752,6 +752,33 @@ def test_torus_with_torsion_coinvariants_golden_digest(tmp_path, capsys, analysi
     assert digest == TORUS_TORSION_SHA256[analysis]
 
 
+# chevalley on products of D4 under wreath-product actions, beyond the
+# presets: (type, basis_permutation) -> (action order, adjusted_sign_count,
+# sha256 of the --json report).  Every D4 factor carries the full S3.
+D4_PRODUCT_CHEVALLEY_SHA256 = {
+    (
+        "D4+D4",
+        "2,1,3,0,4,5,6,7; 0,1,3,2,4,5,6,7; 0,1,2,3,6,5,7,4; 0,1,2,3,4,5,7,6; 4,5,6,7,0,1,2,3",
+    ): (72, 6, "10aafde32182357ae5797dc67ecded3deffa11e638a2e16d761b8d44b6f656d6"),
+    (
+        "D4+D4+D4",
+        "2,1,3,0,4,5,7,6,10,9,11,8; 4,5,6,7,8,9,10,11,0,1,2,3",
+    ): (648, 9, "df178786135531dcea1b898739d4e4eca240f068e810a7bbe805ce842f68813b"),
+}
+
+
+@pytest.mark.parametrize("cartan_type,perm", sorted(D4_PRODUCT_CHEVALLEY_SHA256))
+def test_d4_product_chevalley_golden_digest(tmp_path, capsys, cartan_type, perm):
+    cfg = write(tmp_path, f"[datum]\ntype = {cartan_type}\n\n[action]\nbasis_permutation = {perm}\n")
+    out_path = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--analysis", "chevalley", "--json", str(out_path)]) == 0
+    order, flips, digest = D4_PRODUCT_CHEVALLEY_SHA256[cartan_type, perm]
+    report = json.loads(out_path.read_bytes())
+    assert report["input"]["action_order"] == order
+    assert report["chevalley"]["adjusted_sign_count"] == flips
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("preset", preset_names())
 def test_one_run_computes_classes_once(tmp_path, monkeypatch, preset):
     # one class computation per run, and one lattice per fold: the oriented

@@ -423,6 +423,24 @@ def test_verify_fixed_count_agrees():
         assert d["agree"] is True
 
 
+def test_refused_count_makes_no_prediction(monkeypatch):
+    def no_prediction(*args, **kwargs):
+        raise AssertionError("a refused count made a prediction")
+
+    monkeypatch.setattr(matrixlab, "bruhat_predicted_count", no_prediction)
+    with pytest.raises(ResourceLimitError):
+        verify_fixed_count(20, 512)
+    with pytest.raises(ResourceLimitError):
+        verify_fixed_count(1, 5, order_limit=10)
+    with pytest.raises(ResourceLimitError):  # a prime, past the guard
+        verify_fixed_count(1, 2**61 - 1)
+    with pytest.raises(ResourceLimitError, match="cannot decide"):
+        verify_fixed_count(1, 2**89 - 1)
+    for bad in (1, 6):  # not a prime power, refused before the guard
+        with pytest.raises(DomainError):
+            verify_fixed_count(1, bad, order_limit=10)
+
+
 def test_count_report_disagreement_flag():
     assert not CountReport(n=1, q=2, brute=6, predicted=7).agree
 
