@@ -110,42 +110,29 @@ class PinnedAction:
 
     def orbits(self, items: str = "roots") -> tuple[tuple[int, ...], ...]:
         """Orbits on 'roots' (all root indices), 'positive' or 'simple'
-        (base positions)."""
+        (base positions), each the images {g(x)} of its first point x
+        under every element g of the closed group."""
         d = self.datum
         if items == "roots":
-            universe = list(range(d.nroots))
-            act = self.generator_perms
+            universe = range(d.nroots)
         elif items == "positive":
-            universe = list(d.positive_root_indices())
-            act = self.generator_perms
+            universe = d.positive_root_indices()
         elif items == "simple":
-            universe = list(range(len(d.basis_indices)))
-            table = {r: p for p, r in enumerate(d.basis_indices)}
-            act = [
-                tuple(table[perm[d.basis_indices[p]]] for p in range(len(d.basis_indices)))
-                for perm in self.generator_perms
-            ]
+            universe = d.basis_indices
         else:
             raise DomainError(f"unknown orbit universe {items!r}")
+        perms = self.element_permutations()
         seen = set()
         orbits = []
         for x in universe:
-            if x in seen:
-                continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for perm in act:
-                        z = perm[y]
-                        if z not in orbit:
-                            orbit.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-        return tuple(orbits)
+            if x not in seen:
+                orbit = {perm[x] for perm in perms}
+                seen |= orbit
+                orbits.append(orbit)
+        if items == "simple":
+            position = {r: p for p, r in enumerate(d.basis_indices)}
+            orbits = [{position[r] for r in orbit} for orbit in orbits]
+        return tuple(tuple(sorted(orbit)) for orbit in orbits)
 
     def component_permutations(self) -> dict[IntMatrix, tuple[int, ...]]:
         """Permutation of datum components induced by each element.  Each

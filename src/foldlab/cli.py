@@ -21,7 +21,7 @@ from .intlat import IntMatrix
 from .rootdata import WEYL_LIMIT_DEFAULT, CartanType, build_preset, build_torus, cartan_type_of
 from .action import PinnedAction, permutation_matrix, trivial_action
 from .folding import VARIANTS, center_structure, fixed_weyl, isogeny_injectivity_check
-from .criteria import BaseSpec, decide, fiber_reports
+from .criteria import BaseSpec, decide
 from .chevalley import (
     base_constants,
     check_equivariance,
@@ -375,11 +375,10 @@ def _analysis_fold(datum, act, weyl_limit):
 
 
 def _analysis_criteria(datum, act, base, p):
-    out = decide(datum, act, base).as_dict()
+    report = decide(datum, act, base)
     chars = sorted({0, 2} | ({p} if p is not None else set()))
-    out["fibers"] = {
-        str(char): fr.as_dict() for char, fr in fiber_reports(datum, act, chars).items()
-    }
+    out = report.as_dict()
+    out["fibers"] = {str(char): fr.as_dict() for char, fr in report.fibers(chars).items()}
     return out
 
 
@@ -551,7 +550,7 @@ def run_command(args) -> int:
     text = "\n".join(lines).rstrip() + "\n"
     sys.stdout.write(text)
 
-    if args.json:
+    if args.json is not None:
         payload = _json(results, pretty=True) + "\n"
         try:
             with open(args.json, "w") as handle:

@@ -53,6 +53,23 @@ class BaseSpec(FrozenRecord):
         return "residual primes {" + ", ".join(map(str, self.primes)) + "}"
 
 
+class FiberReport(ValueRecord):
+    characteristic: int
+    dimension: int
+    reduced: bool
+    variant: str
+    component_group: FinAbGroup
+
+    def as_dict(self) -> dict:
+        return {
+            "characteristic": self.characteristic,
+            "dimension": self.dimension,
+            "reduced": self.reduced,
+            "variant": self.variant,
+            "component_group": list(self.component_group.invariant_factors),
+        }
+
+
 class CriteriaReport(Record):
     flat: bool
     flat_reason: str
@@ -63,6 +80,7 @@ class CriteriaReport(Record):
     torsion: FinAbGroup
     has_active_even_a: bool
     residual_primes: tuple[int, ...]  # the base's explicit primes; () for all primes
+    dimension: int  # of every fiber: coinvariant free rank + 2 * #classes
 
     @property
     def torsion_free(self) -> bool:
@@ -88,6 +106,27 @@ class CriteriaReport(Record):
             },
             "torsion_free": self.torsion_free,
         }
+
+    def fibers(self, chars) -> dict[int, FiberReport]:
+        """Geometry of the fixed-point fiber in each characteristic of
+        ``chars`` (0 allowed), keyed by characteristic."""
+        group = self.torsion
+        reports = {}
+        for p in chars:
+            if p != 0 and not is_prime(p):
+                raise DomainError(f"characteristic must be 0 or prime, got {p}")
+            reduced = p == 0 or (
+                gcd(group.torsion_order(), p) == 1 and not (self.has_active_even_a and p == 2)
+            )
+            kept = group if p == 0 else group.without_prime_part(p)
+            reports[p] = FiberReport(
+                characteristic=p,
+                dimension=self.dimension,
+                reduced=reduced,
+                variant="R2" if p == 2 else "R1",
+                component_group=FinAbGroup(0, kept.invariant_factors),
+            )
+        return reports
 
 
 def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaReport:
@@ -156,50 +195,10 @@ def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaRepor
         torsion=group,
         has_active_even_a=active,
         residual_primes=base.primes,
+        dimension=group.free_rank + 2 * len(equivalence_classes(datum, act)),
     )
-
-
-class FiberReport(ValueRecord):
-    characteristic: int
-    dimension: int
-    reduced: bool
-    variant: str
-    component_group: FinAbGroup
-
-    def as_dict(self) -> dict:
-        return {
-            "characteristic": self.characteristic,
-            "dimension": self.dimension,
-            "reduced": self.reduced,
-            "variant": self.variant,
-            "component_group": list(self.component_group.invariant_factors),
-        }
-
-
-def fiber_reports(datum: RootDatum, act: PinnedAction, chars) -> dict[int, FiberReport]:
-    """Geometry of the fixed-point fiber in each characteristic of
-    ``chars`` (0 allowed), keyed by characteristic."""
-    for p in chars:
-        if p != 0 and not is_prime(p):
-            raise DomainError(f"characteristic must be 0 or prime, got {p}")
-    check_action_of(datum, act)
-    group = coinvariants(datum.rank, act.generators)
-    dimension = group.free_rank + 2 * len(equivalence_classes(datum, act))
-    active = bool(active_even_a_components(datum, act))
-    reports = {}
-    for p in chars:
-        reduced = p == 0 or (gcd(group.torsion_order(), p) == 1 and not (active and p == 2))
-        kept = group if p == 0 else group.without_prime_part(p)
-        reports[p] = FiberReport(
-            characteristic=p,
-            dimension=dimension,
-            reduced=reduced,
-            variant="R2" if p == 2 else "R1",
-            component_group=FinAbGroup(0, kept.invariant_factors),
-        )
-    return reports
 
 
 def fiber_report(datum: RootDatum, act: PinnedAction, p: int) -> FiberReport:
     """Geometry of the fixed-point fiber in characteristic p (0 allowed)."""
-    return fiber_reports(datum, act, (p,))[p]
+    return decide(datum, act, BaseSpec.all_primes()).fibers((p,))[p]

@@ -73,9 +73,7 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
     sums = {orbit: _vector_sum([datum.roots[i] for i in orbit]) for orbit in orbits}
     buckets: dict[object, list[tuple[int, ...]]] = {}
     for orbit in orbits:
-        # a zero sum is proportional to nothing and keeps a bucket of its own
-        key = _direction(sums[orbit]) or ("zero", orbit)
-        buckets.setdefault(key, []).append(orbit)
+        buckets.setdefault(_direction(sums[orbit]), []).append(orbit)
 
     classes = []
     for bucket in buckets.values():

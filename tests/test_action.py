@@ -4,7 +4,7 @@ import pytest
 
 from foldlab.action import PinnedAction, permutation_matrix, trivial_action
 from foldlab.chevalley import automorphism_constants, base_constants, check_equivariance
-from foldlab.criteria import BaseSpec, decide, fiber_reports
+from foldlab.criteria import BaseSpec, decide
 from foldlab.errors import DomainError, InvalidActionError, ResourceLimitError
 from foldlab.folding import (
     active_even_a_components,
@@ -15,6 +15,7 @@ from foldlab.folding import (
 from foldlab.intlat import IntMatrix
 from foldlab.presets import load_preset, preset_names, type_a_flip
 from foldlab.rootdata import build_preset, build_torus
+from orbit_oracle import orbits_by_generators
 
 
 def test_trivial_action():
@@ -147,6 +148,33 @@ def test_component_permutation_is_multiplicative(name):
             assert sigma[a @ b] == tuple(sigma[a][j] for j in sigma[b])
 
 
+# the wreath actions of the D4 product digests of test_cli: every D4 factor
+# carries the full S3, and the factors are permuted cyclically
+D4_PRODUCTS = {
+    "D4+D4": "2,1,3,0,4,5,6,7; 0,1,3,2,4,5,6,7; 0,1,2,3,6,5,7,4; 0,1,2,3,4,5,7,6; 4,5,6,7,0,1,2,3",
+    "D4+D4+D4": "2,1,3,0,4,5,7,6,10,9,11,8; 4,5,6,7,8,9,10,11,0,1,2,3",
+}
+
+
+@pytest.mark.parametrize("name", [*preset_names(), *D4_PRODUCTS])
+def test_orbits_match_generator_search(name):
+    if name in D4_PRODUCTS:
+        datum = build_preset(name)
+        gens = [
+            permutation_matrix(dict(enumerate(map(int, chunk.split(",")))), datum.rank)
+            for chunk in D4_PRODUCTS[name].split(";")
+        ]
+        act = PinnedAction(datum, gens)
+    else:
+        act = load_preset(name).action
+    for items in ("roots", "positive", "simple"):
+        assert act.orbits(items) == orbits_by_generators(act, items), items
+    # the closed group exhausts each orbit from any one of its members
+    perms = act.element_permutations()
+    for orbit in act.orbits("roots"):
+        assert set(orbit) == {perm[orbit[0]] for perm in perms}
+
+
 def test_component_permutations_multiply_no_elements(monkeypatch):
     # checking multiplicativity here would take 120^2 = 14,400 products
     _, act = _factor_action(5, (1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
@@ -209,7 +237,7 @@ _TAKES_AN_ACTION = {
     "check_equivariance": lambda d, a: check_equivariance(base_constants(d), a, ()),
     "decide": lambda d, a: decide(d, a, BaseSpec.all_primes()),
     "equivalence_classes": equivalence_classes,
-    "fiber_reports": lambda d, a: fiber_reports(d, a, (0, 2)),
+    "fibers": lambda d, a: decide(d, a, BaseSpec.all_primes()).fibers((0, 2)),
     "isogeny_injectivity_check": isogeny_injectivity_check,
 }
 

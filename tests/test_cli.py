@@ -125,6 +125,17 @@ def test_missing_config_file(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--json="], ["--json", ""], ["--json", "{missing}"]])
+def test_unwritable_json_path_exits_2(tmp_path, capsys, flags):
+    # an empty path names no file, so it fails like a path into a missing directory
+    cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
+    missing = str(tmp_path / "no-such-dir" / "report.json")
+    flags = [f.format(missing=missing) for f in flags]
+    assert cli.main(["run", cfg, "--analysis", "fold", *flags]) == 2
+    path = flags[-1].removeprefix("--json=")
+    assert capsys.readouterr().err.startswith(f"cannot write {path}: ")
+
+
 def test_bad_section(tmp_path, capsys):
     cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n\n[mystery]\nx = 1\n")
     assert cli.main(["run", cfg]) == 2

@@ -8,7 +8,6 @@ from foldlab.criteria import (
     active_even_a_components,
     decide,
     fiber_report,
-    fiber_reports,
 )
 from foldlab.errors import DomainError
 from foldlab.intlat import FinAbGroup
@@ -135,7 +134,7 @@ def test_component_types_are_recognized_once_per_datum(monkeypatch):
     cases = [flip, (d, pre.action), (given, PinnedAction(given, pre.action.generators))]
     for datum, act in cases:
         decide(datum, act, BaseSpec.all_primes())
-        fiber_reports(datum, act, (0, 2, 3))
+        decide(datum, act, BaseSpec.all_primes()).fibers((0, 2, 3))
         assert active_even_a_components(datum, act) == active_even_a_components(datum, act)
         assert datum.component_types() is datum.component_types()
     # a datum given by its roots is recognized while it is validated, by
@@ -186,7 +185,7 @@ def test_fiber_report_torus_inversion():
 def test_fiber_dimension_constant_in_p():
     for name in preset_names():
         pre = load_preset(name)
-        reports = fiber_reports(pre.datum, pre.action, (0, 2, 3, 5))
+        reports = decide(pre.datum, pre.action, BaseSpec.all_primes()).fibers((0, 2, 3, 5))
         assert len({r.dimension for r in reports.values()}) == 1
         # one call for all characteristics equals one call per characteristic
         for p, report in reports.items():
@@ -211,7 +210,7 @@ def test_fiber_report_invalid_characteristic():
         with pytest.raises(DomainError):
             fiber_report(datum, act, bad)
         with pytest.raises(DomainError):
-            fiber_reports(datum, act, (0, 2, bad))
+            decide(datum, act, BaseSpec.all_primes()).fibers((0, 2, bad))
 
 
 def test_reasons_are_sentences():

@@ -68,6 +68,7 @@ IDENTITY = [
                 "torsion",
                 "has_active_even_a",
                 "residual_primes",
+                "dimension",
             ),
         ),
         (StructureConstants, ("datum", "table", "eps", "xs_pair", "order_key", "special")),
