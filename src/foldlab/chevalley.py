@@ -96,29 +96,17 @@ def base_constants(datum: RootDatum) -> StructureConstants:
                 special[c].append((a, b))
     table: list[dict[int, int]] = [{} for _ in range(datum.nroots)]
 
-    def resolve(i, j) -> int:
-        """Constant for an arbitrary valid pair, reducing to the positive table."""
-        if (val := table[i].get(j)) is not None:
-            return val
-        ip, jp = i in place, j in place
-        if ip and jp:
-            raise InternalInconsistencyError(
-                "positive pair requested before its height was processed"
-            )
-        if not ip and not jp:
-            val = -resolve(neg[i], neg[j])
-        elif not ip:
-            val = -resolve(j, i)
+    def mixed(i, j, s) -> int:
+        """N(i, j) for i, j of opposite signs, s = i + j, by the three-root relation
+        N(i, j)/|s|^2 = N(j, -s)/|i|^2 = N(-s, i)/|j|^2 from a positive pair."""
+        if (j in place) != (s in place):  # j and -s have one sign
+            x, y, den = j, neg[s], len2[i]
         else:
-            # i positive, j negative
-            si = sums[i][j]
-            if si in place:
-                val, rem = divmod(-resolve(neg[j], si) * len2[si], len2[i])
-            else:
-                val, rem = divmod(resolve(neg[si], i) * len2[si], len2[j])
-            if rem:
-                raise InternalInconsistencyError("non-integral structure constant")
-        table[i][j] = val
+            x, y, den = neg[s], i, len2[j]
+        val = table[x][y] if x in place else -table[neg[x]][neg[y]]
+        val, rem = divmod(val * len2[s], den)
+        if rem:
+            raise InternalInconsistencyError("non-integral structure constant")
         return val
 
     xs_pair: dict[int, tuple[int, int]] = {}
@@ -142,13 +130,11 @@ def base_constants(datum: RootDatum) -> StructureConstants:
         for a, b in pairs[1:]:
             # Jacobi on (X_{-e}, X_a, X_b); only N(a, b) is unknown.
             t = 0
-            k = sums[a].get(neg[e])
-            if k is not None and k >= 0:
-                t += resolve(neg[e], a) * resolve(k, b)
-            k = sums[b].get(neg[e])
-            if k is not None and k >= 0:
-                t += resolve(b, neg[e]) * resolve(k, a)
-            n_c_nege = resolve(c, neg[e])
+            if (k := sums[a].get(neg[e], -1)) >= 0:
+                t += mixed(neg[e], a, k) * table[k][b]
+            if (k := sums[b].get(neg[e], -1)) >= 0:
+                t += mixed(b, neg[e], k) * table[k][a]
+            n_c_nege = mixed(c, neg[e], h)
             if n_c_nege == 0:
                 raise InternalInconsistencyError("vanishing pivot constant")
             val, rem = divmod(-t, n_c_nege)
@@ -159,18 +145,24 @@ def base_constants(datum: RootDatum) -> StructureConstants:
             table[a][b] = val
             table[b][a] = -val
 
-    # complete the table over every valid ordered pair, checking magnitudes
-    # and antisymmetry
+    # each row in root-sum order from the positive pairs alone, and checked
     for i, row in enumerate(sums):
+        full, ip = {}, i in place
         for j, s in row.items():
-            if s >= 0:
-                iv, expected = resolve(i, j), _chain_length(sums, neg[i], j)
-                if abs(iv) != expected:
-                    raise InternalInconsistencyError(
-                        f"constant magnitude {abs(iv)} differs from root-string bound {expected}"
-                    )
-                if resolve(j, i) != -iv:
-                    raise InternalInconsistencyError("antisymmetry violated")
+            if s < 0:
+                continue
+            if ip == (j in place):
+                val = table[i][j] if ip else -table[neg[i]][neg[j]]
+            else:
+                val = mixed(i, j, s)
+            if abs(val) != (expected := _chain_length(sums, neg[i], j)):
+                raise InternalInconsistencyError(
+                    f"constant magnitude {abs(val)} differs from root-string bound {expected}"
+                )
+            if j < i and table[j].get(i) != -val:
+                raise InternalInconsistencyError("antisymmetry violated")
+            full[j] = val
+        table[i] = full
     return StructureConstants(
         datum=datum,
         table=table,
@@ -211,14 +203,16 @@ def _derivation_failure(s: int, code, preimage, d: RootDatum, sums, table):
     m = len(code)
     total = {}
     for y in code[s]:
+        ym = y * m
         for i, x in _bracket(d, sums, table, s, y):
             for z, v in code[i].items():
                 if y < z:
-                    total[y * m + z] = total.get(y * m + z, 0) + x * v
+                    total[ym + z] = total.get(ym + z, 0) + x * v
                 elif z < y:
                     total[z * m + y] = total.get(z * m + y, 0) - x * v
     for i, w in code[s].items():
-        for key, x in preimage[i]:
+        flat = iter(preimage[i])
+        for key, x in zip(flat, flat):
             total[key] = total.get(key, 0) - x * w
     return next((divmod(key, m) for key, v in total.items() if v), None)
 
@@ -229,9 +223,11 @@ def verify_jacobi(sc: StructureConstants) -> bool:
     Once the bracket is alternating, the identity says that every ad x is
     a derivation, and those x form a subalgebra: ad [x, y] = [ad x, ad y]
     when ad x is a derivation, and a commutator of derivations is one (cf.
-    Carter, Simple Groups of Lie Type, 4.1).  Each bracket is read through
-    ``_bracket``; coded as code[a][b] = sum x P_i over the terms (i, x) of
-    [a, b], this checks in turn:
+    Carter, Simple Groups of Lie Type, 4.1).  One pass over each root's
+    root sums and constants codes [a, b] as code[a][b] = sum x P_i over its
+    terms (i, x) and files each term of [y, z], y < z, as y m + z, x in the
+    flat list preimage[i]; step 4 reads [s, y] through ``_bracket``.  This
+    checks in turn:
 
     1. ad h is a derivation for each Cartan key h: each term of [y, z]
        has weight wt(y) + wt(z), the root code of a root vector or 0;
@@ -262,29 +258,36 @@ def verify_jacobi(sc: StructureConstants) -> bool:
     keys = [("r", i) for i in range(n)] + [("h", k) for k in range(rank)]
     sums, table = d.root_sums(), sc.table
     coefficients = (*d.roots, *d.coroots, *(row.values() for row in table))
-    largest = max((abs(x) for v in coefficients for x in v), default=0)
+    largest = max([0] + [max(map(abs, v), default=0) for v in coefficients])
     largest_sum = max([largest] + [sum(map(abs, c)) for c in d.coroots])
-    powers = [1] * n + [(6 * largest_sum * largest + 1) ** k for k in range(rank)]
-    wt = d.root_codes() + (0,) * rank
+    base = 6 * largest_sum * largest + 1
+    wt = (*d.root_codes(), 0)  # wt[-1] = 0 weighs the zero sum in a root-sum row
     cartan = range(n, m)
-    code = []
-    for a in range(m):
-        code_a = {}
-        for b in (*cartan, *sums[a]) if a < n else range(n):
-            if terms := _bracket(d, sums, table, a, b):
-                total = 0
-                for i, x in terms:
-                    if wt[i] != wt[a] + wt[b]:
-                        raise InternalInconsistencyError(
-                            f"bracket of {keys[a]} and {keys[b]} is not of their weight"
-                        )
-                    total += x * powers[i]
-                code_a[b] = total
+    code, preimage = [], [[] for _ in keys]
+    for a, (root, coroot, row) in enumerate(zip(d.roots, d.coroots, sums)):
+        constants, am, wa = table[a], a * m, wt[a]
+        code_a = {h: -x for h, x in zip(cartan, root) if x}
+        for h, x in code_a.items():
+            preimage[a] += am + h, x
+        for b, k in row.items():
+            x = constants[b] if k >= 0 else sum(c * base**h for h, c in enumerate(coroot))
+            if not x:
+                continue
+            if wt[k] != wa + wt[b]:
+                raise InternalInconsistencyError(
+                    f"bracket of {keys[a]} and {keys[b]} is not of their weight"
+                )
+            code_a[b] = x
+            if a < b and k >= 0:
+                preimage[k] += am + b, x
+            elif a < b:
+                for h, c in zip(cartan, coroot):
+                    preimage[h] += (am + b, c) if c else ()
         code.append(code_a)
+    code += ({b: r[h] for b, r in enumerate(d.roots) if r[h]} for h in range(rank))
     # step 2, and whether omega is an automorphism
     neg = [d.negative_of(i) for i in range(n)] + list(cartan)
     omega = True
-    preimage = [[] for _ in keys]
     for y, row in enumerate(code):
         row_omega = code[neg[y]]
         for z, v in row.items():
@@ -294,16 +297,13 @@ def verify_jacobi(sc: StructureConstants) -> bool:
                 )
             if row_omega.get(neg[z]) != -v:
                 omega = False
-            if y < z:
-                for i, x in _bracket(d, sums, table, y, z):
-                    preimage[i].append((y * m + z, x))
     simple = list(d.basis_indices) + [d.negative_of(i) for i in d.basis_indices]
     reached, queue = set(simple), list(simple)
     for t in queue:  # the queue grows while it is read
-        new = {e[0][0] for e in (_bracket(d, sums, table, s, t) for s in simple) if len(e) == 1}
-        new -= reached
-        reached |= new
-        queue.extend(new)
+        for s in simple:
+            if (k := sums[s].get(t, -1)) >= 0 and table[s][t] and k not in reached:
+                reached.add(k)
+                queue.append(k)
     if omega:
         gens = list(d.basis_indices) + [i for i in range(n) if i not in reached and i < neg[i]]
     else:

@@ -387,7 +387,7 @@ def _analysis_chevalley(datum, act):
     verify_jacobi(sc)
     adjusted, classes = equivariant_signs(sc, act)
     report = check_equivariance(adjusted, act, classes)
-    max_const = max((abs(v) for row in sc.table for v in row.values()), default=0)
+    max_const = max([0] + [max(map(abs, row.values()), default=0) for row in sc.table])
     return {
         "jacobi": True,
         "max_constant_magnitude": max_const,

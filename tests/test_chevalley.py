@@ -1,6 +1,7 @@
 """Structure constants, Jacobi identity, equivariant sign adjustment."""
 
 import ast
+import copy
 
 import pytest
 
@@ -219,25 +220,18 @@ def test_jacobi_checks_rank_generators_when_omega_holds(monkeypatch):
         ]
 
 
-def test_jacobi_rejects_a_bracket_off_its_weight(monkeypatch):
+def test_jacobi_rejects_a_bracket_off_its_weight():
     sc = base_constants(build_preset("A2", "sc"))
     i, j = next(iter(flat_table(sc.table)))
-    right = chevalley._bracket
-    ((s, x),) = right(sc.datum, sc.datum.root_sums(), sc.table, i, j)
-    wrong = next(k for k in range(sc.datum.nroots) if k != s)
-
-    def moved(d, sums, table, a, b):
-        """The bracket, with the term of [X_i, X_j] and [X_j, X_i] moved
-        from X_(i+j) to another root vector."""
-        if (a, b) == (i, j):
-            return ((wrong, x),)
-        if (a, b) == (j, i):
-            return ((wrong, -x),)
-        return right(d, sums, table, a, b)
-
-    monkeypatch.setattr(chevalley, "_bracket", moved)
+    # a copy of the datum whose root sums send (i, j) and (j, i) to another
+    # root, so that [X_i, X_j] and [X_j, X_i] lie off the weight of i + j
+    sums = [dict(row) for row in sc.datum.root_sums()]
+    sums[i][j] = sums[j][i] = next(k for k in range(sc.datum.nroots) if k != sums[i][j])
+    moved = copy.copy(sc.datum)
+    moved.root_sums = lambda: tuple(sums)
+    broken = StructureConstants(moved, sc.table, sc.eps, sc.xs_pair, sc.order_key, sc.special)
     with pytest.raises(InternalInconsistencyError, match=r"is not of their weight$"):
-        verify_jacobi(sc)
+        verify_jacobi(broken)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -276,14 +270,15 @@ def _fields(sc):
     return sc.table, sc.eps, sc.xs_pair, sc.order_key, sc.special
 
 
-@pytest.mark.parametrize("ctype", ORACLE_TYPES)
+@pytest.mark.parametrize("ctype", ORACLE_TYPES + ["E8"])
 def test_base_constants_match_tuple_oracle(ctype):
-    datum = build_preset(ctype, "sc")
-    sc = base_constants(datum)
-    assert _fields(sc) == _fields(base_constants_by_tuples(datum))
-    for i in range(datum.nroots):
-        for j in range(datum.nroots):
-            assert chain_length(datum, i, j) == chain_length_by_tuples(datum, i, j)
+    for isogeny in ("sc", "adjoint"):
+        datum = build_preset(ctype, isogeny)
+        sc = base_constants(datum)
+        assert _fields(sc) == _fields(base_constants_by_tuples(datum)), isogeny
+        for i in range(datum.nroots):
+            for j in range(datum.nroots):
+                assert chain_length(datum, i, j) == chain_length_by_tuples(datum, i, j)
 
 
 @pytest.mark.parametrize("ctype", ORACLE_TYPES + ["E8"])
