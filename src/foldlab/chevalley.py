@@ -270,7 +270,7 @@ def verify_jacobi(sc: StructureConstants) -> bool:
         for h, x in code_a.items():
             preimage[a] += am + h, x
         for b, k in row.items():
-            x = constants[b] if k >= 0 else sum(c * base**h for h, c in enumerate(coroot))
+            x = constants[b] if k >= 0 else sum(c * base**e for e, c in enumerate(coroot))
             if not x:
                 continue
             if wt[k] != wa + wt[b]:
@@ -284,7 +284,7 @@ def verify_jacobi(sc: StructureConstants) -> bool:
                 for h, c in zip(cartan, coroot):
                     preimage[h] += (am + b, c) if c else ()
         code.append(code_a)
-    code += ({b: r[h] for b, r in enumerate(d.roots) if r[h]} for h in range(rank))
+    code += ({b: r[k] for b, r in enumerate(d.roots) if r[k]} for k in range(rank))
     # step 2, and whether omega is an automorphism
     neg = [d.negative_of(i) for i in range(n)] + list(cartan)
     omega = True
