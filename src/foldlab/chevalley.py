@@ -446,34 +446,20 @@ def check_equivariance(sc: StructureConstants, act: PinnedAction, classes) -> Eq
     where they do not (always +/-1).  ``classes`` are the fold classes of
     the datum under ``act``, as ``equivariant_signs`` returns them."""
     check_action_of(sc.datum, act)
-    special = {i for cls in classes for i in cls.special}
     c_tables = automorphism_constants(sc, act)
-    orbit_of = {i: orb for orb in act.orbits("roots") for i in orb}
     reports = []
     for cls in classes:
-        groups = []
-        sp = set(cls.special)
-        groups.append(tuple(i for i in cls.members if i not in sp))
-        if cls.special:
-            groups.append(tuple(cls.special))
-        for members in groups:
-            if not members:
-                continue
-            rest = set(members)
-            while rest:
-                i = min(rest)
-                orb = set(orbit_of[i])
-                rest -= orb
-                vals = sorted({c[y] for c in c_tables for y in orb})
-                is_special = i in special
-                reports.append(
-                    OrbitReport(
-                        members=tuple(sorted(orb)),
-                        special=is_special,
-                        satisfied=vals == [1],
-                        discrepancies=tuple(vals),
-                    )
+        # a class is one orbit, or its nonspecial orbit then its special one
+        for orb in sorted(cls.orbits, key=lambda o: o == cls.special):
+            vals = sorted({c[y] for c in c_tables for y in orb})
+            reports.append(
+                OrbitReport(
+                    members=orb,
+                    special=orb == cls.special,
+                    satisfied=vals == [1],
+                    discrepancies=tuple(vals),
                 )
+            )
     for r in reports:
         for v in r.discrepancies:
             if v not in (1, -1):

@@ -2,8 +2,9 @@
 
 All decisions reduce to two invariants of the pair (datum, action): the
 torsion of the character-lattice coinvariants, and whether some even-rank
-type A component is moved by its stabilizer.  Each boolean in a report
-carries the textual reason that produced it.
+type A component is moved by its stabilizer.  The second is read off the
+fold classes: such components carry exactly the type II classes.  Each
+boolean in a report carries the textual reason that produced it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .errors import DomainError
 from .intlat import FinAbGroup, coinvariants, is_prime
 from .rootdata import RootDatum
 from .action import PinnedAction, check_action_of
-from .folding import active_even_a_components, equivalence_classes
+from .folding import equivalence_classes
 from .record import FrozenRecord, Record, ValueRecord
 
 
@@ -133,7 +134,8 @@ def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaRepor
     check_action_of(datum, act)
     group = coinvariants(datum.rank, act.generators)
     order = group.torsion_order()
-    active = bool(active_even_a_components(datum, act))
+    classes = equivalence_classes(datum, act)
+    active = any(cls.kind == "II" for cls in classes)
 
     if group.is_torsion_free:
         connected = True
@@ -195,7 +197,7 @@ def decide(datum: RootDatum, act: PinnedAction, base: BaseSpec) -> CriteriaRepor
         torsion=group,
         has_active_even_a=active,
         residual_primes=base.primes,
-        dimension=group.free_rank + 2 * len(equivalence_classes(datum, act)),
+        dimension=group.free_rank + 2 * len(classes),
     )
 
 

@@ -60,26 +60,32 @@ def _vector_sum(vectors):
 
 
 def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass, ...]:
-    """Partition the positive roots and type each class.
+    """Partition the positive roots and type each class in one pass.
 
-    Raises InternalInconsistencyError when a class fits neither the
-    single-orbit sum-free pattern nor the two-orbit special pattern; the
+    A type II class restricts to a triple x, y, x + y on each component it
+    meets, and type II classes occur exactly on the even-rank A components
+    moved by their stabilizer.  Raises InternalInconsistencyError when a
+    class fits neither the single-orbit sum-free pattern nor that two-orbit
+    pattern, or when such a component carries no type II class; the
     classification is re-verified on every input rather than assumed.
     """
     check_action_of(datum, act)
     orbits = act.orbits("positive")
     if not orbits:
         return ()
+    active = set(active_even_a_components(datum, act))
+    comp_of = {i: ci for ci, comp in enumerate(datum.components()) for i in comp}
     sums = {orbit: _vector_sum([datum.roots[i] for i in orbit]) for orbit in orbits}
     buckets: dict[object, list[tuple[int, ...]]] = {}
     for orbit in orbits:
         buckets.setdefault(_direction(sums[orbit]), []).append(orbit)
 
     classes = []
+    carried = set()  # the components that carry a type II class
     for bucket in buckets.values():
         members = tuple(sorted(i for orbit in bucket for i in orbit))
         member_set = set(members)
-        sums_inside = {}
+        sums_inside = set()
         for a in members:
             for b in members:
                 if a < b:
@@ -90,7 +96,7 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
                             raise InternalInconsistencyError(
                                 "sum of two class members is a root outside the class"
                             )
-                        sums_inside.setdefault(idx, []).append((a, b))
+                        sums_inside.add(idx)
         if len(bucket) == 1:
             if sums_inside:
                 raise InternalInconsistencyError(
@@ -104,24 +110,32 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
                 raise InternalInconsistencyError(
                     "special members of a two-orbit class do not form one orbit"
                 )
-            nonspecial = member_set - set(special)
-            if len(nonspecial) != 2 * len(special):
-                raise InternalInconsistencyError(
-                    "two-orbit class lacks the 2:1 nonspecial/special split"
-                )
-            for s, decomps in sums_inside.items():
-                if not any(
-                    a not in special and b not in special for a, b in decomps
-                ):
+            on_component: dict[int, list[int]] = {}
+            for i in members:
+                on_component.setdefault(comp_of[i], []).append(i)
+            for ci, inside in on_component.items():
+                spec = [i for i in inside if i in sums_inside]
+                nonspec = [i for i in inside if i not in sums_inside]
+                if len(spec) != 1 or len(nonspec) != 2:
                     raise InternalInconsistencyError(
-                        "special root is not a sum of two nonspecial members"
+                        "type II class does not restrict to a triple on a component"
                     )
+                if _vector_sum([datum.roots[i] for i in nonspec]) != datum.roots[spec[0]]:
+                    raise InternalInconsistencyError(
+                        "component triple of a type II class is not x, y, x+y"
+                    )
+                if ci not in active:
+                    raise InternalInconsistencyError(
+                        "type II class on a component that is not an even-rank A"
+                        " moved by its stabilizer"
+                    )
+            carried.update(on_component)
             kind = "II"
         else:
             raise InternalInconsistencyError(
                 f"class splits into {len(bucket)} orbits; expected 1 or 2"
             )
-        rep = min(member_set - set(special))
+        rep = min(member_set - sums_inside)
         classes.append(
             FoldClass(
                 members=members,
@@ -132,8 +146,11 @@ def equivalence_classes(datum: RootDatum, act: PinnedAction) -> tuple[FoldClass,
                 orbit_sum=_vector_sum([datum.roots[i] for i in members]),
             )
         )
+    if not active <= carried:
+        raise InternalInconsistencyError(
+            "an even-rank A component moved by its stabilizer carries no type II class"
+        )
     classes.sort(key=lambda c: c.representative)
-    _check_type_two_shape(datum, act, classes)
     return tuple(classes)
 
 
@@ -145,38 +162,6 @@ def active_even_a_components(datum: RootDatum, act: PinnedAction) -> tuple[int, 
         for ci, (fam, rank) in enumerate(datum.component_types())
         if fam == "A" and rank % 2 == 0 and act.stabilizer_moves_component(ci)
     )
-
-
-def _check_type_two_shape(datum, act, classes):
-    """Cross-check: type II classes occur exactly on even-rank A components
-    whose stabilizer acts nontrivially, in per-component triples x, y, x+y."""
-    type_two = [cls for cls in classes if cls.kind == "II"]
-    if not type_two:
-        return
-    active = active_even_a_components(datum, act)
-    comp_of = {}
-    for ci, comp in enumerate(datum.components()):
-        for i in comp:
-            comp_of[i] = ci
-    for cls in type_two:
-        touched = sorted({comp_of[i] for i in cls.members})
-        for ci in touched:
-            inside = [i for i in cls.members if comp_of[i] == ci]
-            spec = [i for i in inside if i in cls.special]
-            nonspec = [i for i in inside if i not in cls.special]
-            if len(spec) != 1 or len(nonspec) != 2:
-                raise InternalInconsistencyError(
-                    "type II class does not restrict to a triple on a component"
-                )
-            if _vector_sum([datum.roots[i] for i in nonspec]) != datum.roots[spec[0]]:
-                raise InternalInconsistencyError(
-                    "component triple of a type II class is not x, y, x+y"
-                )
-            if ci not in active:
-                raise InternalInconsistencyError(
-                    "type II class on a component that is not an even-rank A"
-                    " moved by its stabilizer"
-                )
 
 
 class FoldedDatum(Record):
@@ -213,10 +198,6 @@ def _fold_pass(datum: RootDatum, act: PinnedAction):
                     "nonspecial members of a class have unequal images"
                 )
         for i in cls.special:
-            if lattice.free_image(datum.roots[i]) != tuple(2 * x for x in img):
-                raise InternalInconsistencyError(
-                    "special member image is not twice the nonspecial image"
-                )
             if not lattice.same_image(
                 datum.roots[i], tuple(2 * x for x in datum.roots[cls.representative])
             ):

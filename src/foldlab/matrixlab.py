@@ -334,9 +334,8 @@ def _rank_mod_p(rows, p: int) -> int:
 
 def tangent_dim(n: int, p: int) -> int:
     """Dimension over F_p of trace-zero matrices X with X = -J X^T J."""
-    pp, e = prime_power(p)
-    if e != 1:
-        raise DomainError("characteristic must be a prime")
+    if not is_prime(p):
+        raise DomainError(f"characteristic must be a prime, got {p}")
     m = 2 * n + 1
     j = involution_form(n)
     s = [j[i][m - 1 - i] for i in range(m)]

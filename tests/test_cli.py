@@ -346,6 +346,13 @@ def test_count_bad_field_size_exit_2(tmp_path, capsys, q):
     assert "prime power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["6", "0"])
+def test_tangent_bad_characteristic_exit_2(tmp_path, capsys, p):
+    cfg = write(tmp_path, "[datum]\npreset = A2-sc-flip\n")
+    assert cli.main(["run", cfg, "--analysis", "tangent", "--p", p]) == 2
+    assert f"characteristic must be a prime, got {p}" in capsys.readouterr().err
+
+
 MERSENNE_61 = 2**61 - 1
 
 

@@ -2,17 +2,17 @@
 
 import pytest
 
-from foldlab import rootdata
+from foldlab import folding, rootdata
 from foldlab.criteria import (
     BaseSpec,
-    active_even_a_components,
     decide,
     fiber_report,
 )
 from foldlab.errors import DomainError
+from foldlab.folding import active_even_a_components, equivalence_classes
 from foldlab.intlat import FinAbGroup
 from foldlab.presets import load_preset, preset_names, type_a_flip
-from foldlab.action import PinnedAction, trivial_action
+from foldlab.action import PinnedAction, permutation_matrix, trivial_action
 
 
 def test_base_spec_validation():
@@ -140,6 +140,78 @@ def test_component_types_are_recognized_once_per_datum(monkeypatch):
     # a datum given by its roots is recognized while it is validated, by
     # the walk from its base, and not again on use
     assert len(calls) == 3
+
+
+def _product(ctype, isogeny, *images):
+    """The datum of ctype with the diagram automorphisms that send simple
+    root j to simple root images[j]."""
+    datum = rootdata.build_preset(ctype, isogeny)
+    return datum, PinnedAction(datum, [permutation_matrix(img, datum.rank) for img in images])
+
+
+# (type, generators, #type II classes, active components, dimension): data
+# whose type II classes span components, and one whose stabilizers are trivial
+PRODUCTS = {
+    "A2+A2-swap-flips": (
+        "A2+A2", [{0: 2, 1: 3, 2: 0, 3: 1}, {0: 1, 1: 0, 2: 3, 3: 2}], 1, (0, 1), 3
+    ),
+    "A2+A4-flips": (
+        "A2+A4", [{0: 1, 1: 0, 2: 2, 3: 3, 4: 4, 5: 5}, {0: 0, 1: 1, 2: 5, 3: 4, 4: 3, 5: 2}],
+        3, (0, 1), 13,
+    ),
+    "A4+A4-swap-flips": (
+        "A4+A4",
+        [{j: (j + 4) % 8 for j in range(8)}, {j: 3 - j if j < 4 else 11 - j for j in range(8)}],
+        2, (0, 1), 10,
+    ),
+    "A2+A2+A2-cycle-flips": (
+        "A2+A2+A2",
+        [{j: (j + 2) % 6 for j in range(6)}, {j: j ^ 1 for j in range(6)}],
+        1, (0, 1, 2), 3,
+    ),
+    "A2+A2-swap-flip": ("A2+A2", [{0: 3, 1: 2, 2: 1, 3: 0}], 0, (), 8),
+}
+
+
+@pytest.mark.parametrize(
+    "name,isogeny",
+    [
+        (name, isogeny)
+        for name in [*preset_names(), *PRODUCTS]
+        for isogeny in ("sc", "adjoint")
+        if (name, isogeny) != ("A1-torus-inversion", "adjoint")  # a torus has one datum
+    ],
+)
+def test_even_a_flag_read_off_the_classes(name, isogeny):
+    if name in PRODUCTS:
+        ctype, images, type_two, active, dimension = PRODUCTS[name]
+        datum, act = _product(ctype, isogeny, *images)
+    else:
+        pre = load_preset(name)
+        datum, act = pre.datum, pre.action
+        if isogeny == "adjoint":
+            base = datum.basis_indices
+            images = [{j: base.index(g[r]) for j, r in enumerate(base)} for g in act.generator_perms]
+            datum, act = _product(rootdata.cartan_type_of(datum), isogeny, *images)
+    rep = decide(datum, act, BaseSpec.all_primes())
+    assert rep.has_active_even_a == bool(active_even_a_components(datum, act))
+    if name in PRODUCTS:
+        classes = equivalence_classes(datum, act)
+        assert sum(cls.kind == "II" for cls in classes) == type_two
+        assert active_even_a_components(datum, act) == active
+        assert rep.dimension == dimension
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_decide_tests_the_components_once(monkeypatch, rank):
+    # one A_rank component: one component test is one stabilizer question
+    calls, asked = [], []
+    test, moves = folding.active_even_a_components, PinnedAction.stabilizer_moves_component
+    monkeypatch.setattr(folding, "active_even_a_components", lambda d, a: calls.append(d) or test(d, a))
+    monkeypatch.setattr(PinnedAction, "stabilizer_moves_component", lambda a, c: asked.append(c) or moves(a, c))
+    datum, act = type_a_flip(rank)
+    assert decide(datum, act, BaseSpec.all_primes()).has_active_even_a
+    assert len(calls) == len(asked) == 1
 
 
 def test_fiber_report_a2_flip():

@@ -92,7 +92,17 @@ def test_type_two_check_reads_the_active_components(monkeypatch):
         equivalence_classes(datum, act)
     monkeypatch.undo()
     assert equivalence_classes(datum, act)
-    assert criteria.active_even_a_components is folding.active_even_a_components
+    # decide takes its even-A flag from the class pass, not from a test of its own
+    monkeypatch.setattr("foldlab.criteria.equivalence_classes", lambda d, a: ())
+    assert not criteria.decide(datum, act, criteria.BaseSpec.all_primes()).has_active_even_a
+
+
+def test_every_active_component_carries_a_type_two_class(monkeypatch):
+    pre = load_preset("A2+A2-sc-swap")
+    assert all(cls.kind == "I" for cls in equivalence_classes(pre.datum, pre.action))
+    monkeypatch.setattr("foldlab.folding.active_even_a_components", lambda d, a: (0,))
+    with pytest.raises(InternalInconsistencyError, match="carries no type II class$"):
+        equivalence_classes(pre.datum, pre.action)
 
 
 def test_a3_flip_classes_exact():

@@ -454,8 +454,8 @@ def test_tangent_dim(n, p, dim):
 
 
 def test_tangent_dim_requires_prime():
-    for bad in (1, 4, 6):
-        with pytest.raises(DomainError):
+    for bad in (0, 1, 4, 6):
+        with pytest.raises(DomainError, match=f"^characteristic must be a prime, got {bad}$"):
             tangent_dim(1, bad)
 
 
