@@ -16,8 +16,11 @@ assumed.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import gcd
+from operator import mul
+
 from .errors import DomainError, InternalInconsistencyError
-from .intlat import _nonzero
 from .rootdata import RootDatum
 from .action import PinnedAction, check_action_of
 from .folding import equivalence_classes
@@ -38,29 +41,29 @@ def _chain_length(sums, neg_i: int, j: int) -> int:
 
 
 def _squared_lengths(datum: RootDatum) -> tuple[int, ...]:
-    """W-invariant squared lengths as the integer form L(c) = sum_ij c_i c_j
-    d_i cartan[i][j], with d = 6 on the first simple root of each component;
-    6 clears every ratio 2^+-1 and 3^+-1 of a Dynkin bond, and only
-    within-component ratios are ever used."""
-    k = len(datum.basis_indices)
+    """W-invariant squared lengths L(c) = 2 d(c), with d = 6 on the first
+    simple root of each component and d_b = d_a cartan[a][b] / cartan[b][a]
+    along each bond; 6 clears every ratio 2^+-1 and 3^+-1 of a Dynkin bond,
+    and only within-component ratios are ever used.  A component whose
+    simple roots all have d = 6 has one length.  Otherwise the coroot of
+    c = sum c_i alpha_i is sum (c_i d_i / d(c)) alpha_i^vee, primitive in
+    the coroot lattice like every coroot, so d(c) = gcd_i c_i d_i."""
     cartan = datum.base_cartan()
-    d = [None] * k
-    for start in range(k):
-        if d[start] is not None:
-            continue
-        d[start] = 6
-        stack = [start]
+    position = {g: p for p, g in enumerate(datum.basis_indices)}
+    out = [0] * datum.nroots
+    for comp in datum.components():
+        simple = sorted(position[i] for i in comp if i in position)
+        d, stack = {simple[0]: 6}, [simple[0]]
         while stack:
             a = stack.pop()
-            for b in range(k):
-                if a != b and cartan[a][b] and d[b] is None:
+            for b in simple:
+                if cartan[a][b] and b not in d:
                     d[b] = d[a] * cartan[a][b] // cartan[b][a]
                     stack.append(b)
-    form = [_nonzero([x * a for a in row]) for x, row in zip(d, cartan)]
-    out = []
-    for idx in range(datum.nroots):
-        c = datum.simple_coordinates(idx)
-        out.append(sum(c[i] * sum(c[j] * f for j, f in form[i]) for i in range(k) if c[i]))
+        simply_laced = set(d.values()) == {6}
+        for i in comp:
+            c = datum.simple_coordinates(i)
+            out[i] = 12 if simply_laced else 2 * gcd(*(c[p] * x for p, x in d.items()))
     return tuple(out)
 
 
@@ -173,48 +176,40 @@ def base_constants(datum: RootDatum) -> StructureConstants:
     )
 
 
-def _bracket(d: RootDatum, sums, table, a: int, b: int) -> tuple:
-    """The (index, coefficient) pairs with nonzero coefficient of the
-    bracket of basis keys a and b, the keys being the roots and then the
-    Cartan keys n + k; read off the root sums, the rows of constants and
-    the coroots: [h_k, X_b] = b_k X_b, [X_a, X_-a] = the coroot of a in the
-    Cartan keys, and [X_a, X_b] = N(a, b) X_(a+b) when a + b is a root."""
-    n = len(d.roots)
-    if a >= n:
-        x = d.roots[b][a - n] if b < n else 0
-        return ((b, x),) if x else ()
-    if b >= n:
-        x = d.roots[a][b - n]
-        return ((a, -x),) if x else ()
-    s = sums[a].get(b)
-    if s is None:
-        return ()
-    if s < 0:
-        return tuple((n + k, x) for k, x in enumerate(d.coroots[a]) if x)
-    x = table[a][b]
-    return ((s, x),) if x else ()
-
-
-def _derivation_failure(s: int, code, preimage, d: RootDatum, sums, table):
-    """Step 4 of ``verify_jacobi`` for the generator s: a pair (y, z) with
-    J(s, y, z) != 0, or None.  J(s, y, z) = T(y, z) - T(z, y) - sum x code[s][i]
-    over the terms (i, x) of [y, z], with T(y, z) = [[s, y], z] and
-    code[i][s] = -code[s][i] by step 2, summed over y < z keyed y m + z."""
-    m = len(code)
+def _derivation_failure(s: int, d: RootDatum, table, cocode, cartan_rows, preimage):
+    """Step 4 of ``verify_jacobi`` for the root vector s: a pair of roots
+    (y, z) with J(s, y, z) != 0, or None.  J(s, y, z) = T(y, z) - T(z, y)
+    - sum x w over the terms (i, x) of [X_y, X_z] and (i, w) of [X_s, X_i],
+    with T(y, z) = [[X_s, X_y], X_z], summed over y < z keyed y n + z; T
+    reads [[X_s, X_-s], X_z] = <z, s^vee> X_z off the Cartan rows."""
+    sums = d.root_sums()
+    n, constants, minus_s = len(sums), table[s], d.negative_of(s)
     total = {}
-    for y in code[s]:
-        ym = y * m
-        for i, x in _bracket(d, sums, table, s, y):
-            for z, v in code[i].items():
-                if y < z:
-                    total[ym + z] = total.get(ym + z, 0) + x * v
-                elif z < y:
-                    total[z * m + y] = total.get(z * m + y, 0) - x * v
-    for i, w in code[s].items():
+    get = total.get
+
+    def spread(y, x, items):  # x v to T(y, z) - T(z, y) for each (z, v)
+        yn = y * n
+        for z, v in items:
+            if y < z:
+                total[yn + z] = get(yn + z, 0) + x * v
+            elif z < y:
+                total[z * n + y] = get(z * n + y, 0) - x * v
+
+    for y, x in constants.items():
+        k = sums[s][y]
+        spread(y, x, table[k].items())
+        spread(y, x, ((d.negative_of(k), cocode[k]),))
+    for c, row in zip(d.coroots[s], cartan_rows):
+        if c:
+            spread(minus_s, c, row.items())
+    cartan = ((h, -r) for h, r in enumerate(d.roots[s], n) if r)  # [X_s, h] = -r X_s
+    for i, w in (*constants.items(), (minus_s, cocode[s]), *cartan):
         flat = iter(preimage[i])
         for key, x in zip(flat, flat):
-            total[key] = total.get(key, 0) - x * w
-    return next((divmod(key, m) for key, v in total.items() if v), None)
+            total[key] = get(key, 0) - x * w
+    if any(total.values()):
+        return next(divmod(key, n) for key, v in total.items() if v)
+    return None
 
 
 def verify_jacobi(sc: StructureConstants) -> bool:
@@ -223,26 +218,32 @@ def verify_jacobi(sc: StructureConstants) -> bool:
     Once the bracket is alternating, the identity says that every ad x is
     a derivation, and those x form a subalgebra: ad [x, y] = [ad x, ad y]
     when ad x is a derivation, and a commutator of derivations is one (cf.
-    Carter, Simple Groups of Lie Type, 4.1).  One pass over each root's
-    root sums and constants codes [a, b] as code[a][b] = sum x P_i over its
-    terms (i, x) and files each term of [y, z], y < z, as y m + z, x in the
-    flat list preimage[i]; step 4 reads [s, y] through ``_bracket``.  This
-    checks in turn:
+    Carter, Simple Groups of Lie Type, 4.1).  Every bracket is read in
+    place: [X_a, X_b] = N(a, b) X_(a+b) off the rows of constants and of
+    ``root_sums()``, [X_a, X_-a] = the coroot of a, and [h_k, X_b] = b_k X_b
+    off the Cartan row b -> b_k.  One pass over the rows checks steps 1
+    and 2 entry by entry and files each term (i, x) of [X_y, X_z], y < z,
+    as y n + z and then x in the flat list preimage[i].  This checks in
+    turn:
 
-    1. ad h is a derivation for each Cartan key h: each term of [y, z]
-       has weight wt(y) + wt(z), the root code of a root vector or 0;
-    2. code[b][a] = -code[a][b] for all a, b: the bracket is alternating;
+    1. ad h is a derivation for each Cartan key h: each term of [X_y, X_z]
+       has weight wt(y) + wt(z), the root code of a root vector (on pairs
+       with a Cartan key, and on y = -z, this holds by construction);
+    2. [X_b, X_a] = -[X_a, X_b] for all roots a, b: the bracket is
+       alternating ([X_b, h] = -[h, X_b] and [h, h'] = 0 by construction);
     3. the simple root vectors, their negatives and any root vector they
        do not reach by one-term brackets generate the algebra;
     4. ad s is a derivation for each generator s: J(s, y, z) =
-       [[s, y], z] + [[y, z], s] + [[z, s], y] vanishes on each pair where
-       a term can be nonzero.  The Chevalley involution omega: X_a ->
-       -X_(-a), h -> -h is an automorphism of every Chevalley basis
-       (Humphreys, Introduction to Lie Algebras and Representation Theory,
-       14.3; Carter, 4.2), and then J(omega s, omega y, omega z) =
-       omega J(s, y, z).  So when step 2 finds code[-y][-z] = -code[y][z]
-       throughout (N(-a, -b) = -N(a, b) and coroot(-a) = -coroot(a)), only
-       the positive simple root vectors and one of +-r for each root r not
+       [[s, y], z] + [[y, z], s] + [[z, s], y] vanishes on each pair of
+       root vectors where a term can be nonzero.  Pairs with a Cartan key h
+       need no check: by step 2, J is alternating, so J(s, h, z) =
+       -J(h, s, z), which step 1 shows to vanish.  The Chevalley involution
+       omega: X_a -> -X_(-a), h -> -h is an automorphism of every Chevalley
+       basis (Humphreys, Introduction to Lie Algebras and Representation
+       Theory, 14.3; Carter, 4.2), and then J(omega s, omega y, omega z) =
+       omega J(s, y, z).  So when step 2 finds N(-a, -b) = -N(a, b)
+       throughout (coroot(-a) = -coroot(a) is part of step 2), only the
+       positive simple root vectors and one of +-r for each root r not
        reached are checked, and otherwise every generator of step 3.
 
     By step 1 the terms of a bracket, and of J, lie on one root vector or
@@ -254,63 +255,57 @@ def verify_jacobi(sc: StructureConstants) -> bool:
     """
     d = sc.datum
     n, rank = d.nroots, d.rank
-    m = n + rank
-    keys = [("r", i) for i in range(n)] + [("h", k) for k in range(rank)]
-    sums, table = d.root_sums(), sc.table
-    coefficients = (*d.roots, *d.coroots, *(row.values() for row in table))
-    largest = max([0] + [max(map(abs, v), default=0) for v in coefficients])
-    largest_sum = max([largest] + [sum(map(abs, c)) for c in d.coroots])
-    base = 6 * largest_sum * largest + 1
-    wt = (*d.root_codes(), 0)  # wt[-1] = 0 weighs the zero sum in a root-sum row
-    cartan = range(n, m)
-    code, preimage = [], [[] for _ in keys]
-    for a, (root, coroot, row) in enumerate(zip(d.roots, d.coroots, sums)):
-        constants, am, wa = table[a], a * m, wt[a]
-        code_a = {h: -x for h, x in zip(cartan, root) if x}
-        for h, x in code_a.items():
-            preimage[a] += am + h, x
-        for b, k in row.items():
-            x = constants[b] if k >= 0 else sum(c * base**e for e, c in enumerate(coroot))
+    sums, table, coroots = d.root_sums(), sc.table, d.coroots
+    largest = max(map(abs, chain(*d.roots, *coroots, *map(dict.values, table))), default=0)
+    largest_sum = max([largest] + [sum(map(abs, c)) for c in coroots])
+    powers = [(6 * largest_sum * largest + 1) ** e for e in range(rank)]
+    cocode = [sum(map(mul, c, powers)) for c in coroots]
+    wt = (*d.root_codes(), 0)  # wt[-1] = 0 weighs a zero sum
+    neg = [d.negative_of(i) for i in range(n)]
+    # steps 1 and 2, whether omega is an automorphism, and the preimages
+    preimage = [[] for _ in range(n + rank)]
+    omega = True
+    for a, (row, constants) in enumerate(zip(sums, table)):
+        an, wa, minus_a = a * n, wt[a], neg[a]
+        if cocode[minus_a] != -cocode[a]:
+            raise InternalInconsistencyError(
+                f"bracket is not alternating on {('r', a)}, {('r', minus_a)}"
+            )
+        if a < minus_a:
+            for h, c in enumerate(coroots[a], n):
+                preimage[h] += (an + minus_a, c) if c else ()
+        row_omega = table[minus_a]
+        for b, x in constants.items():
             if not x:
                 continue
-            if wt[k] != wa + wt[b]:
+            if wt[k := row[b]] != wa + wt[b]:
                 raise InternalInconsistencyError(
-                    f"bracket of {keys[a]} and {keys[b]} is not of their weight"
+                    f"bracket of {('r', a)} and {('r', b)} is not of their weight"
                 )
-            code_a[b] = x
-            if a < b and k >= 0:
-                preimage[k] += am + b, x
-            elif a < b:
-                for h, c in zip(cartan, coroot):
-                    preimage[h] += (am + b, c) if c else ()
-        code.append(code_a)
-    code += ({b: r[k] for b, r in enumerate(d.roots) if r[k]} for k in range(rank))
-    # step 2, and whether omega is an automorphism
-    neg = [d.negative_of(i) for i in range(n)] + list(cartan)
-    omega = True
-    for y, row in enumerate(code):
-        row_omega = code[neg[y]]
-        for z, v in row.items():
-            if code[z].get(y, 0) != -v:
+            if table[b].get(a, 0) != -x:
                 raise InternalInconsistencyError(
-                    f"bracket is not alternating on {keys[y]}, {keys[z]}"
+                    f"bracket is not alternating on {('r', a)}, {('r', b)}"
                 )
-            if row_omega.get(neg[z]) != -v:
+            if row_omega.get(neg[b]) != -x:
                 omega = False
-    simple = list(d.basis_indices) + [d.negative_of(i) for i in d.basis_indices]
+            if a < b:
+                preimage[k] += an + b, x
+    simple = dict.fromkeys([*d.basis_indices, *(neg[i] for i in d.basis_indices)])
     reached, queue = set(simple), list(simple)
     for t in queue:  # the queue grows while it is read
-        for s in simple:
-            if (k := sums[s].get(t, -1)) >= 0 and table[s][t] and k not in reached:
+        row = sums[t]
+        for s in row.keys() & simple.keys():  # s + t is a root exactly when t + s is
+            if (k := row[s]) >= 0 and table[s][t] and k not in reached:
                 reached.add(k)
                 queue.append(k)
     if omega:
         gens = list(d.basis_indices) + [i for i in range(n) if i not in reached and i < neg[i]]
     else:
-        gens = simple + [i for i in range(n) if i not in reached]
+        gens = [*simple, *(i for i in range(n) if i not in reached)]
+    cartan_rows = [{b: r[k] for b, r in enumerate(d.roots) if r[k]} for k in range(rank)]
     for s in gens:
-        if pair := _derivation_failure(s, code, preimage, d, sums, table):
-            a, b, c = (keys[k] for k in sorted((s, *pair)))
+        if pair := _derivation_failure(s, d, table, cocode, cartan_rows, preimage):
+            a, b, c = (("r", k) for k in sorted((s, *pair)))
             raise InternalInconsistencyError(f"Jacobi identity fails on {a}, {b}, {c}")
     return True
 
@@ -355,12 +350,15 @@ def automorphism_constants(sc: StructureConstants, act: PinnedAction) -> list[di
 
     Consistency across every special decomposition is asserted; failure
     would mean the element does not extend to a Lie algebra automorphism.
+    The identity has c = +1 throughout, where no decomposition can disagree.
     """
     check_action_of(sc.datum, act)
+    identity = tuple(range(sc.datum.nroots))
     out = []
     for perm in act.element_permutations():
-        c: dict[int, int] = dict.fromkeys(sc.datum.basis_indices, 1)
-        for gamma in sc.xs_pair:  # the nonsimple positive roots, in order
+        c: dict[int, int] = dict.fromkeys((*sc.datum.basis_indices, *sc.xs_pair), 1)
+        walk = sc.xs_pair if perm != identity else ()  # the identity keeps +1
+        for gamma in walk:  # the nonsimple positive roots, in order
             values = set()
             for a, b in sc.special[gamma]:
                 num = sc.table[perm[a]][perm[b]]
