@@ -312,27 +312,23 @@ def verify_jacobi(sc: StructureConstants) -> bool:
 
 def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
     """System obtained by X_beta -> eps(beta) X_beta (same sign on -beta).
-    An entry N(i, j) changes only when a root among i, j and i + j flips,
-    and only the rows holding such an entry are copied; the others are
-    shared with ``sc``."""
+    An entry N(i, j) changes only when a root among i, j and i + j flips.
+    Each row holding such an entry is built as one signed copy; the others
+    are shared with ``sc``, so with no root flipped no entry is read."""
     d = sc.datum
-    full = {}
+    sign = [1] * d.nroots
     for i in sc.eps:
         e = eps.get(i, 1)
         if e not in (1, -1):
             raise DomainError("signs must be +1 or -1")
-        full[i] = e
-        full[d.negative_of(i)] = e
-    sums = d.root_sums()
+        sign[i] = sign[d.negative_of(i)] = e
+    flipped = {i for i, e in enumerate(sign) if e == -1}
     new_table = list(sc.table)
-    for f in (f for f, e in full.items() if e == -1):
-        # f + a = k gives the entries (f, a), (a, f), (k, -a), (-a, k)
-        for a, k in sums[f].items():
-            if k >= 0:
-                for i, j in ((f, a), (a, f), (k, d.negative_of(a)), (d.negative_of(a), k)):
-                    if new_table[i] is sc.table[i]:
-                        new_table[i] = dict(sc.table[i])
-                    new_table[i][j] = full[i] * full[j] * full[sums[i][j]] * sc.table[i][j]
+    if flipped:
+        for i, (row, sums) in enumerate(zip(sc.table, d.root_sums())):
+            if i in flipped or not (flipped.isdisjoint(row) and flipped.isdisjoint(sums.values())):
+                e = sign[i]
+                new_table[i] = {j: e * sign[j] * sign[sums[j]] * n for j, n in row.items()}
     new_eps = {i: sc.eps[i] * eps.get(i, 1) for i in sc.eps}
     return StructureConstants(
         datum=d,

@@ -115,35 +115,35 @@ def sl_order(m: int, q: int) -> int:
     return order
 
 
-def _reduce_columns(F: GF, pivots: list, rows_used: int, det: int, columns):
-    """The next column of a determinant carried column by column, for each
-    column of ``columns`` in turn.
+def _expansion_plan(F: GF, m: int) -> list:
+    """Laplace expansion along the newest column, at each depth k < m - 1.
 
-    ``pivots`` holds a (pivot row, reduced column, -1 / pivot) entry for
-    each column before; each reduced column is zero in the pivot rows of
-    the columns before it.  ``rows_used`` has the pivot rows as bits, and
-    ``det`` is the product of the pivots times the sign of the permutation
-    their rows form.  Reduce each column c against the entries and yield
-    ``det`` with c added and c's entry, or None when c reduces to zero,
-    i.e. depends on the columns before it.
+    At depth k the minors of columns 0..k-1 on the k-sets of rows are
+    listed in ``itertools.combinations`` order (at depth 0, the empty
+    minor 1).  The minor of columns 0..k on a (k+1)-set T is column k's
+    dot product with the vector holding, in each row t of T, +-1 times the
+    minor on T without t.  plan[k] lists, per T in order, one (place, i)
+    per row t of T: i indexes the minor on T without t, and place[x] codes
+    the vector holding the signed x in row t, so the places sum to the
+    vector's code.  plan[m - 2] lists instead, per row t, the cofactor of t
+    in the last column: det g is the last column's dot product with them.
     """
-    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
-    for u in columns:
-        for r, e, scale in pivots:
-            f = u[r]
-            if f:
-                times = mul[mul[f][scale]]
-                u = [add[x][times[y]] for x, y in zip(u, e)]
-        for r, pivot in enumerate(u):
-            if pivot:
-                break
-        else:
-            yield None
-            continue
-        d = mul[det][pivot]
-        if (rows_used >> r).bit_count() % 2:  # earlier pivot rows past r are inversions
-            d = neg[d]
-        yield d, (r, u, neg[inv[pivot]])
+    q = F.q
+    weights = [q ** (m - 1 - t) for t in range(m)]
+    places = [([x * w for x in range(q)], [x * w for x in F._neg]) for w in weights]
+    plan = []
+    for k in range(m - 1):
+        index = {rows: i for i, rows in enumerate(itertools.combinations(range(m), k))}
+        if k < m - 2:
+            sets = [(rows, 0) for rows in itertools.combinations(range(m), k + 1)]
+        else:  # the cofactor of t is (-1)^(t + m - 1) times the minor off t
+            sets = [(tuple(r for r in range(m) if r != t), t + m - 1) for t in range(m)]
+        plan.append([
+            [(places[t][(p + k + sign) % 2], index[rows[:p] + rows[p + 1 :]])
+             for p, t in enumerate(rows)]
+            for rows, sign in sets
+        ])
+    return plan
 
 
 def _pairing_tables(F: GF, m: int):
@@ -177,14 +177,15 @@ def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
     starting from the vectors whose norm is J[d][d]; once column c is
     chosen at depth k, every later list keeps only the vectors v with
     v . (J c) = J[k][d], and a choice that empties a later list is dropped.
-    Each candidate list is reduced against the columns above it by one
-    call of ``_reduce_columns``; a column that reduces to zero depends on
-    them and is dropped, since no matrix below it is invertible.  A full
-    choice of columns is kept when its determinant, the product of its
-    pivots times the sign of the permutation its pivot rows form, is one;
-    the last column is counted in the loop over the one before it.  The
-    field arithmetic reads the tables of ``GF``.  The ambient group order
-    is capped to keep the search finite in practice.
+    The minors of the chosen columns on every set of rows are carried
+    down: per node, ``_expansion_plan`` codes each minor of the next column
+    as a vector, so each is one dot product, and a column whose minors all
+    vanish depends on the columns above and is dropped.  At depth m - 2 the
+    codes give the cofactors of the last column, and the last list is
+    counted in one pass that keeps v when v . (J c) = J[m-2][m-1] and
+    det g = v . cofactors = 1.  The field arithmetic reads the tables of
+    ``GF``.  The ambient group order is capped to keep the search finite in
+    practice.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -206,9 +207,8 @@ def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
     add = F._add
     head, tail = _pairing_tables(F, m)
     split = q ** (m // 2)
-    vectors = list(itertools.product(range(q), repeat=m))
-    head_of = [v // split for v in range(len(vectors))]
-    tail_of = [v % split for v in range(len(vectors))]
+    head_of = [v // split for v in range(q**m)]
+    tail_of = [v % split for v in range(q**m)]
     jf = form_over(F, involution_form(n))
     j_rows = []
     for row in jf:
@@ -224,19 +224,29 @@ def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
             jv = jv * q + add[h_row[a]][t_row[b]]
         j_code.append(jv)
         by_norm.setdefault(add[head[head_of[jv]][a]][tail[tail_of[jv]][b]], []).append(v)
-    coords = vectors.__getitem__
+    plan = _expansion_plan(F, m)
     count = 0
-    pivots: list = []
 
-    def descend(depth: int, lists: list, det: int, rows_used: int):
-        # lists[i] holds the candidates left for depth + i
+    def descend(depth: int, lists: list, minors: list):
+        # lists[i] holds the candidates left for depth + i, minors those of the columns above
         nonlocal count
-        steps = _reduce_columns(F, pivots, rows_used, det, map(coords, lists[0]))
-        for c, step in zip(lists[0], steps):
-            if step is None:
-                continue
+        codes = [sum([place[minors[i]] for place, i in row]) for row in plan[depth]]
+        forms = [(head[code // split], tail[code % split]) for code in codes]
+        for c in lists[0]:
+            a, b = head_of[c], tail_of[c]
             jc = j_code[c]
             h_row, t_row = head[head_of[jc]], tail[tail_of[jc]]
+            if depth == m - 2:
+                code = 0
+                for h, t in forms:
+                    code = code * q + add[h[a]][t[b]]
+                w_head, w_tail = head[code // split], tail[code % split]
+                target = jf[depth][m - 1]
+                for v in lists[1]:
+                    x, y = head_of[v], tail_of[v]
+                    if add[h_row[x]][t_row[y]] == target and add[w_head[x]][w_tail[y]] == 1:
+                        count += 1
+                continue
             below = []
             for target, later in zip(jf[depth][depth + 1 :], lists[1:]):
                 kept = [v for v in later if add[h_row[head_of[v]]][t_row[tail_of[v]]] == target]
@@ -244,18 +254,11 @@ def count_fixed(n: int, q: int, order_limit: int = GROUP_ORDER_LIMIT) -> int:
                     break
                 below.append(kept)
             else:
-                d, entry = step
-                pivots.append(entry)
-                used = rows_used | 1 << entry[0]
-                if depth == m - 2:
-                    for last in _reduce_columns(F, pivots, used, d, map(coords, below[0])):
-                        if last and last[0] == 1:
-                            count += 1
-                else:
-                    descend(depth + 1, below, d, used)
-                pivots.pop()
+                carried = [add[h[a]][t[b]] for h, t in forms]
+                if any(carried):  # else c depends on the columns above
+                    descend(depth + 1, below, carried)
 
-    descend(0, [by_norm.get(jf[d][d], []) for d in range(m)], 1, 0)
+    descend(0, [by_norm.get(jf[d][d], []) for d in range(m)], [1])
     return count
 
 
