@@ -311,14 +311,16 @@ def verify_jacobi(sc: StructureConstants) -> bool:
 
 
 def rescale(sc: StructureConstants, eps: dict[int, int]) -> StructureConstants:
-    """System obtained by X_beta -> eps(beta) X_beta (same sign on -beta).
-    An entry N(i, j) changes only when a root among i, j and i + j flips.
-    Each row holding such an entry is built as one signed copy; the others
-    are shared with ``sc``, so with no root flipped no entry is read."""
+    """System obtained by X_beta -> eps(beta) X_beta (same sign on -beta),
+    eps keyed by positive roots.  An entry N(i, j) changes only when a root
+    among i, j and i + j flips.  Each row holding such an entry is built as
+    one signed copy; the others are shared with ``sc``, so with no root
+    flipped no entry is read."""
     d = sc.datum
     sign = [1] * d.nroots
-    for i in sc.eps:
-        e = eps.get(i, 1)
+    for i, e in eps.items():
+        if i not in sc.eps:
+            raise DomainError(f"rescale signs are keyed by positive roots; {i!r} is not one")
         if e not in (1, -1):
             raise DomainError("signs must be +1 or -1")
         sign[i] = sign[d.negative_of(i)] = e

@@ -31,8 +31,6 @@ from .chevalley import (
 from .matrixlab import GROUP_ORDER_LIMIT, tangent_dim, verify_fixed_count
 from .presets import load_preset, preset_notes
 
-ANALYSES = ("fold", "criteria", "chevalley", "count", "tangent")
-
 # section -> the keys it may hold
 CONFIG_KEYS = {
     "datum": ("preset", "type", "rank", "isogeny"),
@@ -297,6 +295,8 @@ def _build_base(config) -> BaseSpec:
 
 
 def _run_settings(config, args):
+    """The settings of a run: its analyses, q, p and both limits; the base
+    is set once the datum is built."""
     run_cfg = config.get("run", {})
     if args.analysis:
         analyses = list(args.analysis)
@@ -311,7 +311,7 @@ def _run_settings(config, args):
             expanded.append(a)
         else:
             raise ConfigError(
-                f"unknown analysis {a!r}; choose from {', '.join(ANALYSES + ('all',))}"
+                f"unknown analysis {a!r}; choose from {', '.join([*ANALYSES, 'all'])}"
             )
     analyses = list(dict.fromkeys(expanded))
 
@@ -321,9 +321,14 @@ def _run_settings(config, args):
     p = args.p
     if p is None and "p" in run_cfg:
         p = _parse_int("run", "p", run_cfg["p"])
-    weyl_limit = WEYL_LIMIT_DEFAULT if args.limit_weyl is None else args.limit_weyl
-    enum_limit = GROUP_ORDER_LIMIT if args.limit_enum is None else args.limit_enum
-    return analyses, q, p, weyl_limit, enum_limit
+    return SimpleNamespace(
+        analyses=analyses,
+        q=q,
+        p=p,
+        weyl_limit=WEYL_LIMIT_DEFAULT if args.limit_weyl is None else args.limit_weyl,
+        enum_limit=GROUP_ORDER_LIMIT if args.limit_enum is None else args.limit_enum,
+        base=None,
+    )
 
 
 def _flip_rank(datum, act) -> int:
@@ -343,8 +348,8 @@ def _flip_rank(datum, act) -> int:
     )
 
 
-def _analysis_fold(datum, act, weyl_limit):
-    fw = fixed_weyl(datum, act, limit=weyl_limit)
+def _analysis_fold(datum, act, run):
+    fw = fixed_weyl(datum, act, limit=run.weyl_limit)
     r1 = fw.variants["R1"]
     out = {
         "class_count": len(r1.classes),
@@ -374,15 +379,15 @@ def _analysis_fold(datum, act, weyl_limit):
     return out
 
 
-def _analysis_criteria(datum, act, base, p):
-    report = decide(datum, act, base)
-    chars = sorted({0, 2} | ({p} if p is not None else set()))
+def _analysis_criteria(datum, act, run):
+    report = decide(datum, act, run.base)
+    chars = sorted({0, 2} | ({run.p} if run.p is not None else set()))
     out = report.as_dict()
     out["fibers"] = {str(char): fr.as_dict() for char, fr in report.fibers(chars).items()}
     return out
 
 
-def _analysis_chevalley(datum, act):
+def _analysis_chevalley(datum, act, run):
     sc = base_constants(datum)
     verify_jacobi(sc)
     adjusted, classes = equivariant_signs(sc, act)
@@ -407,49 +412,38 @@ def _analysis_chevalley(datum, act):
     }
 
 
-def _analysis_count(datum, act, q, enum_limit):
-    if q is None:
+def _analysis_count(datum, act, run):
+    if run.q is None:
         raise ConfigError("count analysis needs q (give --q or [run] q)")
     n = _flip_rank(datum, act)
-    report = verify_fixed_count(n, q, order_limit=enum_limit)
+    report = verify_fixed_count(n, run.q, order_limit=run.enum_limit)
     return report.as_dict()
 
 
-def _analysis_tangent(datum, act, p):
-    if p is None:
+def _analysis_tangent(datum, act, run):
+    if run.p is None:
         raise ConfigError("tangent analysis needs p (give --p or [run] p)")
     n = _flip_rank(datum, act)
-    return {"n": n, "p": p, "dim": tangent_dim(n, p)}
+    return {"n": n, "p": run.p, "dim": tangent_dim(n, run.p)}
 
 
-_JSON_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
+# name -> the analysis, called as analysis(datum, act, run settings)
+ANALYSES = {
+    "fold": _analysis_fold,
+    "criteria": _analysis_criteria,
+    "chevalley": _analysis_chevalley,
+    "count": _analysis_count,
+    "tangent": _analysis_tangent,
 }
 
 
 def _json_str(s: str) -> str:
-    """A JSON string literal with only printable ASCII, as json.dumps writes it."""
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return f'"{s}"'
-    out = []
-    for ch in s:
-        code = ord(ch)
-        if ch in _JSON_ESCAPES:
-            out.append(_JSON_ESCAPES[ch])
-        elif 0x20 <= code < 0x7F:
-            out.append(ch)
-        elif code > 0xFFFF:  # a UTF-16 surrogate pair
-            code -= 0x10000
-            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-        else:
-            out.append(f"\\u{code:04x}")
-    return '"' + "".join(out) + '"'
+    """A report string as a JSON literal, as json.dumps writes it. Report
+    strings are printable ASCII with no quote and no backslash, so they need
+    no escapes; any other string raises TypeError."""
+    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        raise TypeError(f"{s!r} is not a report string")
+    return f'"{s}"'
 
 
 def _json(obj, pretty: bool = False, depth: int = 0) -> str:
@@ -511,9 +505,9 @@ def _error(message: str, code: int, *failed) -> int:
 def run_command(args) -> int:
     try:
         config = _load_config(args.config)
-        analyses, q, p, weyl_limit, enum_limit = _run_settings(config, args)
-        datum, act, preset_name = _build_datum_and_action(config, enum_limit)
-        base = _build_base(config)
+        run = _run_settings(config, args)
+        datum, act, preset_name = _build_datum_and_action(config, run.enum_limit)
+        run.base = _build_base(config)
         results = {
             "input": {
                 "preset": preset_name,
@@ -521,20 +515,11 @@ def run_command(args) -> int:
                 "root_count": datum.nroots,
                 "type": str(cartan_type_of(datum)),
                 "action_order": act.order,
-                "base": base.describe(),
+                "base": run.base.describe(),
             }
         }
-        for analysis in analyses:
-            if analysis == "fold":
-                results["fold"] = _analysis_fold(datum, act, weyl_limit)
-            elif analysis == "criteria":
-                results["criteria"] = _analysis_criteria(datum, act, base, p)
-            elif analysis == "chevalley":
-                results["chevalley"] = _analysis_chevalley(datum, act)
-            elif analysis == "count":
-                results["count"] = _analysis_count(datum, act, q, enum_limit)
-            elif analysis == "tangent":
-                results["tangent"] = _analysis_tangent(datum, act, p)
+        for name in run.analyses:
+            results[name] = ANALYSES[name](datum, act, run)
     except (ConfigError, DomainError) as exc:
         return _error(f"configuration error: {exc}", 2)
     except InvalidActionError as exc:

@@ -177,21 +177,40 @@ class FoldedDatum(Record):
         super().__init__(datum, variant, classes, lattice, {} if doubled is None else doubled)
 
 
-def _fold_pass(datum: RootDatum, act: PinnedAction):
-    """The classes, the coinvariant lattice and each class's image in its
-    free part, with the checks that the images are well defined.  The free
-    coordinates send the sum of the positive roots to a nonnegative vector."""
+def folded_root_data(datum: RootDatum, act: PinnedAction) -> dict[str, FoldedDatum]:
+    """The folded data R1, R2 and nonreduced, all assembled in one pass over
+    the classes.  The pass checks that each class's image in the free part
+    of the coinvariant lattice is well defined and proportional to no other
+    class's, and that its summed coroots are invariant and pair to 2 with
+    its roots.  The free coordinates send the sum of the positive roots to a
+    nonnegative vector."""
     classes = equivalence_classes(datum, act)
     positive = datum.positive_root_indices()
     orient = _vector_sum([datum.roots[i] for i in positive]) if positive else None
     lattice = CoinvariantLattice(datum.rank, act.generators, orient=orient)
-    images = []
-    for cls in classes:
+
+    def folded_root(pos, img, members, divisible):
+        """(root, coroot, is doubled) of class pos; a divisible one sums only
+        the special members' coroots."""
+        ambient = _vector_sum([datum.coroots[i] for i in members])
+        if any(dm.apply(ambient) != ambient for dm in act.generator_duals):
+            raise InternalInconsistencyError("summed coroot is not invariant under the dual action")
+        root = tuple(2 * x for x in img) if divisible else img
+        coroot = lattice.dual_coords(ambient)
+        if sum(a * b for a, b in zip(root, coroot)) != 2:
+            raise InternalInconsistencyError(f"folded pairing <root, coroot> != 2 at class {pos}")
+        return root, coroot, divisible
+
+    # per variant: its positive (root, coroot, is doubled) slots and the
+    # slots of its base
+    slots: dict[str, list] = {v: [] for v in VARIANTS}
+    bases: dict[str, list[int]] = {v: [] for v in VARIANTS}
+    base_set = set(datum.basis_indices)
+    seen = set()  # the directions of the class images so far
+    for pos, cls in enumerate(classes):
         img = lattice.free_image(datum.roots[cls.representative])
         if not any(img):
-            raise InternalInconsistencyError(
-                "class image vanishes in the coinvariant lattice"
-            )
+            raise InternalInconsistencyError("class image vanishes in the coinvariant lattice")
         for i in cls.nonspecial:
             if lattice.free_image(datum.roots[i]) != img:
                 raise InternalInconsistencyError(
@@ -204,43 +223,11 @@ def _fold_pass(datum: RootDatum, act: PinnedAction):
                 raise InternalInconsistencyError(
                     "special member differs from twice a nonspecial member in M_A"
                 )
-        images.append(img)
-    if len({_direction(img) for img in images}) != len(images):
-        raise InternalInconsistencyError("images of distinct classes are proportional")
-    return classes, lattice, images
-
-
-def folded_root_data(datum: RootDatum, act: PinnedAction) -> dict[str, FoldedDatum]:
-    """The folded data R1, R2 and nonreduced, all assembled from one pass
-    over the classes and the coinvariant lattice."""
-    classes, lattice, images = _fold_pass(datum, act)
-
-    def folded_root(img, cls, divisible):
-        """(root, coroot, is doubled) of a class; a divisible one sums only
-        the special members' coroots."""
-        members = cls.special if divisible else cls.members
-        ambient = _vector_sum([datum.coroots[i] for i in members])
-        for dm in act.generator_duals:
-            if dm.apply(ambient) != ambient:
-                raise InternalInconsistencyError(
-                    "summed coroot is not invariant under the dual action"
-                )
-        root = tuple(2 * x for x in img) if divisible else img
-        return root, lattice.dual_coords(ambient), divisible
-
-    # per variant: its positive (root, coroot, is doubled) slots and the
-    # slots of its base
-    slots: dict[str, list] = {v: [] for v in VARIANTS}
-    bases: dict[str, list[int]] = {v: [] for v in VARIANTS}
-    base_set = set(datum.basis_indices)
-    for pos, (cls, img) in enumerate(zip(classes, images)):
-        single = folded_root(img, cls, divisible=False)
-        double = folded_root(img, cls, divisible=True) if cls.kind == "II" else None
-        for root, coroot, _ in filter(None, (single, double)):
-            if sum(a * b for a, b in zip(root, coroot)) != 2:
-                raise InternalInconsistencyError(
-                    f"folded pairing <root, coroot> != 2 at class {pos}"
-                )
+        if (direction := _direction(img)) in seen:
+            raise InternalInconsistencyError("images of distinct classes are proportional")
+        seen.add(direction)
+        single = folded_root(pos, img, cls.members, divisible=False)
+        double = folded_root(pos, img, cls.special, divisible=True) if cls.kind == "II" else None
         meets_base = not base_set.isdisjoint(cls.members)
         for variant, slot in (("R1", single), ("R2", double or single), ("nonreduced", single)):
             if meets_base:

@@ -282,24 +282,24 @@ class FinAbGroup(FrozenRecord):
             n *= d
         return n
 
-    def is_p_group(self, p: int) -> bool:
-        """True when every invariant factor is a power of the prime p."""
+    def _prime_to_p_parts(self, p: int) -> list[int]:
+        """Each invariant factor with its powers of the prime p divided out."""
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        parts = []
         for d in self.invariant_factors:
             while d % p == 0:
                 d //= p
-            if d != 1:
-                return False
-        return True
+            parts.append(d)
+        return parts
+
+    def is_p_group(self, p: int) -> bool:
+        """True when every invariant factor is a power of the prime p."""
+        return all(d == 1 for d in self._prime_to_p_parts(p))
 
     def without_prime_part(self, p: int) -> "FinAbGroup":
         """Quotient away the p-primary component of the torsion."""
-        kept = []
-        for d in self.invariant_factors:
-            while d % p == 0:
-                d //= p
-            if d > 1:
-                kept.append(d)
-        return FinAbGroup(self.free_rank, tuple(kept))
+        return FinAbGroup(self.free_rank, tuple(d for d in self._prime_to_p_parts(p) if d > 1))
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]

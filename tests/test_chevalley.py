@@ -370,6 +370,17 @@ def test_rescale_copies_only_the_rows_it_changes():
     assert rescale(one, {f: -1}).table == sc.table
 
 
+def test_rescale_refuses_a_sign_off_the_positive_roots():
+    # the signs of a negative root and of an index past the roots were
+    # dropped, and the table came back unchanged
+    sc = base_constants(build_preset("A2", "sc"))
+    d = sc.datum
+    highest = next(i for i in d.positive_root_indices() if i not in d.basis_indices)
+    for key in (d.negative_of(highest), 99):
+        with pytest.raises(DomainError, match=f"keyed by positive roots; {key} is not one$"):
+            rescale(sc, {key: -1})
+
+
 @pytest.mark.parametrize(
     "datum",
     [pytest.param(load_preset(name).datum, id=name) for name in preset_names()]

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import foldlab
 import foldlab.cli as cli
@@ -625,11 +625,30 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _report_strings(obj):
+    """obj with each string, dict keys included, cut down to the characters a
+    report string holds: printable ASCII but the quote and the backslash."""
+    if isinstance(obj, str):
+        return "".join(c for c in obj if " " <= c <= "~" and c not in '"\\')
+    if isinstance(obj, list):
+        return [_report_strings(x) for x in obj]
+    if isinstance(obj, dict):
+        return {_report_strings(k): _report_strings(v) for k, v in obj.items()}
+    return obj
+
+
 @settings(max_examples=400, deadline=None)
 @given(_JSON_VALUES)
 def test_json_writer_matches_json_dumps(obj):
-    assert cli._json(obj) == json.dumps(obj)
-    assert cli._json(obj, pretty=True) == json.dumps(obj, indent=2, sort_keys=True)
+    # the writer matches json.dumps on report strings, which need no escapes,
+    # and refuses every other string rather than write it
+    report = _report_strings(obj)
+    assert cli._json(report) == json.dumps(report)
+    assert cli._json(report, pretty=True) == json.dumps(report, indent=2, sort_keys=True)
+    if report != obj:
+        for pretty in (False, True):
+            with pytest.raises(TypeError, match="is not a report string"):
+                cli._json(obj, pretty)
 
 
 @st.composite
@@ -672,6 +691,110 @@ def test_matrix_float_exit_2(tmp_path, capsys):
         "configuration error: matrices is not valid JSON: expected ',' or ']' at char 4,"
         " found '.'\n" in capsys.readouterr().err
     )
+
+
+_COMPONENTS = [f"A{n}" for n in range(1, 7)] + [f"{f}{n}" for f in "BC" for n in range(2, 7)]
+_COMPONENTS += ["D4", "D5", "D6", "G2", "F4", "E6"]
+_NAMES = [*cli.ANALYSES, "all"]
+
+
+@st.composite
+def _fuzz_job(draw):
+    """(INI text, flags, --json file name or None) from a grammar of input,
+    each piece valid three times in four and malformed otherwise."""
+
+    def pick(valid, malformed):
+        bad = draw(st.booleans()) and draw(st.booleans())
+        return draw(st.sampled_from(malformed if bad else valid))
+
+    def matrix(n):
+        if draw(st.booleans()):  # a signed permutation, of finite order
+            perm = draw(st.permutations(range(n)))
+            signs = [draw(st.sampled_from([1, -1])) for _ in range(n)]
+            return [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=n, max_size=n))
+
+    sections, rank = {}, draw(st.integers(1, 4))
+    kind = pick(["preset", "type", "type", "torus"], ["bad type", "no datum"])
+    if kind == "preset":
+        sections["datum"] = {"preset": pick(preset_names(), ["B9-nope", ""])}
+    elif kind == "type":
+        parts = draw(st.lists(st.sampled_from(_COMPONENTS), min_size=1, max_size=3))
+        while len(parts) > 1 and sum(int(c[1:]) for c in parts) > 6:
+            parts.pop()
+        rank = sum(int(c[1:]) for c in parts)
+        isogeny = pick(["sc", "adjoint"], ["banana"])
+        sections["datum"] = {"type": "+".join(parts), "isogeny": isogeny}
+    elif kind == "torus":
+        sections["datum"] = {"type": "torus", "rank": pick([str(rank)], ["0", "-1", "x"])}
+    elif kind == "bad type":
+        sections["datum"] = {"type": draw(st.sampled_from(["A0", "B1", "E5", "Z3", "A2+", ""]))}
+    action = "none" if kind == "preset" else pick(["none", "perm", "matrices"], ["both", "preset"])
+    if action in ("perm", "both"):
+        chunks = [
+            draw(st.permutations(range(rank))) if pick([True], [False])
+            else draw(st.lists(st.integers(-1, rank), min_size=rank - 1, max_size=rank + 1))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        sections.setdefault("action", {})["basis_permutation"] = "; ".join(
+            ",".join(map(str, c)) for c in chunks
+        )
+    if action in ("matrices", "both"):
+        n = pick([rank], [rank + 1, rank - 1])
+        shape = pick(["list", "bare"], ["ragged", "[]", "[[]]", "[1]", "[[1,]]", "x", ""])
+        value = {
+            "list": lambda: json.dumps([matrix(n) for _ in range(draw(st.integers(1, 2)))]),
+            "bare": lambda: json.dumps(matrix(n)),
+            "ragged": lambda: json.dumps([[[1, 0], [0]]]),
+        }.get(shape, lambda: shape)()
+        sections.setdefault("action", {})["matrices"] = value
+    if action == "preset":  # a preset with an action of its own
+        sections["datum"], sections["action"] = {"preset": "A2-sc-flip"}, {"matrices": "[[0]]"}
+    if draw(st.booleans()):
+        sections["base"] = {"primes": pick(["all", "", "2", "2,3", "3,5,7"], ["4", "x", "-2"])}
+    run = {}
+    if draw(st.booleans()):
+        run["analyses"] = ", ".join(draw(st.lists(st.sampled_from(_NAMES), max_size=3)))
+    for key in ("q", "p"):
+        if draw(st.booleans()):
+            run[key] = pick(["2", "3", "4", "5", "7"], ["0", "1", "6", "-3", "x"])
+    if run:
+        sections["run"] = run
+    if pick([False], [False, True]):  # one time in eight
+        sections[draw(st.sampled_from(["mystery", "DEFAULT", "run"]))] = {"rnak": "2"}
+    ini = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+    flags = []
+    for name in draw(st.lists(st.sampled_from([*_NAMES] * 3 + ["dance", ""]), max_size=2)):
+        flags += ["--analysis", name]
+    for flag, values in (
+        ("--q", st.integers(-1, 9)),
+        ("--p", st.integers(-2, 11)),
+        ("--limit-enum", st.sampled_from([0, 35, 10**4, 10**6])),
+        ("--limit-weyl", st.sampled_from([0, 10, 10**6])),
+    ):
+        if draw(st.booleans()):
+            flags += [flag, str(draw(values))]
+    return ini, flags, pick(["out.json", None], ["missing/out.json"])
+
+
+# each example gets a deadline, so a hang fails rather than stalls the suite
+@settings(max_examples=200, deadline=3000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_job())
+def test_exit_code_contract_on_fuzzed_configs(tmp_path, job):
+    ini, flags, json_name = job
+    argv = ["run", write(tmp_path, ini), *flags]
+    out_path = tmp_path / json_name if json_name else None
+    if out_path:
+        argv += ["--json", str(out_path)]
+        out_path.unlink(missing_ok=True)
+    code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5), (ini, flags, code)
+    if code == 0 and out_path:
+        json.loads(out_path.read_text())  # every report written is valid JSON
 
 
 def test_unknown_analysis(tmp_path):
@@ -795,6 +918,69 @@ def test_d4_product_chevalley_golden_digest(tmp_path, capsys, cartan_type, perm)
     assert report["input"]["action_order"] == order
     assert report["chevalley"]["adjusted_sign_count"] == flips
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+# fold, criteria and chevalley on folds that no preset covers: type II on a
+# rank-6 A in both isogenies, a D5 and swapped non-simply-laced factors;
+# (type, isogeny, basis_permutation) -> {analysis: sha256 of the --json report}
+FOLD_BEYOND_PRESETS_SHA256 = {
+    ("A6", "sc", "5,4,3,2,1,0"): {
+        "fold": "991f6ac6ac071acdec5e1c3989608d5b3b5b9964833930aba42cadfc92a91f65",
+        "criteria": "0cfe55eae99ae67b55e03757cb646bbbe8a6e8e53e74129931567c4b9dc03c19",
+        "chevalley": "6ebbf5f6515b321e0a1a94a071b7b83518b243f5a78b8940ed48b38a4ec8df75",
+    },
+    ("A6", "adjoint", "5,4,3,2,1,0"): {
+        "fold": "72bdc449919020c21ab3eeae7083a1c88b7dbd68a755897c4bb1c46af6dfa99e",
+        "criteria": "0cfe55eae99ae67b55e03757cb646bbbe8a6e8e53e74129931567c4b9dc03c19",
+        "chevalley": "b42a2e04522ef67e543179de0b413b1187506298e89aa12384a14cb4b40f38d1",
+    },
+    ("D5", "sc", "0,1,2,4,3"): {
+        "fold": "235ec3414687bdbc908085f446e23a59e9ca8d1675daab0b4805ee545acab680",
+        "criteria": "3cd21ce5937c88ce02c25d9f6ba44f903959efb82d0f843a7ece89adaa827c3a",
+        "chevalley": "113d5e5cefc229c7de8c9e67cf166f2186b2f2387049c2821c806c7c9bea9464",
+    },
+    ("A3+A3", "sc", "3,4,5,0,1,2"): {
+        "fold": "66dcea288a9be1403f8ce2cd4cd244b79538838d7b28b39e12cadff34298928f",
+        "criteria": "70d48892a8edcc5980b35756149f2cb5c7fa536cdf61a65940b1c16d853deec3",
+        "chevalley": "df50cee92a20644c74a93ae52b3fd4766d7af592c9daed1b0085056e63468562",
+    },
+    ("B2+B2", "adjoint", "2,3,0,1"): {
+        "fold": "b546af2410609cfaa29812584b8541cb6bd5b17cfd68b523feafcb4817fe5e65",
+        "criteria": "814e44764fca051a2918067d85fed0c1c1592976af60746f66f51880026e1e2c",
+        "chevalley": "003b36411c826d0af96d3e09c82e27628a3fb41880f69e4a1f8e6a68038b9281",
+    },
+    ("G2+G2+G2", "sc", "2,3,4,5,0,1"): {
+        "fold": "d1bc17033f8d292a1e316b52736acc15765ad55980a9a2346e66d9705b7a4561",
+        "criteria": "a3465526f30e7e12e036a48243512d696a51070f87d9a0f76933dd20d91e0aec",
+        "chevalley": "2d3f016886d50c010d5b9d30344aa77be01f8abd469a3011f066e1a5ff55ce3e",
+    },
+    # the flip of each A2 composed with the swap of the two
+    ("A2+A2", "sc", "3,2,1,0"): {
+        "fold": "09fa3b58fde3a09d6a285479153208ddda708fd37cb77d79844acc5f574dc0d6",
+        "criteria": "6efbec2246e16e8c4082071fc74a440fb887035bbd7283e9e9b0c4b997c7b058",
+        "chevalley": "6b8a53e46131f60dbf832c6610d29f73ee339c26ed39a9644c7b1dcbcc35df44",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "cartan_type,isogeny,perm,analysis",
+    [
+        pytest.param(*key, analysis, id=f"{key[0]}-{key[1]}-{analysis}")
+        for key, digests in FOLD_BEYOND_PRESETS_SHA256.items()
+        for analysis in digests
+    ],
+)
+def test_fold_beyond_presets_golden_digest(tmp_path, capsys, cartan_type, isogeny, perm, analysis):
+    cfg = write(
+        tmp_path,
+        f"[datum]\ntype = {cartan_type}\nisogeny = {isogeny}\n\n"
+        f"[action]\nbasis_permutation = {perm}\n",
+    )
+    out_path = tmp_path / "report.json"
+    assert cli.main(["run", cfg, "--analysis", analysis, "--json", str(out_path)]) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == FOLD_BEYOND_PRESETS_SHA256[cartan_type, isogeny, perm][analysis]
 
 
 @pytest.mark.parametrize("preset", preset_names())

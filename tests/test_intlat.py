@@ -273,6 +273,15 @@ def test_finabgroup_validation_and_helpers():
     assert "Z" in FinAbGroup(2, (4,)).describe()
 
 
+@pytest.mark.parametrize("p", [1, 0, -1, 4])
+def test_prime_part_helpers_refuse_a_nonprime(p):
+    # p = 1 and p = -1 were divided out of 6 without end, and p = 0 divided by zero
+    g = FinAbGroup(0, (6,))
+    for helper in (g.is_p_group, g.without_prime_part):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            helper(p)
+
+
 def test_coinvariants_swap_and_inversion():
     swap = IntMatrix([[0, 1], [1, 0]])
     assert coinvariants(2, [swap]) == FinAbGroup(1, ())
